@@ -1,0 +1,231 @@
+"""Byte-identity pins for everything the kernel prints.
+
+Each test renders a family of outputs, feeds the bytes to sha256 and
+compares the digest with the one recorded below.  The families are the
+corpus reports (`gfo check` human and JSON, completed valuation-mode JSON),
+`gfo dump`, `serialize`, the corpus queries, every parse diagnostic (code,
+file, line, column, length, message) over a fixed-seed set of corpus
+mutations, and a handful of malformed queries.  Paths are repo-relative,
+so the digests do not depend on where the checkout lives.
+
+A refactor must leave every digest unchanged.  When an output change is
+intended, print the new digests with
+``PYTHONPATH=src python tests/test_golden.py`` and
+say in the commit why the bytes moved.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import re
+from pathlib import Path
+
+from gfo import cli
+from gfo.dsl import ParseError, parse, parse_file, parse_query, serialize
+
+REPO = Path(__file__).resolve().parent.parent
+
+CORPUS = sorted(f"corpus/{p.name}" for p in (REPO / "corpus").glob("*.gfo"))
+
+MUTATION_SEED = 20261017
+MUTATION_COUNT = 2000
+# literals spliced in by the swap mutation, besides those of the file itself
+LITERAL_POOL = ("0", "1", "-1", "1/2", "0.25", "1/0", "7", "x", "_", '"s"', "yes")
+STRAY = ";{}()[],=@:->\"/\\#"
+LITERAL = re.compile(r"-?\d+(?:[./]\d+)?|[A-Za-z_][A-Za-z0-9_-]*|\"[^\"\n]*\"")
+
+QUERIES = (
+    "",
+    "holds",
+    "holds(",
+    "holds(blood, position)",
+    "holds(blood, nosuch, in_heart)",
+    "holds(blood, position, in_heart) at",
+    "holds(blood, position, in_heart) during [2, 1]",
+    "holds(blood, position, in_heart) during [1/0, 2]",
+    "fact position(blood, _",
+    "fact position() at 0",
+    "fact position(blood, _) extra",
+    "fact (blood)",
+    "maybe position(blood)",
+    'fact position("s", 1);',
+    "holds(blood, position, in_heart) at 0;",
+    "fact position(blood, _) during [0, 3/2]",
+)
+
+DIGESTS = {
+    "check-human": "a28d9e0c763b3e05e83bd03ee4e3cc35337445e288b9d2a345780c16c6f7556c",
+    "check-json": "2d6a41f23d41b5640c58b863b4c8551c61d09a425e49bda3bd074fb8618c65b0",
+    "check-complete-valuation-json": "da599de9a8f671431e32f401f07a80227d8609168349441eef600874b791cbde",
+    "dump": "009f9693fded42f5ffecbead1ba9d73aa5e852aa823a439319e77eab2d113a6f",
+    "serialize": "34d1b576b3134b1c54cdf740a0ace2d08bea1fe4f80367fa571ca8262103dc59",
+    "query": "29bdf064e078658571bd1c28e383ae89822d86bb61a472ef1f2a8f0a1ac4809e",
+    "mutations": "e504ce85c6ce9edf2aff27b5d25eb67f9ad46719e01094d8716c0da702af6eeb",
+    "parse-query": "7796bf16770c973adc235efdf6f482ceefe2801f50802b5a13fafd1725d5ac56",
+}
+
+
+def _digest(chunks) -> str:
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(json.dumps(chunk, sort_keys=True).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def _cli(*argv: str):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return [list(argv), code, out.getvalue(), err.getvalue()]
+
+
+def _diagnostics(exc: ParseError) -> list:
+    return [
+        [d.code, d.span.file, d.span.line, d.span.column, d.span.length, d.message]
+        for d in exc.diagnostics
+    ]
+
+
+def _render(name: str) -> list:
+    if name == "check-human":
+        return [_cli("check", path) for path in CORPUS]
+    if name == "check-json":
+        return [_cli("check", path, "--format", "json") for path in CORPUS]
+    if name == "check-complete-valuation-json":
+        return [
+            _cli("check", path, "--complete", "--integration=valuation", "--format", "json")
+            for path in CORPUS
+        ]
+    if name == "dump":
+        return [_cli("dump", path) for path in CORPUS]
+    if name == "serialize":
+        return [[path, serialize(parse_file(path))] for path in CORPUS]
+    if name == "query":
+        return _queries()
+    if name == "mutations":
+        return _mutations()
+    return _parse_queries()
+
+
+def _queries() -> list:
+    out = []
+    for path in CORPUS:
+        m = parse_file(path)
+        for fn in sorted(m.functions):
+            out.append(_cli("query", path, "--realizations", fn))
+            out.append(_cli("query", path, "--realizers", fn))
+        for entity in sorted(m.continuants) + sorted(m.processes):
+            out.append(_cli("query", path, "--changes", entity, "--tol", "1/2"))
+        for fid in sorted(m.facts):
+            fact = m.facts[fid]
+            args = ", ".join("_" if i % 2 else str(a) for i, a in enumerate(fact.args))
+            out.append(_cli("query", path, "--truthmakers", f"fact {fact.relator}({args})"))
+            if fact.relator in m.property_defs:
+                subject, value = fact.args
+                text = f"holds({subject}, {fact.relator}, {value})"
+                out.append(_cli("query", path, "--truthmakers", text))
+        for prop in sorted(m.property_defs):
+            for pid in sorted(m.processes)[:2]:
+                out.append(_cli("query", path, "--classify", prop, pid))
+    return out
+
+
+def _mutate(rng: random.Random, text: str) -> tuple:
+    kind = rng.choice(("delete", "duplicate", "swap", "stray"))
+    if kind == "delete":
+        i = rng.randrange(len(text))
+        return kind, text[:i] + text[i + rng.randint(1, 12):]
+    if kind == "duplicate":
+        lines = text.split("\n")
+        i = rng.randrange(len(lines))
+        return kind, "\n".join(lines[: i + 1] + lines[i:])
+    if kind == "swap":
+        spans = [m.span() for m in LITERAL.finditer(text)]
+        start, end = rng.choice(spans)
+        if rng.random() < 0.5:
+            a, b = rng.choice(spans)
+            new = text[a:b]
+        else:
+            new = rng.choice(LITERAL_POOL)
+        return kind, text[:start] + new + text[end:]
+    i = rng.randrange(len(text) + 1)
+    return kind, text[:i] + rng.choice(STRAY) + text[i:]
+
+
+def _mutations() -> list:
+    rng = random.Random(MUTATION_SEED)
+    sources = {path: (REPO / path).read_text(encoding="utf-8") for path in CORPUS}
+    out = []
+    for n in range(MUTATION_COUNT):
+        path = rng.choice(CORPUS)
+        kind, text = _mutate(rng, sources[path])
+        try:
+            result = ["ok", serialize(parse(text, file=path))]
+        except ParseError as exc:
+            result = ["error", _diagnostics(exc)]
+        out.append([n, path, kind, result])
+    return out
+
+
+def _parse_queries() -> list:
+    m = parse_file("corpus/heart.gfo")
+    out = []
+    for text in QUERIES:
+        for model in (None, m):
+            try:
+                result = ["ok", repr(parse_query(text, model))]
+            except ParseError as exc:
+                result = ["error", _diagnostics(exc)]
+            out.append([text, model is not None, result])
+    return out
+
+
+def _check(name: str, monkeypatch) -> None:
+    monkeypatch.chdir(REPO)
+    monkeypatch.delenv("GFO_COLOR", raising=False)
+    assert _digest(_render(name)) == DIGESTS[name], f"{name} output changed"
+
+
+def test_corpus_check_human_is_byte_identical(monkeypatch):
+    _check("check-human", monkeypatch)
+
+
+def test_corpus_check_json_is_byte_identical(monkeypatch):
+    _check("check-json", monkeypatch)
+
+
+def test_corpus_completed_valuation_check_is_byte_identical(monkeypatch):
+    _check("check-complete-valuation-json", monkeypatch)
+
+
+def test_corpus_dump_is_byte_identical(monkeypatch):
+    _check("dump", monkeypatch)
+
+
+def test_corpus_serialize_is_byte_identical(monkeypatch):
+    _check("serialize", monkeypatch)
+
+
+def test_corpus_queries_are_byte_identical(monkeypatch):
+    _check("query", monkeypatch)
+
+
+def test_mutation_diagnostics_are_byte_identical(monkeypatch):
+    _check("mutations", monkeypatch)
+
+
+def test_malformed_query_diagnostics_are_byte_identical(monkeypatch):
+    _check("parse-query", monkeypatch)
+
+
+if __name__ == "__main__":
+    os.chdir(REPO)
+    os.environ.pop("GFO_COLOR", None)
+    for key in DIGESTS:
+        print(f'    "{key}": "{_digest(_render(key))}",')
