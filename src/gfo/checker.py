@@ -22,7 +22,7 @@ from itertools import pairwise
 
 from .chrono import coord, coord_str
 from .errors import MalformedContinuant, UnknownProperty
-from .model import CATEGORICAL, Continuant, Model, Process
+from .model import CATEGORICAL, Continuant, Model, Process, sample_valuation
 
 DISJOINTNESS = "disjointness"
 INTEGRATION = "integration"
@@ -96,6 +96,8 @@ def sort_violations(violations) -> list[Violation]:
 
 def check_disjointness(m: Model) -> list[Violation]:
     """One violation per id declared under more than one individual kind."""
+    # fires on stores built in code only; the linker rejects such sources
+    # (see "Where store invariants are enforced" in docs/semantics.md)
     out = []
     seen = set()
     for _, store in m._kind_stores():
@@ -125,6 +127,8 @@ def _presentials_match(m: Model, exhibited: str, bounded: str, mode: str) -> boo
     a = m.presentials.get(exhibited)
     b = m.presentials.get(bounded)
     if a is None or b is None:
+        # stores built in code only: see "Where store invariants are
+        # enforced" in docs/semantics.md
         return False
     return a.at.coordinate == b.at.coordinate and a.valuation == b.valuation
 
@@ -147,22 +151,14 @@ def _integration_mismatches(
         )
     exhibit_keys = set(c.exhibit_map)
     boundary_keys = set(p.boundary_map)
-    for t in sorted(exhibit_keys - boundary_keys):
+    for t in sorted(exhibit_keys ^ boundary_keys):
+        missing = "process boundary" if t in exhibit_keys else "exhibited presential"
         out.append(
             Violation(
                 axiom=INTEGRATION,
                 subjects=subjects,
                 at=t,
-                message=f"no process boundary at {coord_str(t)}",
-            )
-        )
-    for t in sorted(boundary_keys - exhibit_keys):
-        out.append(
-            Violation(
-                axiom=INTEGRATION,
-                subjects=subjects,
-                at=t,
-                message=f"no exhibited presential at {coord_str(t)}",
+                message=f"no {missing} at {coord_str(t)}",
             )
         )
     for t in sorted(exhibit_keys & boundary_keys):
@@ -223,6 +219,8 @@ def derive_process(m: Model, c: Continuant) -> Process:
     individuals with equal boundary maps.
     """
     keys = set(c.exhibit_map)
+    # stores built in code only: see "Where store invariants are enforced"
+    # in docs/semantics.md
     if not keys or c.lifetime.left not in keys or c.lifetime.right not in keys:
         raise MalformedContinuant(
             f"continuant {c.id!r} lacks snapshots at its lifetime endpoints"
@@ -291,18 +289,13 @@ def detect_continuant_changes(m: Model, c: Continuant) -> list[tuple]:
     out = []
     keys = sorted(c.exhibit_map)
     for t1, t2 in pairwise(keys):
-        v1 = _valuation(m, c.exhibit_map[t1])
-        v2 = _valuation(m, c.exhibit_map[t2])
+        v1 = sample_valuation(m, c.exhibit_map, t1) or {}
+        v2 = sample_valuation(m, c.exhibit_map, t2) or {}
         for prop in sorted(set(v1) | set(v2)):
             a, b = v1.get(prop), v2.get(prop)
             if a != b:
                 out.append((t1, t2, prop, a, b))
     return out
-
-
-def _valuation(m: Model, pres_id: str) -> dict:
-    pres = m.presentials.get(pres_id)
-    return pres.valuation if pres else {}
 
 
 def detect_process_changes(

@@ -21,7 +21,8 @@ from .model import (
     Process,
     Situation,
     Value,
-    sample_points_of,
+    sample_map,
+    sample_valuation,
     valuation_at,
 )
 
@@ -102,14 +103,6 @@ class RealizationRecord:
 # -- concept satisfaction ------------------------------------------------------
 
 
-def _constraint_holds_at(m: Model, pc: PropertyConstraint, t: Fraction) -> bool:
-    try:
-        valuation = valuation_at(m, pc.entity, t)
-    except UnknownEntity:
-        return False
-    return valuation is not None and valuation.get(pc.prop) == pc.value
-
-
 def _constraint_holds(m: Model, s: Situation, pc: PropertyConstraint) -> bool:
     if pc.entity not in s.participants:
         return False
@@ -120,13 +113,18 @@ def _constraint_holds(m: Model, s: Situation, pc: PropertyConstraint) -> bool:
         or pc.entity in m.processes
     ):
         return False
+    samples = sample_map(m, pc.entity)
     if s.presentic:
-        return _constraint_holds_at(m, pc, s.extent.coordinate)
-    # situoid: the constraint must hold at every declared sample of the
-    # participant inside the extent (vacuously true when there is none)
-    points = sample_points_of(m, pc.entity)
-    inside = [t for t in points if s.extent.left <= t <= s.extent.right]
-    return all(_constraint_holds_at(m, pc, t) for t in inside)
+        times = (s.extent.coordinate,)
+    else:
+        # situoid: the constraint must hold at every declared sample of the
+        # participant inside the extent (vacuously true when there is none)
+        times = [t for t in samples if s.extent.left <= t <= s.extent.right]
+    for t in times:
+        valuation = sample_valuation(m, samples, t)
+        if valuation is None or valuation.get(pc.prop) != pc.value:
+            return False
+    return True
 
 
 def satisfies_concept(s: Situation, c: SituationConcept, m: Model) -> bool:
@@ -135,6 +133,8 @@ def satisfies_concept(s: Situation, c: SituationConcept, m: Model) -> bool:
     time.  Monotone in the situation's constituents."""
     if s.id not in m.situations:
         raise UnknownSituation(s.id)
+    # unknown fact ids occur in stores built in code only: see "Where store
+    # invariants are enforced" in docs/semantics.md
     facts = [m.facts[fid] for fid in s.constituents if fid in m.facts]
     for pattern in c.required_facts:
         if not any(pattern.matches(f) for f in facts):

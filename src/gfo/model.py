@@ -230,40 +230,45 @@ def classify(entity_id: str, m: Model) -> Kind:
     raise UnknownEntity(entity_id)
 
 
-def process_boundary(p: Process, t: int | str | Fraction, m: Model) -> Presential:
-    """The presential obtained by restricting ``p`` to the declared sample ``t``."""
+def _declared_presential(
+    m: Model,
+    owner: str,
+    span: str,
+    extent: Chronoid,
+    sample: str,
+    samples: dict,
+    t: int | str | Fraction,
+    outside: type,
+) -> Presential:
+    """The presential a sample map holds at the declared sample ``t``:
+    the checked lookup behind :func:`snapshot` and :func:`process_boundary`."""
     t = coord(t)
-    if not p.extent.contains(t):
-        raise OutOfExtent(
-            f"{coord_str(t)} outside extent of process {p.id!r}"
-        )
-    pres_id = p.boundary_map.get(t)
+    if not extent.contains(t):
+        raise outside(f"{coord_str(t)} outside {span} of {owner}")
+    pres_id = samples.get(t)
     if pres_id is None:
-        raise UnsampledTime(
-            f"process {p.id!r} has no declared boundary at {coord_str(t)}"
-        )
+        raise UnsampledTime(f"{owner} has no declared {sample} at {coord_str(t)}")
     try:
         return m.presentials[pres_id]
     except KeyError:
+        # stores built in code only: see "Where store invariants are
+        # enforced" in docs/semantics.md
         raise UnknownEntity(pres_id) from None
+
+
+def process_boundary(p: Process, t: int | str | Fraction, m: Model) -> Presential:
+    """The presential obtained by restricting ``p`` to the declared sample ``t``."""
+    return _declared_presential(
+        m, f"process {p.id!r}", "extent", p.extent, "boundary", p.boundary_map, t, OutOfExtent
+    )
 
 
 def snapshot(c: Continuant, t: int | str | Fraction, m: Model) -> Presential:
     """The presential exhibited by ``c`` at the declared sample ``t``."""
-    t = coord(t)
-    if not c.lifetime.contains(t):
-        raise OutOfLifetime(
-            f"{coord_str(t)} outside lifetime of continuant {c.id!r}"
-        )
-    pres_id = c.exhibit_map.get(t)
-    if pres_id is None:
-        raise UnsampledTime(
-            f"continuant {c.id!r} has no declared snapshot at {coord_str(t)}"
-        )
-    try:
-        return m.presentials[pres_id]
-    except KeyError:
-        raise UnknownEntity(pres_id) from None
+    return _declared_presential(
+        m, f"continuant {c.id!r}", "lifetime", c.lifetime, "snapshot", c.exhibit_map, t,
+        OutOfLifetime,
+    )
 
 
 def process_temporal_part(
@@ -297,6 +302,34 @@ def process_temporal_part(
     )
 
 
+def sample_map(m: Model, entity_id: str) -> dict:
+    """Coordinate -> presential id for any individual: the exhibit map of a
+    continuant, the boundary map of a process, the one location of a
+    presential; empty for situations and facts.  Raises UnknownEntity for
+    ids that are not individuals at all."""
+    pres = m.presentials.get(entity_id)
+    if pres is not None:
+        return {pres.at.coordinate: entity_id}
+    owner = m.continuants.get(entity_id)
+    if owner is not None:
+        return owner.exhibit_map
+    owner = m.processes.get(entity_id)
+    if owner is not None:
+        return owner.boundary_map
+    if m.has_entity(entity_id):
+        return {}
+    raise UnknownEntity(entity_id)
+
+
+def sample_valuation(m: Model, samples: dict, t: Fraction) -> dict | None:
+    """The valuation of the presential a sample map holds at ``t``; None
+    when ``t`` is unsampled or the mapped presential is not declared (stores
+    built in code only: see "Where store invariants are enforced" in
+    docs/semantics.md)."""
+    pres = m.presentials.get(samples.get(t))
+    return pres.valuation if pres else None
+
+
 def valuation_at(m: Model, entity_id: str, t: Fraction) -> dict | None:
     """The isolated-property valuation the entity presents at ``t``.
 
@@ -305,34 +338,13 @@ def valuation_at(m: Model, entity_id: str, t: Fraction) -> dict | None:
     Returns None when the entity carries no declared sample at ``t``;
     raises UnknownEntity for ids that are not individuals at all.
     """
-    if entity_id in m.presentials:
-        pres = m.presentials[entity_id]
-        return pres.valuation if pres.at.coordinate == t else None
-    if entity_id in m.continuants:
-        pres_id = m.continuants[entity_id].exhibit_map.get(t)
-        pres = m.presentials.get(pres_id) if pres_id else None
-        return pres.valuation if pres else None
-    if entity_id in m.processes:
-        pres_id = m.processes[entity_id].boundary_map.get(t)
-        pres = m.presentials.get(pres_id) if pres_id else None
-        return pres.valuation if pres else None
-    if m.has_entity(entity_id):
-        return None
-    raise UnknownEntity(entity_id)
+    return sample_valuation(m, sample_map(m, entity_id), t)
 
 
 def sample_points_of(m: Model, entity_id: str) -> list[Fraction]:
     """All declared sample coordinates of an individual (empty for
     situations and facts)."""
-    if entity_id in m.presentials:
-        return [m.presentials[entity_id].at.coordinate]
-    if entity_id in m.continuants:
-        return m.continuants[entity_id].sample_coordinates()
-    if entity_id in m.processes:
-        return m.processes[entity_id].sample_coordinates()
-    if m.has_entity(entity_id):
-        return []
-    raise UnknownEntity(entity_id)
+    return sorted(sample_map(m, entity_id))
 
 
 __all__ = [

@@ -23,7 +23,7 @@ from .model import (
     Situation,
     Value,
 )
-from .functions import WILDCARD, FunctionSpec, is_actual_realization
+from .functions import FactPattern, FunctionSpec, is_actual_realization
 
 
 @dataclass(frozen=True)
@@ -125,20 +125,18 @@ def satisfies(tm: TruthMakerTriple, prop, m: Model) -> bool:
 
     if not _extent_matches(s, prop.time_ref):
         return False
+    if isinstance(prop, HoldsProp) and prop.prop not in m.property_defs:
+        raise UnknownProperty(prop.prop)
+    return _fact_test(prop)(fact)
+
+
+def _fact_test(prop):
+    """The predicate a constituent fact must pass to make ``prop`` true."""
     if isinstance(prop, HoldsProp):
-        if prop.prop not in m.property_defs:
-            raise UnknownProperty(prop.prop)
-        return (
-            fact.relator == prop.prop
-            and len(fact.args) == 2
-            and fact.args[0] == prop.subject
-            and fact.args[1] == prop.value
-        )
-    if fact.relator != prop.relator or len(fact.args) != len(prop.patterns):
-        return False
-    return all(
-        slot == WILDCARD or slot == arg for slot, arg in zip(prop.patterns, fact.args)
-    )
+        # holds names its subject and value exactly: '_' is no wildcard there
+        args = (prop.subject, prop.value)
+        return lambda fact: fact.relator == prop.prop and fact.args == args
+    return FactPattern(prop.relator, prop.patterns).matches
 
 
 def find_truthmakers(m: Model, prop) -> list[TruthMakerTriple]:
@@ -146,17 +144,20 @@ def find_truthmakers(m: Model, prop) -> list[TruthMakerTriple]:
     canonical (process, situation, fact) order."""
     if isinstance(prop, HoldsProp) and prop.prop not in m.property_defs:
         raise UnknownProperty(prop.prop)
+    matches = _fact_test(prop)
     out = []
     for sid in sorted(m.situations):
         s = m.situations[sid]
-        if s.founded_on is None or s.founded_on not in m.processes:
+        # triples built here are founded and constituent by construction, so
+        # satisfies() is not re-run on them; unknown processes and facts occur
+        # in stores built in code only (see "Where store invariants are
+        # enforced" in docs/semantics.md)
+        if s.founded_on not in m.processes or not _extent_matches(s, prop.time_ref):
             continue
         for fid in sorted(s.constituents):
-            if fid not in m.facts:
-                continue
-            tm = TruthMakerTriple(process=s.founded_on, situation=sid, fact=fid)
-            if satisfies(tm, prop, m):
-                out.append(tm)
+            fact = m.facts.get(fid)
+            if fact is not None and matches(fact):
+                out.append(TruthMakerTriple(process=s.founded_on, situation=sid, fact=fid))
     return sorted(out, key=lambda t: (t.process, t.situation, t.fact))
 
 
