@@ -11,12 +11,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import checker
 from .chrono import TimeBoundary, coord_str
-from .dsl import ParseError, parse_file, parse_query
+from .dsl import ParseError, concept_items, fmt_value, parse_file, parse_query
 from .errors import GfoError
 from .functions import is_actual_realization, is_actual_realizer
 from .model import Model
@@ -24,16 +23,6 @@ from .truthmakers import classify_property_support, find_truthmakers
 
 HUMAN = "human"
 JSON = "json"
-
-
-@dataclass
-class RunConfig:
-    command: str
-    inputs: list
-    complete: bool = False
-    integration_mode: str = checker.IDENTITY
-    tolerance: Fraction = Fraction(0)
-    output_format: str = HUMAN
 
 
 def _color_enabled() -> bool:
@@ -56,10 +45,16 @@ def _emit_diagnostics(exc: ParseError, output_format: str) -> None:
             print(_red(str(diagnostic)), file=sys.stderr)
 
 
-def _fmt_value(value) -> object:
-    if isinstance(value, Fraction):
-        return coord_str(value)
-    return value
+def _load(path: str, output_format: str) -> Model | None:
+    """The model in ``path``, or None once the reason it cannot be loaded
+    has been reported."""
+    try:
+        return parse_file(path)
+    except ParseError as exc:
+        _emit_diagnostics(exc, output_format)
+    except OSError as exc:
+        print(f"gfo: cannot read {path}: {exc}", file=sys.stderr)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -67,17 +62,16 @@ def _fmt_value(value) -> object:
 # ---------------------------------------------------------------------------
 
 
-def _check_file(path: str, cfg: RunConfig) -> dict:
-    m = parse_file(path)
+def _check_report(path: str, m: Model, args) -> dict:
     violations = list(checker.check_disjointness(m))
     derived: list = []
-    if cfg.complete:
-        m, derived = checker.complete_integration(m, cfg.integration_mode)
+    if args.complete:
+        m, derived = checker.complete_integration(m, args.integration)
     for cid in sorted(m.continuants):
         c = m.continuants[cid]
         if not c.material:
             continue
-        result = checker.check_integration(m, c, cfg.integration_mode)
+        result = checker.check_integration(m, c, args.integration)
         if not isinstance(result, checker.IntegrationWitness):
             violations.extend(result)
     violations.extend(checker.check_presential_dependence(m))
@@ -90,7 +84,7 @@ def _check_file(path: str, cfg: RunConfig) -> dict:
     for pid in sorted(m.processes):
         p = m.processes[pid]
         for prop in sorted(p.trajectories):
-            points = checker.detect_process_changes(m, p, prop, cfg.tolerance)
+            points = checker.detect_process_changes(m, p, prop, args.tol)
             trajectory_changes.append(
                 {
                     "id": pid,
@@ -113,19 +107,15 @@ def _check_file(path: str, cfg: RunConfig) -> dict:
     }
 
 
-def run_check(cfg: RunConfig) -> int:
+def run_check(args) -> int:
     reports = []
-    for path in cfg.inputs:
-        try:
-            reports.append(_check_file(path, cfg))
-        except ParseError as exc:
-            _emit_diagnostics(exc, cfg.output_format)
+    for path in args.inputs:
+        m = _load(path, args.format)
+        if m is None:
             return 2
-        except OSError as exc:
-            print(f"gfo: cannot read {path}: {exc}", file=sys.stderr)
-            return 2
+        reports.append(_check_report(path, m, args))
     total = sum(len(r["violations"]) for r in reports)
-    if cfg.output_format == JSON:
+    if args.format == JSON:
         _emit_json({"files": reports, "total_violations": total})
     else:
         for report in reports:
@@ -164,10 +154,15 @@ def _query_truthmakers(m: Model, text: str):
     return [tm.to_json() for tm in find_truthmakers(m, prop)]
 
 
-def _query_realizers(m: Model, fn_id: str):
+def _function(m: Model, fn_id: str):
     fn = m.functions.get(fn_id)
     if fn is None:
         raise GfoError(f"function {fn_id!r} is not declared")
+    return fn
+
+
+def _query_realizers(m: Model, fn_id: str):
+    fn = _function(m, fn_id)
     out = []
     executors = sorted({x for x, _ in m.exe_assertions})
     for x in executors:
@@ -177,9 +172,7 @@ def _query_realizers(m: Model, fn_id: str):
 
 
 def _query_realizations(m: Model, fn_id: str):
-    fn = m.functions.get(fn_id)
-    if fn is None:
-        raise GfoError(f"function {fn_id!r} is not declared")
+    fn = _function(m, fn_id)
     out = []
     for pid in sorted(m.processes):
         record = is_actual_realization(m.processes[pid], fn, m)
@@ -202,8 +195,8 @@ def _query_changes(m: Model, entity: str, tol: Fraction):
                 "t1": coord_str(t1),
                 "t2": coord_str(t2),
                 "property": prop,
-                "from": _fmt_value(v1),
-                "to": _fmt_value(v2),
+                "from": fmt_value(v1),
+                "to": fmt_value(v2),
             }
             for t1, t2, prop, v1, v2 in changes
         ]
@@ -226,14 +219,9 @@ def _query_classify(m: Model, prop_name: str, process_id: str):
     }
 
 
-def run_query(cfg: RunConfig, args) -> int:
-    try:
-        m = parse_file(cfg.inputs[0])
-    except ParseError as exc:
-        _emit_diagnostics(exc, JSON)
-        return 2
-    except OSError as exc:
-        print(f"gfo: cannot read {cfg.inputs[0]}: {exc}", file=sys.stderr)
+def run_query(args) -> int:
+    m = _load(args.inputs[0], JSON)
+    if m is None:
         return 2
     try:
         if args.truthmakers is not None:
@@ -243,7 +231,7 @@ def run_query(cfg: RunConfig, args) -> int:
         elif args.realizations is not None:
             result = _query_realizations(m, args.realizations)
         elif args.changes is not None:
-            result = _query_changes(m, args.changes, cfg.tolerance)
+            result = _query_changes(m, args.changes, args.tol)
         else:
             result = _query_classify(m, args.classify[0], args.classify[1])
     except ParseError as exc:
@@ -296,7 +284,7 @@ def model_to_json(m: Model) -> dict:
                 "at": _extent_json(pres.at),
                 "material": pres.material,
                 "valuation": {
-                    prop: _fmt_value(v) for prop, v in pres.valuation.items()
+                    prop: fmt_value(v) for prop, v in pres.valuation.items()
                 },
             }
             for pid, pres in m.presentials.items()
@@ -308,7 +296,7 @@ def model_to_json(m: Model) -> dict:
                     coord_str(t): target for t, target in p.boundary_map.items()
                 },
                 "trajectories": {
-                    prop: [[coord_str(t), _fmt_value(v)] for t, v in samples]
+                    prop: [[coord_str(t), fmt_value(v)] for t, v in samples]
                     for prop, samples in p.trajectories.items()
                 },
             }
@@ -325,7 +313,7 @@ def model_to_json(m: Model) -> dict:
             for cid, c in m.continuants.items()
         },
         "facts": {
-            fid: {"relator": f.relator, "args": [_fmt_value(a) for a in f.args]}
+            fid: {"relator": f.relator, "args": [fmt_value(a) for a in f.args]}
             for fid, f in m.facts.items()
         },
         "situations": {
@@ -344,7 +332,7 @@ def model_to_json(m: Model) -> dict:
                 "labels": sorted(fn.labels),
                 "requires": _concept_json(fn.req),
                 "achieves": _concept_json(fn.goal),
-                "fitem": [[prop, _fmt_value(v)] for prop, v in fn.fitem],
+                "fitem": [[prop, fmt_value(v)] for prop, v in fn.fitem],
             }
             for fid, fn in m.functions.items()
         },
@@ -359,32 +347,22 @@ def model_to_json(m: Model) -> dict:
 
 
 def _concept_json(concept) -> dict:
+    patterns, constraints = concept_items(concept)
     return {
-        "facts": sorted(
-            [
-                {"relator": p.relator, "args": [_fmt_value(a) for a in p.args]}
-                for p in concept.required_facts
-            ],
-            key=lambda d: (d["relator"], d["args"]),
-        ),
-        "holds": sorted(
-            [
-                {"entity": c.entity, "property": c.prop, "value": _fmt_value(c.value)}
-                for c in concept.required_props
-            ],
-            key=lambda d: (d["entity"], d["property"], str(d["value"])),
-        ),
+        "facts": [
+            {"relator": p.relator, "args": [fmt_value(a) for a in p.args]}
+            for p in patterns
+        ],
+        "holds": [
+            {"entity": c.entity, "property": c.prop, "value": fmt_value(c.value)}
+            for c in constraints
+        ],
     }
 
 
-def run_dump(cfg: RunConfig) -> int:
-    try:
-        m = parse_file(cfg.inputs[0])
-    except ParseError as exc:
-        _emit_diagnostics(exc, JSON)
-        return 2
-    except OSError as exc:
-        print(f"gfo: cannot read {cfg.inputs[0]}: {exc}", file=sys.stderr)
+def run_dump(args) -> int:
+    m = _load(args.inputs[0], JSON)
+    if m is None:
         return 2
     _emit_json(model_to_json(m))
     return 0
@@ -451,19 +429,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        inputs=list(args.inputs),
-        complete=getattr(args, "complete", False),
-        integration_mode=getattr(args, "integration", checker.IDENTITY),
-        tolerance=getattr(args, "tol", Fraction(0)),
-        output_format=getattr(args, "format", HUMAN),
-    )
     if args.command == "check":
-        return run_check(cfg)
+        return run_check(args)
     if args.command == "query":
-        return run_query(cfg, args)
-    return run_dump(cfg)
+        return run_query(args)
+    return run_dump(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -417,11 +417,25 @@ class _Parser:
         tok = self.peek()
         return tok.kind == PUNCT and tok.text == text
 
-    def take_word(self, text: str) -> Token:
-        if not self.at_word(text):
-            tok = self.peek()
-            raise _Syntax(self.span(tok), f"expected {text!r}, found {tok.text!r}")
-        return self.advance()
+    def accept_word(self, text: str) -> bool:
+        """Consume the keyword ``text`` when it comes next."""
+        if self.at_word(text):
+            self.advance()
+            return True
+        return False
+
+    def keyword(self, *words: str) -> str:
+        """Consume one of ``words``; any other token is an error naming them all."""
+        tok = self.peek()
+        if tok.kind != IDENT or tok.text not in words:
+            *rest, last = map(repr, words)
+            expected = f"{', '.join(rest)} or {last}" if rest else last
+            raise _Syntax(self.span(tok), f"expected {expected}, found {tok.text!r}")
+        return self.advance().text
+
+    def dispatch(self, handlers: dict):
+        """Consume one keyword of ``handlers`` and run its handler."""
+        return handlers[self.keyword(*handlers)]()
 
     def take_punct(self, text: str) -> Token:
         if not self.at_punct(text):
@@ -456,6 +470,92 @@ class _Parser:
         # a ';' after '}' is permitted but not required
         if self.at_punct(";"):
             self.advance()
+
+    # -- shared constructs -----------------------------------------------------
+
+    def block(self, item) -> list:
+        """``{ item* }``: what ``item`` parses for each entry."""
+        self.take_punct("{")
+        out = []
+        while not self.at_punct("}"):
+            out.append(item())
+        self.take_punct("}")
+        return out
+
+    def body(self, item) -> list:
+        """A declaration's end: ``;``, or a block with an optional ``;`` after it."""
+        if not self.at_punct("{"):
+            self.end_simple()
+            return []
+        out = self.block(item)
+        self.end_block()
+        return out
+
+    def assignment(self) -> tuple:
+        """``property = value ;`` as (prop, prop span, value, value span)."""
+        prop = self.take_ident("a property name")
+        self.take_punct("=")
+        value = self.take_value()
+        self.end_simple()
+        return (prop.text, self.span(prop), value.value, self.span(value))
+
+    def sample(self, take_target) -> tuple:
+        """``rational -> target ;`` as (t, t span, target, target span)."""
+        t = self.take_number("a coordinate")
+        self.take_punct("->")
+        target = take_target()
+        self.end_simple()
+        return (t.value, self.span(t), target.value, self.span(target))
+
+    def presential_ref(self) -> Token:
+        return self.take_ident("a presential name")
+
+    def member(self, what: str) -> tuple:
+        """``id ;`` as (id, span)."""
+        tok = self.take_ident(what)
+        self.end_simple()
+        return (tok.text, self.span(tok))
+
+    def relator_args(self) -> tuple:
+        """``relator(value, ...)`` as the relator token and (value, span) pairs."""
+        relator = self.take_ident("a relator name")
+        self.take_punct("(")
+        args = [self.take_value()]
+        while self.at_punct(","):
+            self.advance()
+            args.append(self.take_value())
+        self.take_punct(")")
+        return relator, [(tok.value, self.span(tok)) for tok in args]
+
+    def holds_args(self) -> tuple:
+        """``(entity, property, value)`` after ``holds``, as three tokens."""
+        self.take_punct("(")
+        entity = self.take_ident("an entity name")
+        self.take_punct(",")
+        prop = self.take_ident("a property name")
+        self.take_punct(",")
+        value = self.take_value()
+        self.take_punct(")")
+        return entity, prop, value
+
+    def pair(self, first: str, second: str) -> tuple:
+        """``(id, id) ;`` as two tokens."""
+        self.take_punct("(")
+        a = self.take_ident(first)
+        self.take_punct(",")
+        b = self.take_ident(second)
+        self.take_punct(")")
+        self.end_simple()
+        return a, b
+
+    def interval(self, what: str = "a rational literal") -> tuple:
+        """``[rational, rational]`` as two tokens."""
+        self.take_punct("[")
+        left = self.take_number(what)
+        self.take_punct(",")
+        right = self.take_number(what)
+        self.take_punct("]")
+        return left, right
 
     # -- recovery --------------------------------------------------------------
 
@@ -524,11 +624,7 @@ class _Parser:
         self.advance()
         name = self.take_ident("a chronoid name")
         self.take_punct("=")
-        self.take_punct("[")
-        left = self.take_number()
-        self.take_punct(",")
-        right = self.take_number()
-        self.take_punct("]")
+        left, right = self.interval()
         self.end_simple()
         return _Chronoid(
             name.text,
@@ -543,20 +639,15 @@ class _Parser:
         self.advance()
         name = self.take_ident("a property name")
         self.take_punct(":")
-        kind_tok = self.take_ident("'categorical' or 'numeric'")
+        domain_kind = self.keyword(CATEGORICAL, NUMERIC)
         symbols = []
-        if kind_tok.text == CATEGORICAL:
+        if domain_kind == CATEGORICAL:
             self.take_punct("{")
             symbols.append(self.take_ident("a symbol").text)
             while self.at_punct(","):
                 self.advance()
                 symbols.append(self.take_ident("a symbol").text)
             self.take_punct("}")
-        elif kind_tok.text != NUMERIC:
-            raise _Syntax(
-                self.span(kind_tok),
-                f"expected 'categorical' or 'numeric', found {kind_tok.text!r}",
-            )
         support_kind = ISOLATED
         radius = None
         radius_span = None
@@ -577,7 +668,7 @@ class _Parser:
         return _Property(
             name.text,
             self.span(name),
-            kind_tok.text,
+            domain_kind,
             symbols,
             support_kind,
             radius,
@@ -593,27 +684,10 @@ class _Parser:
     def presential(self) -> _Presential:
         self.advance()
         name = self.take_ident("a presential name")
-        self.take_word("at")
+        self.keyword("at")
         chron, t = self._time_point()
-        material = True
-        if self.at_word("immaterial"):
-            self.advance()
-            material = False
-        valuation = []
-        if self.at_punct("{"):
-            self.advance()
-            while not self.at_punct("}"):
-                prop = self.take_ident("a property name")
-                self.take_punct("=")
-                value = self.take_value()
-                self.end_simple()
-                valuation.append(
-                    (prop.text, self.span(prop), value.value, self.span(value))
-                )
-            self.take_punct("}")
-            self.end_block()
-        else:
-            self.end_simple()
+        material = not self.accept_word("immaterial")
+        valuation = self.body(self.assignment)
         return _Presential(
             name.text,
             self.span(name),
@@ -628,76 +702,32 @@ class _Parser:
     def process(self) -> _Process:
         self.advance()
         name = self.take_ident("a process name")
-        self.take_word("extent")
+        self.keyword("extent")
         chron = self.take_ident("a chronoid name")
         boundaries = []
         trajectories = []
-        if self.at_punct("{"):
-            self.advance()
-            while not self.at_punct("}"):
-                if self.at_word("boundary"):
-                    self.advance()
-                    t = self.take_number("a coordinate")
-                    self.take_punct("->")
-                    target = self.take_ident("a presential name")
-                    self.end_simple()
-                    boundaries.append(
-                        (t.value, self.span(t), target.text, self.span(target))
-                    )
-                elif self.at_word("trajectory"):
-                    self.advance()
-                    prop = self.take_ident("a property name")
-                    self.take_punct("{")
-                    samples = []
-                    while not self.at_punct("}"):
-                        ts = self.take_number("a coordinate")
-                        self.take_punct("->")
-                        value = self.take_value()
-                        self.end_simple()
-                        samples.append(
-                            (ts.value, self.span(ts), value.value, self.span(value))
-                        )
-                    self.take_punct("}")
-                    trajectories.append((prop.text, self.span(prop), samples))
-                else:
-                    tok = self.peek()
-                    raise _Syntax(
-                        self.span(tok),
-                        f"expected 'boundary' or 'trajectory', found {tok.text!r}",
-                    )
-            self.take_punct("}")
-            self.end_block()
-        else:
-            self.end_simple()
+        items = {
+            "boundary": lambda: boundaries.append(self.sample(self.presential_ref)),
+            "trajectory": lambda: trajectories.append(self.trajectory()),
+        }
+        self.body(lambda: self.dispatch(items))
         return _Process(
             name.text, self.span(name), chron.text, self.span(chron), boundaries, trajectories
         )
 
+    def trajectory(self) -> tuple:
+        prop = self.take_ident("a property name")
+        samples = self.block(lambda: self.sample(self.take_value))
+        return (prop.text, self.span(prop), samples)
+
     def continuant(self) -> _Continuant:
         self.advance()
         name = self.take_ident("a continuant name")
-        self.take_word("lifetime")
+        self.keyword("lifetime")
         chron = self.take_ident("a chronoid name")
-        material = True
-        if self.at_word("immaterial"):
-            self.advance()
-            material = False
-        exhibits = []
-        if self.at_punct("{"):
-            self.advance()
-            while not self.at_punct("}"):
-                self.take_word("exhibits")
-                t = self.take_number("a coordinate")
-                self.take_punct("->")
-                target = self.take_ident("a presential name")
-                self.end_simple()
-                exhibits.append(
-                    (t.value, self.span(t), target.text, self.span(target))
-                )
-            self.take_punct("}")
-            self.end_block()
-        else:
-            self.end_simple()
+        material = not self.accept_word("immaterial")
+        items = {"exhibits": lambda: self.sample(self.presential_ref)}
+        exhibits = self.body(lambda: self.dispatch(items))
         return _Continuant(
             name.text, self.span(name), chron.text, self.span(chron), material, exhibits
         )
@@ -706,51 +736,24 @@ class _Parser:
         self.advance()
         name = self.take_ident("a situation name")
         t = t_span = None
-        if self.at_word("at"):
-            self.advance()
+        mode = self.keyword("at", "during")
+        if mode == "at":
             chron, t_tok = self._time_point()
-            mode = "at"
             t, t_span = t_tok.value, self.span(t_tok)
-        elif self.at_word("during"):
-            self.advance()
-            chron = self.take_ident("a chronoid name")
-            mode = "during"
         else:
-            tok = self.peek()
-            raise _Syntax(
-                self.span(tok), f"expected 'at' or 'during', found {tok.text!r}"
-            )
+            chron = self.take_ident("a chronoid name")
         founded = founded_span = None
-        if self.at_word("founded"):
-            self.advance()
-            self.take_word("on")
+        if self.accept_word("founded"):
+            self.keyword("on")
             target = self.take_ident("a process name")
             founded, founded_span = target.text, self.span(target)
         contains = []
         participants = []
-        if self.at_punct("{"):
-            self.advance()
-            while not self.at_punct("}"):
-                if self.at_word("contains"):
-                    self.advance()
-                    fact = self.take_ident("a fact name")
-                    self.end_simple()
-                    contains.append((fact.text, self.span(fact)))
-                elif self.at_word("participant"):
-                    self.advance()
-                    entity = self.take_ident("an entity name")
-                    self.end_simple()
-                    participants.append((entity.text, self.span(entity)))
-                else:
-                    tok = self.peek()
-                    raise _Syntax(
-                        self.span(tok),
-                        f"expected 'contains' or 'participant', found {tok.text!r}",
-                    )
-            self.take_punct("}")
-            self.end_block()
-        else:
-            self.end_simple()
+        items = {
+            "contains": lambda: contains.append(self.member("a fact name")),
+            "participant": lambda: participants.append(self.member("an entity name")),
+        }
+        self.body(lambda: self.dispatch(items))
         return _Situation(
             name.text,
             self.span(name),
@@ -769,21 +772,11 @@ class _Parser:
         self.advance()
         name = self.take_ident("a fact name")
         self.take_punct("=")
-        relator = self.take_ident("a relator name")
-        self.take_punct("(")
-        args = [self._fact_arg()]
-        while self.at_punct(","):
-            self.advance()
-            args.append(self._fact_arg())
-        self.take_punct(")")
+        relator, args = self.relator_args()
         self.end_simple()
         return _Fact(
             name.text, self.span(name), relator.text, self.span(relator), args
         )
-
-    def _fact_arg(self):
-        tok = self.take_value()
-        return (tok.value, self.span(tok))
 
     def function(self) -> _Function:
         self.advance()
@@ -792,52 +785,19 @@ class _Parser:
         if self.peek().kind == IDENT and self.peek().text in FUNCTION_KINDS:
             kind = self.advance().text
         bearer = bearer_span = None
-        if self.at_word("bearer"):
-            self.advance()
+        if self.accept_word("bearer"):
             tok = self.take_ident("a bearer entity")
             bearer, bearer_span = tok.text, self.span(tok)
-        self.take_punct("{")
         labels = []
-        req_items = None
-        goal_items = None
+        concepts = {}  # "requires"/"achieves" -> items of the last such block
         fitem = []
-        while not self.at_punct("}"):
-            if self.at_word("label"):
-                self.advance()
-                tok = self.peek()
-                if tok.kind != STRING:
-                    raise _Syntax(
-                        self.span(tok), f"expected a string label, found {tok.text!r}"
-                    )
-                self.advance()
-                labels.append(tok.value)
-                self.end_simple()
-            elif self.at_word("requires"):
-                self.advance()
-                req_items = self._concept_block()
-            elif self.at_word("achieves"):
-                self.advance()
-                goal_items = self._concept_block()
-            elif self.at_word("fitem"):
-                self.advance()
-                self.take_punct("{")
-                while not self.at_punct("}"):
-                    prop = self.take_ident("a property name")
-                    self.take_punct("=")
-                    value = self.take_value()
-                    self.end_simple()
-                    fitem.append(
-                        (prop.text, self.span(prop), value.value, self.span(value))
-                    )
-                self.take_punct("}")
-            else:
-                tok = self.peek()
-                raise _Syntax(
-                    self.span(tok),
-                    "expected 'label', 'requires', 'achieves' or 'fitem', "
-                    f"found {tok.text!r}",
-                )
-        self.take_punct("}")
+        parts = {
+            "label": lambda: labels.append(self.label()),
+            "requires": lambda: concepts.update(requires=self.concept()),
+            "achieves": lambda: concepts.update(achieves=self.concept()),
+            "fitem": lambda: fitem.extend(self.block(self.assignment)),
+        }
+        self.block(lambda: self.dispatch(parts))
         self.end_block()
         return _Function(
             name.text,
@@ -846,74 +806,53 @@ class _Parser:
             bearer,
             bearer_span,
             labels,
-            req_items,
-            goal_items,
+            concepts.get("requires"),
+            concepts.get("achieves"),
             fitem,
         )
 
-    def _concept_block(self) -> list:
-        self.take_punct("{")
-        items = []
-        while not self.at_punct("}"):
-            if self.at_word("fact"):
-                self.advance()
-                relator = self.take_ident("a relator name")
-                self.take_punct("(")
-                pats = [self._fact_arg()]
-                while self.at_punct(","):
-                    self.advance()
-                    pats.append(self._fact_arg())
-                self.take_punct(")")
-                self.end_simple()
-                items.append(("fact", relator.text, self.span(relator), pats))
-            elif self.at_word("holds"):
-                self.advance()
-                self.take_punct("(")
-                entity = self.take_ident("an entity name")
-                self.take_punct(",")
-                prop = self.take_ident("a property name")
-                self.take_punct(",")
-                value = self.take_value()
-                self.take_punct(")")
-                self.end_simple()
-                items.append(
-                    (
-                        "holds",
-                        entity.text,
-                        self.span(entity),
-                        prop.text,
-                        self.span(prop),
-                        value.value,
-                        self.span(value),
-                    )
-                )
-            else:
-                tok = self.peek()
-                raise _Syntax(
-                    self.span(tok), f"expected 'fact' or 'holds', found {tok.text!r}"
-                )
-        self.take_punct("}")
-        return items
+    def label(self) -> str:
+        tok = self.peek()
+        if tok.kind != STRING:
+            raise _Syntax(
+                self.span(tok), f"expected a string label, found {tok.text!r}"
+            )
+        self.advance()
+        self.end_simple()
+        return tok.value
+
+    def concept(self) -> list:
+        return self.block(
+            lambda: self.dispatch({"fact": self.concept_fact, "holds": self.concept_holds})
+        )
+
+    def concept_fact(self) -> tuple:
+        relator, pats = self.relator_args()
+        self.end_simple()
+        return ("fact", relator.text, self.span(relator), pats)
+
+    def concept_holds(self) -> tuple:
+        entity, prop, value = self.holds_args()
+        self.end_simple()
+        return (
+            "holds",
+            entity.text,
+            self.span(entity),
+            prop.text,
+            self.span(prop),
+            value.value,
+            self.span(value),
+        )
 
     def exe(self) -> _Exe:
         self.advance()
-        self.take_punct("(")
-        x = self.take_ident("an executor entity")
-        self.take_punct(",")
-        p = self.take_ident("a process name")
-        self.take_punct(")")
-        self.end_simple()
+        x, p = self.pair("an executor entity", "a process name")
         return _Exe(x.text, self.span(x), p.text, self.span(p))
 
     def instance(self) -> _Instance:
         keyword = self.advance()
         which = "requirement" if keyword.text == "requirement-instance" else "goal"
-        self.take_punct("(")
-        fn = self.take_ident("a function name")
-        self.take_punct(",")
-        sit = self.take_ident("a situation name")
-        self.take_punct(")")
-        self.end_simple()
+        fn, sit = self.pair("a function name", "a situation name")
         return _Instance(which, fn.text, self.span(fn), sit.text, self.span(sit))
 
 
@@ -926,7 +865,7 @@ class _Linker:
     def __init__(self, decls: list, diagnostics: list):
         self.decls = decls
         self.diagnostics = diagnostics
-        self.properties: dict = {}
+        self.prop_decls: dict = {}
         self.chron_decls: dict = {}
         self.entity_kinds: dict = {}  # name -> kind string (first declaration wins)
         self.fn_decls: dict = {}
@@ -945,35 +884,22 @@ class _Linker:
     }
 
     def register(self) -> None:
-        prop_decls: dict = {}
+        namespaces = {
+            _Property: ("property", self.prop_decls),
+            _Chronoid: ("chronoid", self.chron_decls),
+            _Function: ("function", self.fn_decls),
+        }
         for decl in self.decls:
-            if isinstance(decl, _Property):
-                if decl.name in prop_decls:
+            if type(decl) in namespaces:
+                noun, table = namespaces[type(decl)]
+                if decl.name in table:
                     self.diag(
                         decl.name_span,
                         "duplicate-id",
-                        f"property {decl.name!r} is declared twice",
+                        f"{noun} {decl.name!r} is declared twice",
                     )
                 else:
-                    prop_decls[decl.name] = decl
-            elif isinstance(decl, _Chronoid):
-                if decl.name in self.chron_decls:
-                    self.diag(
-                        decl.name_span,
-                        "duplicate-id",
-                        f"chronoid {decl.name!r} is declared twice",
-                    )
-                else:
-                    self.chron_decls[decl.name] = decl
-            elif isinstance(decl, _Function):
-                if decl.name in self.fn_decls:
-                    self.diag(
-                        decl.name_span,
-                        "duplicate-id",
-                        f"function {decl.name!r} is declared twice",
-                    )
-                else:
-                    self.fn_decls[decl.name] = decl
+                    table[decl.name] = decl
             elif type(decl) in self._ENTITY_KIND:
                 kind = self._ENTITY_KIND[type(decl)]
                 prior = self.entity_kinds.get(decl.name)
@@ -992,7 +918,9 @@ class _Linker:
                         f"{decl.name!r} is already declared as a {prior}, "
                         f"cannot also be a {kind}",
                     )
-        self.prop_decls = prop_decls
+
+    def decls_of(self, cls) -> list:
+        return [decl for decl in self.decls if isinstance(decl, cls)]
 
     # -- reference helpers -------------------------------------------------------
 
@@ -1016,16 +944,13 @@ class _Linker:
             self.diag(span, "dangling-reference", f"chronoid {name!r} is not declared")
         return ch
 
-    def check_value(self, prop_name: str, value, span: SourceSpan) -> bool:
-        pdef = self.property_defs.get(prop_name)
-        if pdef is None:
-            return False  # reported where the property name is resolved
+    def check_value(self, pdef: PropertyDef, value, span: SourceSpan) -> bool:
         if not pdef.domain.admits(value):
-            shown = coord_str(value) if isinstance(value, Fraction) else str(value)
             self.diag(
                 span,
                 "bad-value",
-                f"{shown!r} is not in the value domain of property {prop_name!r}",
+                f"{str(fmt_value(value))!r} is not in the value domain of "
+                f"property {pdef.name!r}",
             )
             return False
         return True
@@ -1035,6 +960,29 @@ class _Linker:
         if pdef is None:
             self.diag(span, "unknown-id", f"property {name!r} is not declared")
         return pdef
+
+    def resolve_value(self, prop, prop_span, value, value_span) -> bool:
+        """Resolve a property name, then check the value it is given."""
+        pdef = self.resolve_property(prop, prop_span)
+        return pdef is not None and self.check_value(pdef, value, value_span)
+
+    def new_sample(self, t, t_span, ch, seen, what: str) -> bool:
+        """True when ``t`` lies in ``ch`` and is not in ``seen`` yet;
+        otherwise reports why not."""
+        if ch is not None and not ch.contains(t):
+            self.diag(
+                t_span,
+                "out-of-extent",
+                f"{coord_str(t)} lies outside [{coord_str(ch.left)}, "
+                f"{coord_str(ch.right)}]",
+            )
+            return False
+        if t in seen:
+            self.diag(
+                t_span, "duplicate-id", f"{what} at {coord_str(t)} is declared twice"
+            )
+            return False
+        return True
 
     # -- stages --------------------------------------------------------------------
 
@@ -1084,9 +1032,7 @@ class _Linker:
 
     def build_presentials(self) -> None:
         self.presentials = {}
-        for decl in self.decls:
-            if not isinstance(decl, _Presential):
-                continue
+        for decl in self.decls_of(_Presential):
             boundary = self._boundary_at(
                 decl.chron, decl.chron_span, decl.t, decl.t_span
             )
@@ -1110,7 +1056,7 @@ class _Linker:
                         f"property {prop!r} is valued twice on {decl.name!r}",
                     )
                     continue
-                if self.check_value(prop, value, value_span):
+                if self.check_value(pdef, value, value_span):
                     valuation[prop] = value
             if boundary is not None:
                 self.presentials[decl.name] = Presential(
@@ -1123,20 +1069,7 @@ class _Linker:
     def _sample_map(self, decl, entries, ch, keyword: str) -> dict:
         out: dict = {}
         for t, t_span, target, target_span in entries:
-            if ch is not None and not ch.contains(t):
-                self.diag(
-                    t_span,
-                    "out-of-extent",
-                    f"{coord_str(t)} lies outside [{coord_str(ch.left)}, "
-                    f"{coord_str(ch.right)}]",
-                )
-                continue
-            if t in out:
-                self.diag(
-                    t_span,
-                    "duplicate-id",
-                    f"{keyword} at {coord_str(t)} is declared twice",
-                )
+            if not self.new_sample(t, t_span, ch, out, keyword):
                 continue
             if not self.resolve_entity(target, target_span, kind="presential"):
                 continue
@@ -1163,9 +1096,7 @@ class _Linker:
 
     def build_processes(self) -> None:
         self.processes = {}
-        for decl in self.decls:
-            if not isinstance(decl, _Process):
-                continue
+        for decl in self.decls_of(_Process):
             ch = self.resolve_chronoid(decl.chron, decl.chron_span)
             boundary_map = self._sample_map(decl, decl.boundaries, ch, "boundary")
             trajectories: dict = {}
@@ -1190,22 +1121,9 @@ class _Linker:
                     continue
                 points: dict = {}
                 for t, t_span, value, value_span in samples:
-                    if ch is not None and not ch.contains(t):
-                        self.diag(
-                            t_span,
-                            "out-of-extent",
-                            f"{coord_str(t)} lies outside [{coord_str(ch.left)}, "
-                            f"{coord_str(ch.right)}]",
-                        )
+                    if not self.new_sample(t, t_span, ch, points, "trajectory sample"):
                         continue
-                    if t in points:
-                        self.diag(
-                            t_span,
-                            "duplicate-id",
-                            f"trajectory sample at {coord_str(t)} is declared twice",
-                        )
-                        continue
-                    if self.check_value(prop, value, value_span):
+                    if self.check_value(pdef, value, value_span):
                         points[t] = value
                 trajectories[prop] = tuple(sorted(points.items()))
             if ch is not None:
@@ -1218,9 +1136,7 @@ class _Linker:
 
     def build_continuants(self) -> None:
         self.continuants = {}
-        for decl in self.decls:
-            if not isinstance(decl, _Continuant):
-                continue
+        for decl in self.decls_of(_Continuant):
             ch = self.resolve_chronoid(decl.chron, decl.chron_span)
             exhibit_map = self._sample_map(decl, decl.exhibits, ch, "exhibits")
             if ch is not None:
@@ -1233,12 +1149,11 @@ class _Linker:
 
     def build_facts(self) -> None:
         self.facts = {}
-        for decl in self.decls:
-            if not isinstance(decl, _Fact):
-                continue
+        for decl in self.decls_of(_Fact):
             args = []
             ok = True
-            if decl.relator in self.property_defs:
+            pdef = self.property_defs.get(decl.relator)
+            if pdef is not None:
                 # property fact: (subject entity, literal value)
                 if len(decl.args) != 2:
                     self.diag(
@@ -1260,7 +1175,7 @@ class _Linker:
                         ok = False
                     elif not self.resolve_entity(subject, subject_span):
                         ok = False
-                    if not self.check_value(decl.relator, value, value_span):
+                    if not self.check_value(pdef, value, value_span):
                         ok = False
                     args = [subject, value]
             else:
@@ -1283,9 +1198,7 @@ class _Linker:
     def build_situations(self) -> None:
         self.situations = {}
         used_facts = set()
-        for decl in self.decls:
-            if not isinstance(decl, _Situation):
-                continue
+        for decl in self.decls_of(_Situation):
             if decl.mode == "at":
                 extent = self._boundary_at(
                     decl.chron, decl.chron_span, decl.t, decl.t_span
@@ -1313,8 +1226,8 @@ class _Linker:
                 )
         # facts are properties of processes only through situations; a fact
         # contained in no situation has nothing to be founded on
-        for decl in self.decls:
-            if isinstance(decl, _Fact) and decl.name not in used_facts:
+        for decl in self.decls_of(_Fact):
+            if decl.name not in used_facts:
                 self.diag(
                     decl.name_span,
                     "orphan-fact",
@@ -1341,9 +1254,7 @@ class _Linker:
                 )
             else:
                 _, entity, _e_span, prop, prop_span, value, value_span = item
-                if self.resolve_property(prop, prop_span) is None:
-                    continue
-                if not self.check_value(prop, value, value_span):
+                if not self.resolve_value(prop, prop_span, value, value_span):
                     continue
                 constraints.add(
                     PropertyConstraint(entity=entity, prop=prop, value=value)
@@ -1371,9 +1282,7 @@ class _Linker:
                 self.resolve_entity(decl.bearer, decl.bearer_span)
             fitem = []
             for prop, prop_span, value, value_span in decl.fitem:
-                if self.resolve_property(prop, prop_span) is None:
-                    continue
-                if self.check_value(prop, value, value_span):
+                if self.resolve_value(prop, prop_span, value, value_span):
                     fitem.append((prop, value))
             if req is None or goal is None:
                 continue
@@ -1473,8 +1382,23 @@ def parse_file(path) -> Model:
 # ---------------------------------------------------------------------------
 
 
-def _fmt_value(value) -> str:
-    return coord_str(value) if isinstance(value, Fraction) else str(value)
+def fmt_value(value):
+    """Canonical rendering of a value or argument, shared by ``serialize``
+    and the JSON dump: rationals as ``p/q``, anything else unchanged."""
+    return coord_str(value) if isinstance(value, Fraction) else value
+
+
+def concept_items(concept) -> tuple:
+    """The fact patterns and the property constraints of a concept, each in
+    the canonical order shared by ``serialize`` and the JSON dump."""
+    return (
+        sorted(concept.required_facts, key=lambda p: (p.relator, tuple(map(str, p.args)))),
+        sorted(concept.required_props, key=lambda c: (c.entity, c.prop, str(c.value))),
+    )
+
+
+def _args(values) -> str:
+    return ", ".join(str(fmt_value(v)) for v in values)
 
 
 def _escape(text: str) -> str:
@@ -1518,7 +1442,7 @@ def serialize(m: Model) -> str:
         if pres.valuation:
             out.append(head + " {")
             for prop in sorted(pres.valuation):
-                out.append(f"  {prop} = {_fmt_value(pres.valuation[prop])};")
+                out.append(f"  {prop} = {fmt_value(pres.valuation[prop])};")
             out.append("}")
         else:
             out.append(head + ";")
@@ -1531,7 +1455,7 @@ def serialize(m: Model) -> str:
         for prop in sorted(p.trajectories):
             out.append(f"  trajectory {prop} {{")
             for t, value in sorted(p.trajectories[prop]):
-                out.append(f"    {coord_str(t)} -> {_fmt_value(value)};")
+                out.append(f"    {coord_str(t)} -> {fmt_value(value)};")
             out.append("  }")
         out.append("}")
 
@@ -1547,8 +1471,7 @@ def serialize(m: Model) -> str:
 
     for name in sorted(m.facts):
         fact = m.facts[name]
-        args = ", ".join(_fmt_value(a) for a in fact.args)
-        out.append(f"fact {name} = {fact.relator}({args});")
+        out.append(f"fact {name} = {fact.relator}({_args(fact.args)});")
 
     for name in sorted(m.situations):
         s = m.situations[name]
@@ -1580,23 +1503,16 @@ def serialize(m: Model) -> str:
             out.append(f'  label "{_escape(label)}";')
         for keyword, concept in (("requires", fn.req), ("achieves", fn.goal)):
             out.append(f"  {keyword} {{")
-            for pattern in sorted(
-                concept.required_facts,
-                key=lambda p: (p.relator, tuple(map(str, p.args))),
-            ):
-                args = ", ".join(_fmt_value(a) for a in pattern.args)
-                out.append(f"    fact {pattern.relator}({args});")
-            for pc in sorted(
-                concept.required_props, key=lambda c: (c.entity, c.prop, str(c.value))
-            ):
-                out.append(
-                    f"    holds({pc.entity}, {pc.prop}, {_fmt_value(pc.value)});"
-                )
+            patterns, constraints = concept_items(concept)
+            for pattern in patterns:
+                out.append(f"    fact {pattern.relator}({_args(pattern.args)});")
+            for pc in constraints:
+                out.append(f"    holds({pc.entity}, {pc.prop}, {fmt_value(pc.value)});")
             out.append("  }")
         if fn.fitem:
             out.append("  fitem {")
             for prop, value in fn.fitem:
-                out.append(f"    {prop} = {_fmt_value(value)};")
+                out.append(f"    {prop} = {fmt_value(value)};")
             out.append("  }")
         out.append("}")
 
@@ -1631,15 +1547,8 @@ def parse_query(text: str, m: Model | None = None):
     parser = _Parser(tokens, file, diagnostics)
     prop = None
     try:
-        if parser.at_word("holds"):
-            parser.advance()
-            parser.take_punct("(")
-            subject = parser.take_ident("an entity name")
-            parser.take_punct(",")
-            prop_name = parser.take_ident("a property name")
-            parser.take_punct(",")
-            value = parser.take_value()
-            parser.take_punct(")")
+        if parser.keyword("holds", "fact") == "holds":
+            subject, prop_name, value = parser.holds_args()
             time_ref = _parse_time_ref(parser, diagnostics)
             if m is not None and prop_name.text not in m.property_defs:
                 diagnostics.append(
@@ -1655,23 +1564,13 @@ def parse_query(text: str, m: Model | None = None):
                 value=value.value,
                 time_ref=time_ref,
             )
-        elif parser.at_word("fact"):
-            parser.advance()
-            relator = parser.take_ident("a relator name")
-            parser.take_punct("(")
-            patterns = [parser.take_value().value]
-            while parser.at_punct(","):
-                parser.advance()
-                patterns.append(parser.take_value().value)
-            parser.take_punct(")")
+        else:
+            relator, args = parser.relator_args()
             time_ref = _parse_time_ref(parser, diagnostics)
             prop = FactProp(
-                relator=relator.text, patterns=tuple(patterns), time_ref=time_ref
-            )
-        else:
-            tok = parser.peek()
-            raise _Syntax(
-                parser.span(tok), f"expected 'holds' or 'fact', found {tok.text!r}"
+                relator=relator.text,
+                patterns=tuple(value for value, _ in args),
+                time_ref=time_ref,
             )
         if parser.at_punct(";"):
             parser.advance()
@@ -1688,17 +1587,11 @@ def parse_query(text: str, m: Model | None = None):
 
 
 def _parse_time_ref(parser: _Parser, diagnostics: list):
-    if parser.at_word("at"):
-        parser.advance()
+    if parser.accept_word("at"):
         t = parser.take_number("a coordinate")
         return AtTime(t.value)
-    if parser.at_word("during"):
-        parser.advance()
-        parser.take_punct("[")
-        left = parser.take_number("a coordinate")
-        parser.take_punct(",")
-        right = parser.take_number("a coordinate")
-        parser.take_punct("]")
+    if parser.accept_word("during"):
+        left, right = parser.interval("a coordinate")
         if left.value >= right.value:
             diagnostics.append(
                 ParseDiagnostic(
