@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import checker
@@ -62,6 +63,17 @@ def _load(path: str, output_format: str) -> Model | None:
 # ---------------------------------------------------------------------------
 
 
+def _trajectory_changes(m: Model, p, tol: Fraction) -> list:
+    """The change points of every trajectory of ``p``."""
+    return [
+        {
+            "property": prop,
+            "points": [coord_str(t) for t in checker.detect_process_changes(m, p, prop, tol)],
+        }
+        for prop in sorted(p.trajectories)
+    ]
+
+
 def _check_report(path: str, m: Model, args) -> dict:
     violations = list(checker.check_disjointness(m))
     derived: list = []
@@ -80,18 +92,11 @@ def _check_report(path: str, m: Model, args) -> dict:
     for cid in sorted(m.continuants):
         changes = checker.detect_continuant_changes(m, m.continuants[cid])
         continuant_changes.append({"id": cid, "changes": len(changes)})
-    trajectory_changes = []
-    for pid in sorted(m.processes):
-        p = m.processes[pid]
-        for prop in sorted(p.trajectories):
-            points = checker.detect_process_changes(m, p, prop, args.tol)
-            trajectory_changes.append(
-                {
-                    "id": pid,
-                    "property": prop,
-                    "points": [coord_str(t) for t in points],
-                }
-            )
+    trajectory_changes = [
+        {"id": pid, **entry}
+        for pid in sorted(m.processes)
+        for entry in _trajectory_changes(m, m.processes[pid], args.tol)
+    ]
 
     violations = checker.sort_violations(violations)
     return {
@@ -177,13 +182,7 @@ def _query_realizations(m: Model, fn_id: str):
     for pid in sorted(m.processes):
         record = is_actual_realization(m.processes[pid], fn, m)
         if record is not None:
-            out.append(
-                {
-                    "process": record.process,
-                    "requirement_situation": record.requirement_situation,
-                    "goal_situation": record.goal_situation,
-                }
-            )
+            out.append(asdict(record))
     return out
 
 
@@ -201,12 +200,7 @@ def _query_changes(m: Model, entity: str, tol: Fraction):
             for t1, t2, prop, v1, v2 in changes
         ]
     if entity in m.processes:
-        p = m.processes[entity]
-        out = []
-        for prop in sorted(p.trajectories):
-            points = checker.detect_process_changes(m, p, prop, tol)
-            out.append({"property": prop, "points": [coord_str(t) for t in points]})
-        return out
+        return _trajectory_changes(m, m.processes[entity], tol)
     raise GfoError(f"{entity!r} is not a continuant or process")
 
 

@@ -409,29 +409,26 @@ class _Parser:
     def span(self, tok: Token) -> SourceSpan:
         return tok.span(self.file)
 
-    def at_word(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == IDENT and tok.text == text
-
     def at_punct(self, text: str) -> bool:
         tok = self.peek()
         return tok.kind == PUNCT and tok.text == text
 
-    def accept_word(self, text: str) -> bool:
-        """Consume the keyword ``text`` when it comes next."""
-        if self.at_word(text):
-            self.advance()
-            return True
-        return False
+    def accept_word(self, *words: str) -> str | None:
+        """Consume and return one of ``words`` when it comes next."""
+        tok = self.peek()
+        if tok.kind == IDENT and tok.text in words:
+            return self.advance().text
+        return None
 
     def keyword(self, *words: str) -> str:
         """Consume one of ``words``; any other token is an error naming them all."""
-        tok = self.peek()
-        if tok.kind != IDENT or tok.text not in words:
+        word = self.accept_word(*words)
+        if word is None:
             *rest, last = map(repr, words)
             expected = f"{', '.join(rest)} or {last}" if rest else last
+            tok = self.peek()
             raise _Syntax(self.span(tok), f"expected {expected}, found {tok.text!r}")
-        return self.advance().text
+        return word
 
     def dispatch(self, handlers: dict):
         """Consume one keyword of ``handlers`` and run its handler."""
@@ -520,12 +517,17 @@ class _Parser:
         """``relator(value, ...)`` as the relator token and (value, span) pairs."""
         relator = self.take_ident("a relator name")
         self.take_punct("(")
-        args = [self.take_value()]
-        while self.at_punct(","):
-            self.advance()
-            args.append(self.take_value())
+        args = self.comma_list(self.take_value)
         self.take_punct(")")
         return relator, [(tok.value, self.span(tok)) for tok in args]
+
+    def comma_list(self, take) -> list:
+        """``item { , item }``: what ``take`` parses for each item."""
+        out = [take()]
+        while self.at_punct(","):
+            self.advance()
+            out.append(take())
+        return out
 
     def holds_args(self) -> tuple:
         """``(entity, property, value)`` after ``holds``, as three tokens."""
@@ -600,18 +602,13 @@ class _Parser:
         while self.peek().kind != EOF:
             tok = self.peek()
             handler = table.get(tok.text) if tok.kind == IDENT else None
-            if handler is None:
-                self.diagnostics.append(
-                    ParseDiagnostic(
+            try:
+                if handler is None:
+                    self.advance()
+                    raise _Syntax(
                         self.span(tok),
-                        "unexpected-token",
                         f"expected a declaration keyword, found {tok.text!r}",
                     )
-                )
-                self.advance()
-                self.sync()
-                continue
-            try:
                 decls.append(handler())
             except _Syntax as err:
                 self.diagnostics.append(
@@ -643,27 +640,17 @@ class _Parser:
         symbols = []
         if domain_kind == CATEGORICAL:
             self.take_punct("{")
-            symbols.append(self.take_ident("a symbol").text)
-            while self.at_punct(","):
-                self.advance()
-                symbols.append(self.take_ident("a symbol").text)
+            symbols = [tok.text for tok in self.comma_list(self.symbol)]
             self.take_punct("}")
-        support_kind = ISOLATED
+        support_kind = self.accept_word(ISOLATED, NON_ISOLATED, GLOBAL) or ISOLATED
         radius = None
         radius_span = None
-        if self.peek().kind == IDENT and self.peek().text in (
-            ISOLATED,
-            NON_ISOLATED,
-            GLOBAL,
-        ):
-            support_tok = self.advance()
-            support_kind = support_tok.text
-            if support_kind == NON_ISOLATED:
-                self.take_punct("(")
-                radius_tok = self.take_number("a window radius")
-                radius = radius_tok.value
-                radius_span = self.span(radius_tok)
-                self.take_punct(")")
+        if support_kind == NON_ISOLATED:
+            self.take_punct("(")
+            radius_tok = self.take_number("a window radius")
+            radius = radius_tok.value
+            radius_span = self.span(radius_tok)
+            self.take_punct(")")
         self.end_simple()
         return _Property(
             name.text,
@@ -674,6 +661,9 @@ class _Parser:
             radius,
             radius_span,
         )
+
+    def symbol(self) -> Token:
+        return self.take_ident("a symbol")
 
     def _time_point(self):
         chron = self.take_ident("a chronoid name")
@@ -781,9 +771,7 @@ class _Parser:
     def function(self) -> _Function:
         self.advance()
         name = self.take_ident("a function name")
-        kind = CONCEPTUAL
-        if self.peek().kind == IDENT and self.peek().text in FUNCTION_KINDS:
-            kind = self.advance().text
+        kind = self.accept_word(*FUNCTION_KINDS) or CONCEPTUAL
         bearer = bearer_span = None
         if self.accept_word("bearer"):
             tok = self.take_ident("a bearer entity")
@@ -1402,7 +1390,7 @@ def _args(values) -> str:
 
 
 def _escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"')
+    return text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
 def _time_point_ref(boundary: TimeBoundary) -> str:
@@ -1518,12 +1506,13 @@ def serialize(m: Model) -> str:
 
     for x, p in sorted(m.exe_assertions):
         out.append(f"exe({x}, {p});")
-    for fn in sorted(m.requirement_instances):
-        for sit in sorted(m.requirement_instances[fn]):
-            out.append(f"requirement-instance({fn}, {sit});")
-    for fn in sorted(m.goal_instances):
-        for sit in sorted(m.goal_instances[fn]):
-            out.append(f"goal-instance({fn}, {sit});")
+    for keyword, instances in (
+        ("requirement-instance", m.requirement_instances),
+        ("goal-instance", m.goal_instances),
+    ):
+        for fn in sorted(instances):
+            for sit in sorted(instances[fn]):
+                out.append(f"{keyword}({fn}, {sit});")
 
     return "\n".join(out) + "\n"
 

@@ -230,18 +230,11 @@ def classify(entity_id: str, m: Model) -> Kind:
     raise UnknownEntity(entity_id)
 
 
-def _declared_presential(
-    m: Model,
-    owner: str,
-    span: str,
-    extent: Chronoid,
-    sample: str,
-    samples: dict,
-    t: int | str | Fraction,
-    outside: type,
-) -> Presential:
-    """The presential a sample map holds at the declared sample ``t``:
-    the checked lookup behind :func:`snapshot` and :func:`process_boundary`."""
+def _declared_presential(m, owner, span, extent, sample, samples, t, outside):
+    """The presential a sample map holds at the declared sample ``t``: the
+    checked lookup behind :func:`snapshot` and :func:`process_boundary`.
+    ``owner``, ``span`` and ``sample`` name the entity, its extent and its
+    samples in the error raised; ``outside`` is raised for ``t`` outside."""
     t = coord(t)
     if not extent.contains(t):
         raise outside(f"{coord_str(t)} outside {span} of {owner}")

@@ -203,9 +203,10 @@ def test_comment_and_string_lexing():
     m = parse(
         'chronoid c = [0,1]; // trailing commentary\n'
         'presential a at c@0;\npresential b at c@1;\n'
-        'function f { label "mix \\"gently\\""; requires { fact r(_); } achieves { fact r(_); } }'
+        'function f { label "mix \\"gently\\""; label "line1\\nline2";'
+        ' requires { fact r(_); } achieves { fact r(_); } }'
     )
-    assert m.functions["f"].labels == frozenset({'mix "gently"'})
+    assert m.functions["f"].labels == frozenset({'mix "gently"', "line1\nline2"})
     assert serialize(parse(serialize(m))) == serialize(m)
 
 
