@@ -151,16 +151,19 @@ def _integration_mismatches(
         )
     exhibit_keys = set(c.exhibit_map)
     boundary_keys = set(p.boundary_map)
-    for t in sorted(exhibit_keys ^ boundary_keys):
-        missing = "process boundary" if t in exhibit_keys else "exhibited presential"
-        out.append(
-            Violation(
-                axiom=INTEGRATION,
-                subjects=subjects,
-                at=t,
-                message=f"no {missing} at {coord_str(t)}",
+    for missing, times in (
+        ("process boundary", exhibit_keys - boundary_keys),
+        ("exhibited presential", boundary_keys - exhibit_keys),
+    ):
+        for t in sorted(times):
+            out.append(
+                Violation(
+                    axiom=INTEGRATION,
+                    subjects=subjects,
+                    at=t,
+                    message=f"no {missing} at {coord_str(t)}",
+                )
             )
-        )
     for t in sorted(exhibit_keys & boundary_keys):
         if not _presentials_match(m, c.exhibit_map[t], p.boundary_map[t], mode):
             out.append(

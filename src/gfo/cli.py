@@ -65,13 +65,11 @@ def _load(path: str, output_format: str) -> Model | None:
 
 def _trajectory_changes(m: Model, p, tol: Fraction) -> list:
     """The change points of every trajectory of ``p``."""
-    return [
-        {
-            "property": prop,
-            "points": [coord_str(t) for t in checker.detect_process_changes(m, p, prop, tol)],
-        }
-        for prop in sorted(p.trajectories)
-    ]
+    out = []
+    for prop in sorted(p.trajectories):
+        points = checker.detect_process_changes(m, p, prop, tol)
+        out.append({"property": prop, "points": [coord_str(t) for t in points]})
+    return out
 
 
 def _check_report(path: str, m: Model, args) -> dict:

@@ -413,6 +413,11 @@ class _Parser:
         tok = self.peek()
         return tok.kind == PUNCT and tok.text == text
 
+    def expected(self, what: str) -> _Syntax:
+        """The error for finding the next token where ``what`` was expected."""
+        tok = self.peek()
+        return _Syntax(self.span(tok), f"expected {what}, found {tok.text!r}")
+
     def accept_word(self, *words: str) -> str | None:
         """Consume and return one of ``words`` when it comes next."""
         tok = self.peek()
@@ -425,9 +430,7 @@ class _Parser:
         word = self.accept_word(*words)
         if word is None:
             *rest, last = map(repr, words)
-            expected = f"{', '.join(rest)} or {last}" if rest else last
-            tok = self.peek()
-            raise _Syntax(self.span(tok), f"expected {expected}, found {tok.text!r}")
+            raise self.expected(f"{', '.join(rest)} or {last}" if rest else last)
         return word
 
     def dispatch(self, handlers: dict):
@@ -436,35 +439,29 @@ class _Parser:
 
     def take_punct(self, text: str) -> Token:
         if not self.at_punct(text):
-            tok = self.peek()
-            raise _Syntax(self.span(tok), f"expected {text!r}, found {tok.text!r}")
+            raise self.expected(repr(text))
         return self.advance()
 
     def take_ident(self, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind != IDENT:
-            raise _Syntax(self.span(tok), f"expected {what}, found {tok.text!r}")
+        if self.peek().kind != IDENT:
+            raise self.expected(what)
         return self.advance()
 
     def take_number(self, what: str = "a rational literal") -> Token:
-        tok = self.peek()
-        if tok.kind != NUMBER:
-            raise _Syntax(self.span(tok), f"expected {what}, found {tok.text!r}")
+        if self.peek().kind != NUMBER:
+            raise self.expected(what)
         return self.advance()
 
     def take_value(self) -> Token:
-        tok = self.peek()
-        if tok.kind not in (IDENT, NUMBER):
-            raise _Syntax(
-                self.span(tok), f"expected a symbol or rational, found {tok.text!r}"
-            )
+        if self.peek().kind not in (IDENT, NUMBER):
+            raise self.expected("a symbol or rational")
         return self.advance()
 
     def end_simple(self) -> None:
         self.take_punct(";")
 
     def end_block(self) -> None:
-        # a ';' after '}' is permitted but not required
+        # a ';' after '}' (or after a query) is permitted but not required
         if self.at_punct(";"):
             self.advance()
 
@@ -573,8 +570,7 @@ class _Parser:
                 elif tok.text == "}":
                     if depth <= 1:
                         self.advance()
-                        if self.at_punct(";"):
-                            self.advance()
+                        self.end_block()
                         return
                     depth -= 1
                 elif tok.text == ";" and depth == 0:
@@ -800,19 +796,15 @@ class _Parser:
         )
 
     def label(self) -> str:
-        tok = self.peek()
-        if tok.kind != STRING:
-            raise _Syntax(
-                self.span(tok), f"expected a string label, found {tok.text!r}"
-            )
-        self.advance()
+        if self.peek().kind != STRING:
+            raise self.expected("a string label")
+        tok = self.advance()
         self.end_simple()
         return tok.value
 
     def concept(self) -> list:
-        return self.block(
-            lambda: self.dispatch({"fact": self.concept_fact, "holds": self.concept_holds})
-        )
+        items = {"fact": self.concept_fact, "holds": self.concept_holds}
+        return self.block(lambda: self.dispatch(items))
 
     def concept_fact(self) -> tuple:
         relator, pats = self.relator_args()
@@ -1561,8 +1553,7 @@ def parse_query(text: str, m: Model | None = None):
                 patterns=tuple(value for value, _ in args),
                 time_ref=time_ref,
             )
-        if parser.at_punct(";"):
-            parser.advance()
+        parser.end_block()
         tok = parser.peek()
         if tok.kind != EOF:
             raise _Syntax(

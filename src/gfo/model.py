@@ -252,7 +252,8 @@ def _declared_presential(m, owner, span, extent, sample, samples, t, outside):
 def process_boundary(p: Process, t: int | str | Fraction, m: Model) -> Presential:
     """The presential obtained by restricting ``p`` to the declared sample ``t``."""
     return _declared_presential(
-        m, f"process {p.id!r}", "extent", p.extent, "boundary", p.boundary_map, t, OutOfExtent
+        m, f"process {p.id!r}", "extent", p.extent, "boundary", p.boundary_map, t,
+        OutOfExtent,
     )
 
 
