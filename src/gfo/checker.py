@@ -96,8 +96,7 @@ def sort_violations(violations) -> list[Violation]:
 
 def check_disjointness(m: Model) -> list[Violation]:
     """One violation per id declared under more than one individual kind."""
-    # fires on stores built in code only; the linker rejects such sources
-    # (see "Where store invariants are enforced" in docs/semantics.md)
+    # guard for hand-built stores only (docs/semantics.md, store invariants)
     out = []
     seen = set()
     for _, store in m._kind_stores():
@@ -127,8 +126,7 @@ def _presentials_match(m: Model, exhibited: str, bounded: str, mode: str) -> boo
     a = m.presentials.get(exhibited)
     b = m.presentials.get(bounded)
     if a is None or b is None:
-        # stores built in code only: see "Where store invariants are
-        # enforced" in docs/semantics.md
+        # guard for hand-built stores only (docs/semantics.md, store invariants)
         return False
     return a.at.coordinate == b.at.coordinate and a.valuation == b.valuation
 
@@ -222,8 +220,7 @@ def derive_process(m: Model, c: Continuant) -> Process:
     individuals with equal boundary maps.
     """
     keys = set(c.exhibit_map)
-    # stores built in code only: see "Where store invariants are enforced"
-    # in docs/semantics.md
+    # guard for hand-built stores only (docs/semantics.md, store invariants)
     if not keys or c.lifetime.left not in keys or c.lifetime.right not in keys:
         raise MalformedContinuant(
             f"continuant {c.id!r} lacks snapshots at its lifetime endpoints"

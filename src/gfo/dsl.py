@@ -388,6 +388,12 @@ class _Syntax(Exception):
         self.message = message
 
 
+def _one_of(words) -> str:
+    """The keywords ``words`` as ``'a'``, ``'a' or 'b'``, ``'a', 'b' or 'c'``."""
+    *rest, last = map(repr, words)
+    return f"{', '.join(rest)} or {last}" if rest else last
+
+
 class _Parser:
     def __init__(self, tokens: list, file: str, diagnostics: list):
         self.tokens = tokens
@@ -429,13 +435,18 @@ class _Parser:
         """Consume one of ``words``; any other token is an error naming them all."""
         word = self.accept_word(*words)
         if word is None:
-            *rest, last = map(repr, words)
-            raise self.expected(f"{', '.join(rest)} or {last}" if rest else last)
+            raise self.expected(_one_of(words))
         return word
 
     def dispatch(self, handlers: dict):
-        """Consume one keyword of ``handlers`` and run its handler."""
-        return handlers[self.keyword(*handlers)]()
+        """Consume one keyword of ``handlers`` and run its handler; any other
+        token is an error naming every keyword."""
+        tok = self.peek()
+        handler = handlers.get(tok.text) if tok.kind == IDENT else None
+        if handler is None:
+            raise self.expected(_one_of(handlers))
+        self.advance()
+        return handler()
 
     def take_punct(self, text: str) -> Token:
         if not self.at_punct(text):

@@ -133,8 +133,7 @@ def satisfies_concept(s: Situation, c: SituationConcept, m: Model) -> bool:
     time.  Monotone in the situation's constituents."""
     if s.id not in m.situations:
         raise UnknownSituation(s.id)
-    # unknown fact ids occur in stores built in code only: see "Where store
-    # invariants are enforced" in docs/semantics.md
+    # guard for hand-built stores only (docs/semantics.md, store invariants)
     facts = [m.facts[fid] for fid in s.constituents if fid in m.facts]
     for pattern in c.required_facts:
         if not any(pattern.matches(f) for f in facts):

@@ -244,8 +244,7 @@ def _declared_presential(m, owner, span, extent, sample, samples, t, outside):
     try:
         return m.presentials[pres_id]
     except KeyError:
-        # stores built in code only: see "Where store invariants are
-        # enforced" in docs/semantics.md
+        # guard for hand-built stores only (docs/semantics.md, store invariants)
         raise UnknownEntity(pres_id) from None
 
 

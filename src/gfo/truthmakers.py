@@ -149,9 +149,8 @@ def find_truthmakers(m: Model, prop) -> list[TruthMakerTriple]:
     for sid in sorted(m.situations):
         s = m.situations[sid]
         # triples built here are founded and constituent by construction, so
-        # satisfies() is not re-run on them; unknown processes and facts occur
-        # in stores built in code only (see "Where store invariants are
-        # enforced" in docs/semantics.md)
+        # satisfies() is not re-run on them; unknown processes and facts:
+        # guard for hand-built stores only (docs/semantics.md, store invariants)
         if s.founded_on not in m.processes or not _extent_matches(s, prop.time_ref):
             continue
         for fid in sorted(s.constituents):
