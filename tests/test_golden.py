@@ -5,13 +5,15 @@ compares the digest with the one recorded below.  The families are the
 corpus reports (`gfo check` human and JSON, completed valuation-mode JSON),
 `gfo dump`, `serialize`, the corpus queries, every parse diagnostic (code,
 file, line, column, length, message) over a fixed-seed set of corpus
-mutations, and a handful of malformed queries.  Paths are repo-relative,
+mutations, a handful of malformed queries, and the tokens and diagnostics
+of the lexer over fixed-seed random strings drawn from every lexical class.  Paths are repo-relative,
 so the digests do not depend on where the checkout lives.
 
 A refactor must leave every digest unchanged.  When an output change is
 intended, print the new digests with
 ``PYTHONPATH=src python tests/test_golden.py`` and
-say in the commit why the bytes moved.
+say in the commit why the bytes moved.  Run that way, the file needs no
+pytest and exits 1 when any digest differs from ``DIGESTS``.
 """
 
 from __future__ import annotations
@@ -23,10 +25,11 @@ import json
 import os
 import random
 import re
+import sys
 from pathlib import Path
 
 from gfo import cli
-from gfo.dsl import ParseError, parse, parse_file, parse_query, serialize
+from gfo.dsl import ParseError, _tokenize, parse, parse_file, parse_query, serialize
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -38,6 +41,12 @@ MUTATION_COUNT = 2000
 LITERAL_POOL = ("0", "1", "-1", "1/2", "0.25", "1/0", "7", "x", "_", '"s"', "yes")
 STRAY = ";{}()[],=@:->\"/\\#"
 LITERAL = re.compile(r"-?\d+(?:[./]\d+)?|[A-Za-z_][A-Za-z0-9_-]*|\"[^\"\n]*\"")
+
+LEXER_SEED = 20261018
+LEXER_COUNT = 5000
+LEXER_MAX_LENGTH = 24
+# one or two characters of every lexical class, whitespace and non-ASCII included
+LEXER_ALPHABET = tuple('aZ_09-/."\\;{}()[]@:,=>#') + (" ", "\t", "\r", "\n", "\u00e9", "\xa0")
 
 QUERIES = (
     "",
@@ -67,6 +76,7 @@ DIGESTS = {
     "query": "29bdf064e078658571bd1c28e383ae89822d86bb61a472ef1f2a8f0a1ac4809e",
     "mutations": "e504ce85c6ce9edf2aff27b5d25eb67f9ad46719e01094d8716c0da702af6eeb",
     "parse-query": "7796bf16770c973adc235efdf6f482ceefe2801f50802b5a13fafd1725d5ac56",
+    "lexer": "05892da2b79fc1fe52efb01b75e091eef77c0a06359092f66aede77bb70b67ad",
 }
 
 
@@ -110,6 +120,8 @@ def _render(name: str) -> list:
         return _queries()
     if name == "mutations":
         return _mutations()
+    if name == "lexer":
+        return _lexer()
     return _parse_queries()
 
 
@@ -186,6 +198,26 @@ def _parse_queries() -> list:
     return out
 
 
+def _lexer() -> list:
+    rng = random.Random(LEXER_SEED)
+    out = []
+    for _ in range(LEXER_COUNT):
+        length = rng.randint(0, LEXER_MAX_LENGTH)
+        source = "".join(rng.choice(LEXER_ALPHABET) for _ in range(length))
+        if "\\\n" in source:
+            continue  # an escaped newline in a string moves later line numbers
+        diagnostics = []
+        tokens = _tokenize(source, "<input>", diagnostics)
+        out.append(
+            [
+                source,
+                [[t.kind, t.text, str(t.value), t.line, t.column] for t in tokens],
+                [[d.code, d.span.line, d.span.column, d.span.length, d.message] for d in diagnostics],
+            ]
+        )
+    return out
+
+
 def _check(name: str, monkeypatch) -> None:
     monkeypatch.chdir(REPO)
     monkeypatch.delenv("GFO_COLOR", raising=False)
@@ -224,8 +256,19 @@ def test_malformed_query_diagnostics_are_byte_identical(monkeypatch):
     _check("parse-query", monkeypatch)
 
 
+def test_lexer_tokens_and_diagnostics_are_byte_identical(monkeypatch):
+    _check("lexer", monkeypatch)
+
+
 if __name__ == "__main__":
     os.chdir(REPO)
     os.environ.pop("GFO_COLOR", None)
-    for key in DIGESTS:
-        print(f'    "{key}": "{_digest(_render(key))}",')
+    changed = []
+    for key, expected in DIGESTS.items():
+        digest = _digest(_render(key))
+        print(f'    "{key}": "{digest}",')
+        if digest != expected:
+            changed.append(key)
+    if changed:
+        print(f"changed: {', '.join(changed)}", file=sys.stderr)
+        sys.exit(1)
