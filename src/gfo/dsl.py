@@ -17,8 +17,11 @@ The full grammar is published in docs/grammar.md.
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .chrono import Chronoid, TimeBoundary, coord_str, inner_boundary
 from .errors import GfoError
@@ -132,14 +135,32 @@ NUMBER = "number"
 STRING = "string"
 PUNCT = "punct"
 EOF = "eof"
+BAD = "bad"
 
-_PUNCT_SINGLE = set("=;,(){}[]@:")
-_ID_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_ID_CONT = _ID_START | set("0123456789")
+# digits in a rational literal and in the p/q text ``serialize`` writes for
+# its value, which a decimal's may double; twice this stays under 640, the
+# least int-to-str digit limit Python takes, so every literal, its canonical
+# text and the midpoint of two of them print and parse under any setting
+MAX_LITERAL_DIGITS = 300
+
+# Whitespace and comments are a skip prefix of every match.  The last two
+# alternatives match wherever the others do not, so the greedy prefix never
+# backtracks and never hands a blank or a ``//`` to the catch-all.
+_LEXEME = re.compile(
+    r"""(?:[ \t\r\n]+|//[^\n]*)*
+    (?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*)
+      |(?P<number>-?[0-9]+(?:[./][0-9]+)?)
+      |(?P<punct>->|[=;,(){}\[\]@:])
+      |(?P<string>"(?P<body>(?:[^"\\\n]+|\\[\s\S]?)*)(?P<closed>")?)
+      |(?P<eof>\Z)
+      |(?P<bad>.))""",
+    re.VERBOSE,
+)
+_ESCAPE = re.compile(r"\\([\s\S])")
+_ESCAPES = {"n": "\n", "t": "\t"}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     value: object
@@ -150,123 +171,50 @@ class Token:
         return SourceSpan(file, self.line, self.column, max(1, len(self.text)))
 
 
+def _rational(text: str) -> tuple:
+    """A number token's value, and the reason it is a bad rational or None."""
+    short = len(text) <= MAX_LITERAL_DIGITS // 2  # then its p/q text fits too
+    digits = 0 if short else sum(c.isdigit() for c in text)
+    if digits > MAX_LITERAL_DIGITS:
+        return Fraction(0), _overlong(text, f"{digits} digits")
+    try:
+        value = Fraction(text)
+    except ZeroDivisionError:
+        return Fraction(0), f"{text!r} is not a valid rational literal"
+    digits = 0 if short else sum(c.isdigit() for c in coord_str(value))
+    if digits > MAX_LITERAL_DIGITS:
+        return Fraction(0), _overlong(text, f"{digits} digits as p/q")
+    return value, None
+
+
+def _overlong(text: str, count: str) -> str:
+    return f"{text[:20]!r}... has {count}; a rational literal has at most {MAX_LITERAL_DIGITS}"
+
+
 def _tokenize(source: str, file: str, diagnostics: list) -> list:
+    line_starts = [0] + [m.end() for m in re.finditer("\n", source)]
     tokens = []
-    i, line, col = 0, 1, 1
-    n = len(source)
-
-    def diag(code, message, length=1, at_line=None, at_col=None):
-        diagnostics.append(
-            ParseDiagnostic(
-                SourceSpan(file, at_line or line, at_col or col, length), code, message
-            )
-        )
-
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "/" and i + 1 < n and source[i + 1] == "/":
-            while i < n and source[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        start_line, start_col = line, col
-        if ch in _ID_START:
-            j = i + 1
-            while j < n:
-                c = source[j]
-                if c in _ID_CONT:
-                    j += 1
-                elif c == "-" and j + 1 < n and source[j + 1] in _ID_CONT:
-                    j += 1
-                else:
-                    break
-            text = source[i:j]
-            tokens.append(Token(IDENT, text, text, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and source[i + 1].isdigit()):
-            j = i + 1 if ch == "-" else i
-            while j < n and source[j].isdigit():
-                j += 1
-            if j < n and source[j] == "." and j + 1 < n and source[j + 1].isdigit():
-                j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-            elif j < n and source[j] == "/" and j + 1 < n and source[j + 1].isdigit():
-                j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-            text = source[i:j]
-            try:
-                value = Fraction(text)
-            except (ValueError, ZeroDivisionError):
-                diag(
-                    "bad-rational",
-                    f"{text!r} is not a valid rational literal",
-                    length=len(text),
-                    at_line=start_line,
-                    at_col=start_col,
-                )
-                value = Fraction(0)
-            tokens.append(Token(NUMBER, text, value, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch == "-" and i + 1 < n and source[i + 1] == ">":
-            tokens.append(Token(PUNCT, "->", "->", start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch == '"':
-            j = i + 1
-            out = []
-            closed = False
-            while j < n:
-                c = source[j]
-                if c == "\\" and j + 1 < n:
-                    nxt = source[j + 1]
-                    out.append({"n": "\n", "t": "\t"}.get(nxt, nxt))
-                    j += 2
-                    continue
-                if c == '"':
-                    closed = True
-                    j += 1
-                    break
-                if c == "\n":
-                    break
-                out.append(c)
-                j += 1
-            if not closed:
-                diag(
-                    "unexpected-token",
-                    "unterminated string literal",
-                    at_line=start_line,
-                    at_col=start_col,
-                )
-            text = source[i:j]
-            tokens.append(Token(STRING, text, "".join(out), start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT_SINGLE:
-            tokens.append(Token(PUNCT, ch, ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        diag("unexpected-token", f"unexpected character {ch!r}")
-        i += 1
-        col += 1
-    tokens.append(Token(EOF, "", None, line, col))
+    for m in _LEXEME.finditer(source):
+        kind = m.lastgroup
+        text, start = m[kind], m.start(kind)
+        line = bisect_right(line_starts, start)
+        column = start - line_starts[line - 1] + 1
+        value, error = text, None
+        if kind == NUMBER:
+            value, error = _rational(text)
+        elif kind == STRING:
+            value = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), m["body"])
+            error = None if m["closed"] else "unterminated string literal"
+        elif kind == BAD:
+            error = f"unexpected character {text!r}"
+        elif kind == EOF:
+            tokens.append(Token(EOF, "", None, line, column))
+            break  # a second, empty match at the end may follow this one
+        if error:
+            code, length = ("bad-rational", len(text)) if kind == NUMBER else ("unexpected-token", 1)
+            diagnostics.append(ParseDiagnostic(SourceSpan(file, line, column, length), code, error))
+        if kind != BAD:
+            tokens.append(Token(kind, text, value, line, column))
     return tokens
 
 

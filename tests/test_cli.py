@@ -99,6 +99,16 @@ def test_parse_failure_reports_diagnostics(tmp_path):
     assert payload["diagnostics"][0]["line"] == 1
 
 
+def test_dump_of_overlong_literal_exits_two(tmp_path):
+    nines = "9" * 3000
+    bad = tmp_path / "long.gfo"
+    bad.write_text(f"chronoid c = [0, {nines}.{nines}];\n")
+    code, out, err = run_cli("dump", str(bad))
+    assert code == 2
+    assert "bad-rational" in [d["code"] for d in json.loads(out)["diagnostics"]]
+    assert "Traceback" not in err
+
+
 def test_usage_error_exit_two():
     code, _, _ = run_cli("check")
     assert code == 2

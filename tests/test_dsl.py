@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -57,6 +58,54 @@ def test_parse_duplicate_id():
 
 def test_parse_bad_rational():
     assert "bad-rational" in codes_of("chronoid c = [1/0, 2];")
+
+
+def bad_rationals(source: str) -> list:
+    with pytest.raises(ParseError) as err:
+        parse(source)
+    return [
+        (str(d.span), d.span.length, d.message)
+        for d in err.value.diagnostics
+        if d.code == "bad-rational"
+    ]
+
+
+def test_rational_literal_digit_bound():
+    nines, ones = "9" * 299, "1" * 149
+    m = parse(f"chronoid c = [-1/{nines}, 1{nines}]; chronoid d = [0, 0.{ones}];")
+    assert (m.chronoids["c"].right, m.chronoids["d"].right) == (int(f"1{nines}"), Fraction(f"0.{ones}"))
+    assert parse(serialize(m)) == m
+    assert bad_rationals(f"chronoid c = [0, -{nines}/99];") == [
+        ("<input>:1:18", 303, "'-9999999999999999999'... has 301 digits; a rational literal has at most 300")
+    ]
+    # 300 digits as a decimal, but 600 as the p/q that serialize would write
+    assert bad_rationals(f"chronoid c = [0, 9.{nines}];") == [
+        ("<input>:1:18", 301, "'9.999999999999999999'... has 600 digits as p/q; a rational literal has at most 300")
+    ]
+    assert bad_rationals(f"chronoid c = [0, 0.{ones}1];") == [
+        ("<input>:1:18", 152, "'0.111111111111111111'... has 301 digits as p/q; a rational literal has at most 300")
+    ]
+
+
+def test_long_rational_literal_is_bad_under_any_int_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        found = bad_rationals(f"chronoid c = [0, {'9' * 5000}];")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert found == [
+        ("<input>:1:18", 5000, "'99999999999999999999'... has 5000 digits; a rational literal has at most 300")
+    ]
+
+
+def test_digits_are_ascii():
+    for digit in ("\u0663", "\u00b2"):  # ARABIC-INDIC DIGIT THREE, SUPERSCRIPT TWO
+        with pytest.raises(ParseError) as err:
+            parse(f"chronoid c = [0, {digit}];")
+        first = err.value.diagnostics[0]
+        assert (str(first.span), first.code) == ("<input>:1:18", "unexpected-token")
+        assert first.message == f"unexpected character {digit!r}"
 
 
 def test_parse_unknown_property():
@@ -208,6 +257,14 @@ def test_comment_and_string_lexing():
     )
     assert m.functions["f"].labels == frozenset({'mix "gently"', "line1\nline2"})
     assert serialize(parse(serialize(m))) == serialize(m)
+
+
+def test_escaped_newline_in_string_counts_as_a_line():
+    with pytest.raises(ParseError) as err:
+        parse('function f { label "a\\\nb";\n oops }')
+    [d] = err.value.diagnostics
+    assert (str(d.span), d.span.length, d.code) == ("<input>:3:2", 4, "unexpected-token")
+    assert d.message == "expected 'label', 'requires', 'achieves' or 'fitem', found 'oops'"
 
 
 @given(st.fractions(min_value=-1000, max_value=1000, max_denominator=999))
