@@ -5,9 +5,10 @@ compares the digest with the one recorded below.  The families are the
 corpus reports (`gfo check` human and JSON, completed valuation-mode JSON),
 `gfo dump`, `serialize`, the corpus queries, every parse diagnostic (code,
 file, line, column, length, message) over a fixed-seed set of corpus
-mutations, a handful of malformed queries, and the tokens and diagnostics
-of the lexer over fixed-seed random strings drawn from every lexical class.  Paths are repo-relative,
-so the digests do not depend on where the checkout lives.
+mutations, a handful of malformed queries, and the lexer's tokens and
+diagnostics over fixed-seed random strings drawn from every lexical class.
+Paths are repo-relative, so the digests do not depend on where the
+checkout lives.
 
 A refactor must leave every digest unchanged.  When an output change is
 intended, print the new digests with
@@ -205,7 +206,7 @@ def _lexer() -> list:
         length = rng.randint(0, LEXER_MAX_LENGTH)
         source = "".join(rng.choice(LEXER_ALPHABET) for _ in range(length))
         if "\\\n" in source:
-            continue  # an escaped newline in a string moves later line numbers
+            continue  # positions after an escaped newline are pinned in test_dsl.py
         diagnostics = []
         tokens = _tokenize(source, "<input>", diagnostics)
         out.append(
