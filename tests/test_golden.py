@@ -5,8 +5,10 @@ compares the digest with the one recorded below.  The families are the
 corpus reports (`gfo check` human and JSON, completed valuation-mode JSON),
 `gfo dump`, `serialize`, the corpus queries, every parse diagnostic (code,
 file, line, column, length, message) over a fixed-seed set of corpus
-mutations, a handful of malformed queries, and the lexer's tokens and
-diagnostics over fixed-seed random strings drawn from every lexical class.
+mutations, a handful of malformed queries, the lexer's tokens and
+diagnostics over fixed-seed random strings drawn from every lexical class,
+and the linker's diagnostics over small hand-written sources that reach
+each of its diagnostics from each place that can raise it.
 Paths are repo-relative, so the digests do not depend on where the
 checkout lives.
 
@@ -68,6 +70,94 @@ QUERIES = (
     "fact position(blood, _) during [0, 3/2]",
 )
 
+# Lexically and syntactically clean sources, each after LINKER_BASE, that
+# reach every linker diagnostic from every caller of the helper raising it.
+LINKER_BASE = (
+    "chronoid c = [0, 2];\n"
+    "property hue : categorical { red, blue };\n"
+    "property v : numeric nonisolated(1/2);\n"
+    "presential a at c@0 { hue = red; }\n"
+    "presential b at c@2;\n"
+)
+LINKER_CASES = (
+    "chronoid c = [0, 3];",
+    "property hue : numeric;",
+    "function f { requires { fact r(_); } achieves { fact r(_); } }\n"
+    "function f { requires { fact r(_); } achieves { fact r(_); } }",
+    "presential a at c@0;",
+    "process a extent c { boundary 0 -> a; boundary 2 -> b; }",
+    "property w : numeric nonisolated(0);",
+    "property w : numeric nonisolated(-1/2);",
+    "chronoid z = [1, 1];",
+    "chronoid z = [2, 1/2];",
+    "presential x at c@3;",
+    "presential x at nowhere@1;",
+    "presential x at c@1 { nosuch = red; }",
+    "presential x at c@1 { v = 1; }",
+    "presential x at c@1 { hue = red; hue = blue; }",
+    "presential x at c@1 { hue = green; }",
+    "process p extent c { boundary 0 -> a; boundary 3 -> b; boundary 2 -> b; }",
+    "process p extent c { boundary 0 -> a; boundary 0 -> a; boundary 2 -> b; }",
+    "process p extent c { boundary 0 -> ghost; boundary 2 -> b; }",
+    "process p extent c { boundary 0 -> p; boundary 2 -> b; }",
+    "process p extent c { boundary 0 -> b; boundary 2 -> b; }",
+    "process p extent c { boundary 0 -> a; }",
+    "process p extent c;",
+    "process p extent nowhere { boundary 0 -> a; }",
+    "process p extent c { boundary 0 -> a; boundary 2 -> b; trajectory nosuch { 0 -> 1; } }",
+    "process p extent c { boundary 0 -> a; boundary 2 -> b; trajectory hue { 0 -> red; } }",
+    "process p extent c { boundary 0 -> a; boundary 2 -> b;\n"
+    "  trajectory v { 0 -> 1; } trajectory v { 1 -> 2; } }",
+    "process p extent c { boundary 0 -> a; boundary 2 -> b; trajectory v { 5/2 -> 1; } }",
+    "process p extent c { boundary 0 -> a; boundary 2 -> b; trajectory v { 1 -> 1; 1 -> 2; } }",
+    "process p extent c { boundary 0 -> a; boundary 2 -> b; trajectory v { 1 -> red; } }",
+    "continuant k lifetime c { exhibits 0 -> a; exhibits -1 -> a; exhibits 2 -> b; }",
+    "continuant k lifetime c { exhibits 0 -> a; exhibits 2 -> b; exhibits 2 -> b; }",
+    "continuant k lifetime c { exhibits 0 -> a; exhibits 2 -> ghost; }",
+    "continuant k lifetime c { exhibits 0 -> a; exhibits 2 -> k; }",
+    "continuant k lifetime c { exhibits 0 -> a; exhibits 2 -> a; }",
+    "continuant k lifetime c { exhibits 2 -> b; }",
+    "continuant k lifetime nowhere;",
+    "fact f = hue(a); situation s during c { contains f; }",
+    "fact f = hue(a, red, blue); situation s during c { contains f; }",
+    "fact f = hue(1/2, red); situation s during c { contains f; }",
+    "fact f = hue(ghost, red); situation s during c { contains f; }",
+    "fact f = hue(a, green); situation s during c { contains f; }",
+    "fact f = hue(a, 1); situation s during c { contains f; }",
+    "fact f = likes(a, 1); situation s during c { contains f; }",
+    "fact f = likes(a, ghost); situation s during c { contains f; }",
+    "fact f = likes(a, b);",
+    "fact f = likes(a, b); fact g = likes(b, a); situation s during c { contains g; }",
+    "situation s at c@3;",
+    "situation s at nowhere@0;",
+    "situation s during nowhere;",
+    "situation s during c founded on ghost;",
+    "situation s at c@0 founded on a;",
+    "situation s during c { contains ghost; }",
+    "situation s during c { contains a; }",
+    "situation s during c { participant ghost; participant a; }",
+    "function f { requires { } achieves { fact r(_); } }",
+    "function f { requires { fact r(_); } achieves { } }",
+    "function f { achieves { fact r(_); } }",
+    "function f { label \"x\"; }",
+    "function f individual { requires { fact r(_); } achieves { fact r(_); } }",
+    "function f individual bearer ghost { requires { fact r(_); } achieves { fact r(_); } }",
+    "function f bearer a { requires { fact r(_); } achieves { fact r(_); } }",
+    "function f { requires { holds(a, nosuch, red); } achieves { fact r(_); } }",
+    "function f { requires { fact r(_); } achieves { holds(a, hue, green); fact r(_); } }",
+    "function f { requires { holds(ghost, hue, red); } achieves { fact r(_); } }",
+    "function f { requires { fact r(_); } achieves { fact r(_); } fitem { nosuch = 1; } }",
+    "function f { requires { fact r(_); } achieves { fact r(_); } fitem { hue = 2; } }",
+    "process p extent c { boundary 0 -> a; boundary 2 -> b; }\nexe(ghost, p);",
+    "exe(a, a);",
+    "exe(a, ghost);",
+    "situation s during c;\nrequirement-instance(ghost, s);",
+    "function f { requires { fact r(_); } achieves { fact r(_); } }\ngoal-instance(f, ghost);",
+    "function f { requires { fact r(_); } achieves { fact r(_); } }\ngoal-instance(f, a);",
+    "function f { requires { fact r(_); } achieves { fact r(_); } }\n"
+    "situation s during c;\nrequirement-instance(f, s);\ngoal-instance(f, s);",
+)
+
 DIGESTS = {
     "check-human": "a28d9e0c763b3e05e83bd03ee4e3cc35337445e288b9d2a345780c16c6f7556c",
     "check-json": "2d6a41f23d41b5640c58b863b4c8551c61d09a425e49bda3bd074fb8618c65b0",
@@ -78,6 +168,7 @@ DIGESTS = {
     "mutations": "e504ce85c6ce9edf2aff27b5d25eb67f9ad46719e01094d8716c0da702af6eeb",
     "parse-query": "7796bf16770c973adc235efdf6f482ceefe2801f50802b5a13fafd1725d5ac56",
     "lexer": "05892da2b79fc1fe52efb01b75e091eef77c0a06359092f66aede77bb70b67ad",
+    "linker": "40ae38f97398088f1dcde4e9f130bf23c45f2a44aebde8551a4c6d7cf5b94be4",
 }
 
 
@@ -123,6 +214,8 @@ def _render(name: str) -> list:
         return _mutations()
     if name == "lexer":
         return _lexer()
+    if name == "linker":
+        return _linker()
     return _parse_queries()
 
 
@@ -219,6 +312,17 @@ def _lexer() -> list:
     return out
 
 
+def _linker() -> list:
+    out = []
+    for case in LINKER_CASES:
+        try:
+            result = ["ok", serialize(parse(LINKER_BASE + case, file="linker.gfo"))]
+        except ParseError as exc:
+            result = ["error", _diagnostics(exc)]
+        out.append([case, result])
+    return out
+
+
 def _check(name: str, monkeypatch) -> None:
     monkeypatch.chdir(REPO)
     monkeypatch.delenv("GFO_COLOR", raising=False)
@@ -259,6 +363,10 @@ def test_malformed_query_diagnostics_are_byte_identical(monkeypatch):
 
 def test_lexer_tokens_and_diagnostics_are_byte_identical(monkeypatch):
     _check("lexer", monkeypatch)
+
+
+def test_linker_diagnostics_are_byte_identical(monkeypatch):
+    _check("linker", monkeypatch)
 
 
 if __name__ == "__main__":
