@@ -222,112 +222,92 @@ def _tokenize(source: str, file: str, diagnostics: list) -> list:
 # Raw declarations (first pass)
 # ---------------------------------------------------------------------------
 
+# Declarations keep the tokens they were parsed from: a name or reference is
+# its identifier token, a coordinate or value its literal token.  The linker
+# reads text and values off the tokens, and builds a SourceSpan from one only
+# when it reports a diagnostic there.
+
 
 @dataclass
 class _Chronoid:
-    name: str
-    name_span: SourceSpan
-    left: Fraction
-    left_span: SourceSpan
-    right: Fraction
-    right_span: SourceSpan
+    name: Token
+    left: Token
+    right: Token
 
 
 @dataclass
 class _Property:
-    name: str
-    name_span: SourceSpan
+    name: Token
     domain_kind: str
     symbols: list
     support_kind: str
-    radius: Fraction | None
-    radius_span: SourceSpan | None
+    radius: Token | None
 
 
 @dataclass
 class _Presential:
-    name: str
-    name_span: SourceSpan
-    chron: str
-    chron_span: SourceSpan
-    t: Fraction
-    t_span: SourceSpan
+    name: Token
+    chron: Token
+    t: Token
     material: bool
-    valuation: list  # (prop, prop_span, value, value_span)
+    valuation: list  # (prop, value)
 
 
 @dataclass
 class _Process:
-    name: str
-    name_span: SourceSpan
-    chron: str
-    chron_span: SourceSpan
-    boundaries: list  # (t, t_span, target, target_span)
-    trajectories: list  # (prop, prop_span, [(t, t_span, value, value_span)])
+    name: Token
+    chron: Token
+    boundaries: list  # (t, target)
+    trajectories: list  # (prop, [(t, value)])
 
 
 @dataclass
 class _Continuant:
-    name: str
-    name_span: SourceSpan
-    chron: str
-    chron_span: SourceSpan
+    name: Token
+    chron: Token
     material: bool
-    exhibits: list  # (t, t_span, target, target_span)
+    exhibits: list  # (t, target)
 
 
 @dataclass
 class _Situation:
-    name: str
-    name_span: SourceSpan
-    mode: str  # "at" | "during"
-    chron: str
-    chron_span: SourceSpan
-    t: Fraction | None
-    t_span: SourceSpan | None
-    founded: str | None
-    founded_span: SourceSpan | None
-    contains: list  # (fact id, span)
-    participants: list  # (entity id, span)
+    name: Token
+    chron: Token
+    t: Token | None  # None for a situoid, which spans the whole chronoid
+    founded: Token | None
+    contains: list
+    participants: list
 
 
 @dataclass
 class _Fact:
-    name: str
-    name_span: SourceSpan
-    relator: str
-    relator_span: SourceSpan
-    args: list  # (value, span)
+    name: Token
+    relator: Token
+    args: list
 
 
 @dataclass
 class _Function:
-    name: str
-    name_span: SourceSpan
+    name: Token
     kind: str
-    bearer: str | None
-    bearer_span: SourceSpan | None
+    bearer: Token | None
     labels: list
     req_items: list | None  # None when the block is missing
     goal_items: list | None
-    fitem: list  # (prop, prop_span, value, value_span)
+    fitem: list  # (prop, value)
 
 
 @dataclass
 class _Exe:
-    x: str
-    x_span: SourceSpan
-    p: str
-    p_span: SourceSpan
+    x: Token
+    p: Token
 
 
 @dataclass
 class _Instance:
     which: str  # "requirement" | "goal"
-    fn: str
-    fn_span: SourceSpan
-    sit: str
-    sit_span: SourceSpan
+    fn: Token
+    sit: Token
 
 
 class _Syntax(Exception):
@@ -360,9 +340,6 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def span(self, tok: Token) -> SourceSpan:
-        return tok.span(self.file)
-
     def at_punct(self, text: str) -> bool:
         tok = self.peek()
         return tok.kind == PUNCT and tok.text == text
@@ -370,7 +347,7 @@ class _Parser:
     def expected(self, what: str) -> _Syntax:
         """The error for finding the next token where ``what`` was expected."""
         tok = self.peek()
-        return _Syntax(self.span(tok), f"expected {what}, found {tok.text!r}")
+        return _Syntax(tok.span(self.file), f"expected {what}, found {tok.text!r}")
 
     def accept_word(self, *words: str) -> str | None:
         """Consume and return one of ``words`` when it comes next."""
@@ -445,37 +422,37 @@ class _Parser:
         return out
 
     def assignment(self) -> tuple:
-        """``property = value ;`` as (prop, prop span, value, value span)."""
+        """``property = value ;`` as two tokens."""
         prop = self.take_ident("a property name")
         self.take_punct("=")
         value = self.take_value()
         self.end_simple()
-        return (prop.text, self.span(prop), value.value, self.span(value))
+        return prop, value
 
     def sample(self, take_target) -> tuple:
-        """``rational -> target ;`` as (t, t span, target, target span)."""
+        """``rational -> target ;`` as two tokens."""
         t = self.take_number("a coordinate")
         self.take_punct("->")
         target = take_target()
         self.end_simple()
-        return (t.value, self.span(t), target.value, self.span(target))
+        return t, target
 
     def presential_ref(self) -> Token:
         return self.take_ident("a presential name")
 
-    def member(self, what: str) -> tuple:
-        """``id ;`` as (id, span)."""
+    def member(self, what: str) -> Token:
+        """``id ;`` as the id token."""
         tok = self.take_ident(what)
         self.end_simple()
-        return (tok.text, self.span(tok))
+        return tok
 
     def relator_args(self) -> tuple:
-        """``relator(value, ...)`` as the relator token and (value, span) pairs."""
+        """``relator(value, ...)`` as the relator token and the value tokens."""
         relator = self.take_ident("a relator name")
         self.take_punct("(")
         args = self.comma_list(self.take_value)
         self.take_punct(")")
-        return relator, [(tok.value, self.span(tok)) for tok in args]
+        return relator, args
 
     def comma_list(self, take) -> list:
         """``item { , item }``: what ``take`` parses for each item."""
@@ -561,7 +538,7 @@ class _Parser:
                 if handler is None:
                     self.advance()
                     raise _Syntax(
-                        self.span(tok),
+                        tok.span(self.file),
                         f"expected a declaration keyword, found {tok.text!r}",
                     )
                 decls.append(handler())
@@ -578,14 +555,7 @@ class _Parser:
         self.take_punct("=")
         left, right = self.interval()
         self.end_simple()
-        return _Chronoid(
-            name.text,
-            self.span(name),
-            left.value,
-            self.span(left),
-            right.value,
-            self.span(right),
-        )
+        return _Chronoid(name, left, right)
 
     def property(self) -> _Property:
         self.advance()
@@ -599,23 +569,12 @@ class _Parser:
             self.take_punct("}")
         support_kind = self.accept_word(ISOLATED, NON_ISOLATED, GLOBAL) or ISOLATED
         radius = None
-        radius_span = None
         if support_kind == NON_ISOLATED:
             self.take_punct("(")
-            radius_tok = self.take_number("a window radius")
-            radius = radius_tok.value
-            radius_span = self.span(radius_tok)
+            radius = self.take_number("a window radius")
             self.take_punct(")")
         self.end_simple()
-        return _Property(
-            name.text,
-            self.span(name),
-            domain_kind,
-            symbols,
-            support_kind,
-            radius,
-            radius_span,
-        )
+        return _Property(name, domain_kind, symbols, support_kind, radius)
 
     def symbol(self) -> Token:
         return self.take_ident("a symbol")
@@ -633,16 +592,7 @@ class _Parser:
         chron, t = self._time_point()
         material = not self.accept_word("immaterial")
         valuation = self.body(self.assignment)
-        return _Presential(
-            name.text,
-            self.span(name),
-            chron.text,
-            self.span(chron),
-            t.value,
-            self.span(t),
-            material,
-            valuation,
-        )
+        return _Presential(name, chron, t, material, valuation)
 
     def process(self) -> _Process:
         self.advance()
@@ -656,14 +606,12 @@ class _Parser:
             "trajectory": lambda: trajectories.append(self.trajectory()),
         }
         self.body(lambda: self.dispatch(items))
-        return _Process(
-            name.text, self.span(name), chron.text, self.span(chron), boundaries, trajectories
-        )
+        return _Process(name, chron, boundaries, trajectories)
 
     def trajectory(self) -> tuple:
         prop = self.take_ident("a property name")
         samples = self.block(lambda: self.sample(self.take_value))
-        return (prop.text, self.span(prop), samples)
+        return prop, samples
 
     def continuant(self) -> _Continuant:
         self.advance()
@@ -673,25 +621,20 @@ class _Parser:
         material = not self.accept_word("immaterial")
         items = {"exhibits": lambda: self.sample(self.presential_ref)}
         exhibits = self.body(lambda: self.dispatch(items))
-        return _Continuant(
-            name.text, self.span(name), chron.text, self.span(chron), material, exhibits
-        )
+        return _Continuant(name, chron, material, exhibits)
 
     def situation(self) -> _Situation:
         self.advance()
         name = self.take_ident("a situation name")
-        t = t_span = None
-        mode = self.keyword("at", "during")
-        if mode == "at":
-            chron, t_tok = self._time_point()
-            t, t_span = t_tok.value, self.span(t_tok)
+        t = None
+        if self.keyword("at", "during") == "at":
+            chron, t = self._time_point()
         else:
             chron = self.take_ident("a chronoid name")
-        founded = founded_span = None
+        founded = None
         if self.accept_word("founded"):
             self.keyword("on")
-            target = self.take_ident("a process name")
-            founded, founded_span = target.text, self.span(target)
+            founded = self.take_ident("a process name")
         contains = []
         participants = []
         items = {
@@ -699,19 +642,7 @@ class _Parser:
             "participant": lambda: participants.append(self.member("an entity name")),
         }
         self.body(lambda: self.dispatch(items))
-        return _Situation(
-            name.text,
-            self.span(name),
-            mode,
-            chron.text,
-            self.span(chron),
-            t,
-            t_span,
-            founded,
-            founded_span,
-            contains,
-            participants,
-        )
+        return _Situation(name, chron, t, founded, contains, participants)
 
     def fact(self) -> _Fact:
         self.advance()
@@ -719,18 +650,15 @@ class _Parser:
         self.take_punct("=")
         relator, args = self.relator_args()
         self.end_simple()
-        return _Fact(
-            name.text, self.span(name), relator.text, self.span(relator), args
-        )
+        return _Fact(name, relator, args)
 
     def function(self) -> _Function:
         self.advance()
         name = self.take_ident("a function name")
         kind = self.accept_word(*FUNCTION_KINDS) or CONCEPTUAL
-        bearer = bearer_span = None
+        bearer = None
         if self.accept_word("bearer"):
-            tok = self.take_ident("a bearer entity")
-            bearer, bearer_span = tok.text, self.span(tok)
+            bearer = self.take_ident("a bearer entity")
         labels = []
         concepts = {}  # "requires"/"achieves" -> items of the last such block
         fitem = []
@@ -743,15 +671,7 @@ class _Parser:
         self.block(lambda: self.dispatch(parts))
         self.end_block()
         return _Function(
-            name.text,
-            self.span(name),
-            kind,
-            bearer,
-            bearer_span,
-            labels,
-            concepts.get("requires"),
-            concepts.get("achieves"),
-            fitem,
+            name, kind, bearer, labels, concepts.get("requires"), concepts.get("achieves"), fitem
         )
 
     def label(self) -> str:
@@ -765,34 +685,25 @@ class _Parser:
         items = {"fact": self.concept_fact, "holds": self.concept_holds}
         return self.block(lambda: self.dispatch(items))
 
-    def concept_fact(self) -> tuple:
-        relator, pats = self.relator_args()
+    def concept_fact(self) -> FactPattern:
+        relator, args = self.relator_args()
         self.end_simple()
-        return ("fact", relator.text, self.span(relator), pats)
+        return FactPattern(relator=relator.text, args=tuple(tok.value for tok in args))
 
     def concept_holds(self) -> tuple:
+        """``holds(entity, property, value) ;`` as three tokens."""
         entity, prop, value = self.holds_args()
         self.end_simple()
-        return (
-            "holds",
-            entity.text,
-            self.span(entity),
-            prop.text,
-            self.span(prop),
-            value.value,
-            self.span(value),
-        )
+        return entity, prop, value
 
     def exe(self) -> _Exe:
         self.advance()
-        x, p = self.pair("an executor entity", "a process name")
-        return _Exe(x.text, self.span(x), p.text, self.span(p))
+        return _Exe(*self.pair("an executor entity", "a process name"))
 
     def instance(self) -> _Instance:
         keyword = self.advance()
         which = "requirement" if keyword.text == "requirement-instance" else "goal"
-        fn, sit = self.pair("a function name", "a situation name")
-        return _Instance(which, fn.text, self.span(fn), sit.text, self.span(sit))
+        return _Instance(which, *self.pair("a function name", "a situation name"))
 
 
 # ---------------------------------------------------------------------------
@@ -801,16 +712,17 @@ class _Parser:
 
 
 class _Linker:
-    def __init__(self, decls: list, diagnostics: list):
+    def __init__(self, decls: list, file: str, diagnostics: list):
         self.decls = decls
+        self.file = file
         self.diagnostics = diagnostics
         self.prop_decls: dict = {}
         self.chron_decls: dict = {}
         self.entity_kinds: dict = {}  # name -> kind string (first declaration wins)
         self.fn_decls: dict = {}
 
-    def diag(self, span: SourceSpan, code: str, message: str) -> None:
-        self.diagnostics.append(ParseDiagnostic(span, code, message))
+    def diag(self, tok: Token, code: str, message: str) -> None:
+        self.diagnostics.append(ParseDiagnostic(tok.span(self.file), code, message))
 
     # -- namespace registration ------------------------------------------------
 
@@ -831,30 +743,30 @@ class _Linker:
         for decl in self.decls:
             if type(decl) in namespaces:
                 noun, table = namespaces[type(decl)]
-                if decl.name in table:
+                if decl.name.text in table:
                     self.diag(
-                        decl.name_span,
+                        decl.name,
                         "duplicate-id",
-                        f"{noun} {decl.name!r} is declared twice",
+                        f"{noun} {decl.name.text!r} is declared twice",
                     )
                 else:
-                    table[decl.name] = decl
+                    table[decl.name.text] = decl
             elif type(decl) in self._ENTITY_KIND:
                 kind = self._ENTITY_KIND[type(decl)]
-                prior = self.entity_kinds.get(decl.name)
+                prior = self.entity_kinds.get(decl.name.text)
                 if prior is None:
-                    self.entity_kinds[decl.name] = kind
+                    self.entity_kinds[decl.name.text] = kind
                 elif prior == kind:
                     self.diag(
-                        decl.name_span,
+                        decl.name,
                         "duplicate-id",
-                        f"{kind} {decl.name!r} is declared twice",
+                        f"{kind} {decl.name.text!r} is declared twice",
                     )
                 else:
                     self.diag(
-                        decl.name_span,
+                        decl.name,
                         "kind-conflict",
-                        f"{decl.name!r} is already declared as a {prior}, "
+                        f"{decl.name.text!r} is already declared as a {prior}, "
                         f"cannot also be a {kind}",
                     )
 
@@ -863,54 +775,55 @@ class _Linker:
 
     # -- reference helpers -------------------------------------------------------
 
-    def resolve_entity(self, name: str, span: SourceSpan, kind: str | None = None):
-        declared = self.entity_kinds.get(name)
+    def resolve_entity(self, ref: Token, kind: str | None = None):
+        declared = self.entity_kinds.get(ref.text)
         if declared is None:
-            self.diag(span, "dangling-reference", f"{name!r} is not declared")
+            self.diag(ref, "dangling-reference", f"{ref.text!r} is not declared")
             return False
         if kind is not None and declared != kind:
             self.diag(
-                span,
+                ref,
                 "kind-conflict",
-                f"{name!r} is a {declared}, but a {kind} is required here",
+                f"{ref.text!r} is a {declared}, but a {kind} is required here",
             )
             return False
         return True
 
-    def resolve_chronoid(self, name: str, span: SourceSpan):
-        ch = self.chronoids.get(name)
+    def resolve_chronoid(self, ref: Token):
+        ch = self.chronoids.get(ref.text)
         if ch is None:
-            self.diag(span, "dangling-reference", f"chronoid {name!r} is not declared")
+            self.diag(ref, "dangling-reference", f"chronoid {ref.text!r} is not declared")
         return ch
 
-    def check_value(self, pdef: PropertyDef, value, span: SourceSpan) -> bool:
-        if not pdef.domain.admits(value):
+    def check_value(self, pdef: PropertyDef, tok: Token) -> bool:
+        if not pdef.domain.admits(tok.value):
             self.diag(
-                span,
+                tok,
                 "bad-value",
-                f"{str(fmt_value(value))!r} is not in the value domain of "
+                f"{str(fmt_value(tok.value))!r} is not in the value domain of "
                 f"property {pdef.name!r}",
             )
             return False
         return True
 
-    def resolve_property(self, name: str, span: SourceSpan):
-        pdef = self.property_defs.get(name)
+    def resolve_property(self, ref: Token):
+        pdef = self.property_defs.get(ref.text)
         if pdef is None:
-            self.diag(span, "unknown-id", f"property {name!r} is not declared")
+            self.diag(ref, "unknown-id", f"property {ref.text!r} is not declared")
         return pdef
 
-    def resolve_value(self, prop, prop_span, value, value_span) -> bool:
+    def resolve_value(self, prop: Token, value: Token) -> bool:
         """Resolve a property name, then check the value it is given."""
-        pdef = self.resolve_property(prop, prop_span)
-        return pdef is not None and self.check_value(pdef, value, value_span)
+        pdef = self.resolve_property(prop)
+        return pdef is not None and self.check_value(pdef, value)
 
-    def new_sample(self, t, t_span, ch, seen, what: str) -> bool:
-        """True when ``t`` lies in ``ch`` and is not in ``seen`` yet;
-        otherwise reports why not."""
+    def new_sample(self, tok: Token, ch, seen, what: str) -> bool:
+        """True when the coordinate ``tok`` lies in ``ch`` and is not in
+        ``seen`` yet; otherwise reports why not."""
+        t = tok.value
         if ch is not None and not ch.contains(t):
             self.diag(
-                t_span,
+                tok,
                 "out-of-extent",
                 f"{coord_str(t)} lies outside [{coord_str(ch.left)}, "
                 f"{coord_str(ch.right)}]",
@@ -918,7 +831,7 @@ class _Linker:
             return False
         if t in seen:
             self.diag(
-                t_span, "duplicate-id", f"{what} at {coord_str(t)} is declared twice"
+                tok, "duplicate-id", f"{what} at {coord_str(t)} is declared twice"
             )
             return False
         return True
@@ -927,41 +840,45 @@ class _Linker:
 
     def build_properties(self) -> None:
         self.property_defs = {}
-        for decl in self.prop_decls.values():
-            if decl.support_kind == NON_ISOLATED and decl.radius is not None:
-                if decl.radius <= 0:
+        for name, decl in self.prop_decls.items():
+            radius = None
+            if decl.radius is not None:
+                radius = decl.radius.value
+                if radius <= 0:
                     self.diag(
-                        decl.radius_span,
+                        decl.radius,
                         "bad-value",
                         "window radius must be strictly positive",
                     )
             domain = ValueDomain(decl.domain_kind, frozenset(decl.symbols))
-            self.property_defs[decl.name] = PropertyDef(
-                name=decl.name,
+            self.property_defs[name] = PropertyDef(
+                name=name,
                 domain=domain,
-                support=Support(decl.support_kind, decl.radius),
+                support=Support(decl.support_kind, radius),
             )
 
     def build_chronoids(self) -> None:
         self.chronoids = {}
-        for decl in self.chron_decls.values():
-            if decl.left >= decl.right:
+        for name, decl in self.chron_decls.items():
+            left, right = decl.left.value, decl.right.value
+            if left >= right:
                 self.diag(
-                    decl.left_span,
+                    decl.left,
                     "zero-duration",
-                    f"chronoid {decl.name!r}: [{coord_str(decl.left)}, "
-                    f"{coord_str(decl.right)}] has no duration",
+                    f"chronoid {name!r}: [{coord_str(left)}, "
+                    f"{coord_str(right)}] has no duration",
                 )
                 continue
-            self.chronoids[decl.name] = Chronoid(decl.name, decl.left, decl.right)
+            self.chronoids[name] = Chronoid(name, left, right)
 
-    def _boundary_at(self, decl_chron, chron_span, t, t_span):
-        ch = self.resolve_chronoid(decl_chron, chron_span)
+    def _boundary_at(self, chron: Token, tok: Token):
+        ch = self.resolve_chronoid(chron)
         if ch is None:
             return None
+        t = tok.value
         if not ch.contains(t):
             self.diag(
-                t_span,
+                tok,
                 "out-of-extent",
                 f"{coord_str(t)} lies outside chronoid {ch.id!r} "
                 f"[{coord_str(ch.left)}, {coord_str(ch.right)}]",
@@ -972,34 +889,32 @@ class _Linker:
     def build_presentials(self) -> None:
         self.presentials = {}
         for decl in self.decls_of(_Presential):
-            boundary = self._boundary_at(
-                decl.chron, decl.chron_span, decl.t, decl.t_span
-            )
+            boundary = self._boundary_at(decl.chron, decl.t)
             valuation = {}
-            for prop, prop_span, value, value_span in decl.valuation:
-                pdef = self.resolve_property(prop, prop_span)
+            for prop, value in decl.valuation:
+                pdef = self.resolve_property(prop)
                 if pdef is None:
                     continue
                 if pdef.support.kind != ISOLATED:
                     self.diag(
-                        prop_span,
+                        prop,
                         "kind-conflict",
-                        f"property {prop!r} has {pdef.support.kind} support and "
+                        f"property {prop.text!r} has {pdef.support.kind} support and "
                         "cannot be valued at a single boundary",
                     )
                     continue
-                if prop in valuation:
+                if prop.text in valuation:
                     self.diag(
-                        prop_span,
+                        prop,
                         "duplicate-id",
-                        f"property {prop!r} is valued twice on {decl.name!r}",
+                        f"property {prop.text!r} is valued twice on {decl.name.text!r}",
                     )
                     continue
-                if self.check_value(pdef, value, value_span):
-                    valuation[prop] = value
+                if self.check_value(pdef, value):
+                    valuation[prop.text] = value.value
             if boundary is not None:
-                self.presentials[decl.name] = Presential(
-                    id=decl.name,
+                self.presentials[decl.name.text] = Presential(
+                    id=decl.name.text,
                     at=boundary,
                     valuation=valuation,
                     material=decl.material,
@@ -1007,28 +922,28 @@ class _Linker:
 
     def _sample_map(self, decl, entries, ch, keyword: str) -> dict:
         out: dict = {}
-        for t, t_span, target, target_span in entries:
-            if not self.new_sample(t, t_span, ch, out, keyword):
+        for t, target in entries:
+            if not self.new_sample(t, ch, out, keyword):
                 continue
-            if not self.resolve_entity(target, target_span, kind="presential"):
+            if not self.resolve_entity(target, kind="presential"):
                 continue
-            pres = self.presentials.get(target)
-            if pres is not None and pres.at.coordinate != t:
+            pres = self.presentials.get(target.text)
+            if pres is not None and pres.at.coordinate != t.value:
                 self.diag(
-                    target_span,
+                    target,
                     "coordinate-mismatch",
-                    f"presential {target!r} is at {coord_str(pres.at.coordinate)}, "
-                    f"not at {coord_str(t)}",
+                    f"presential {target.text!r} is at {coord_str(pres.at.coordinate)}, "
+                    f"not at {coord_str(t.value)}",
                 )
                 continue
-            out[t] = target
+            out[t.value] = target.text
         if ch is not None:
             for endpoint in (ch.left, ch.right):
                 if endpoint not in out:
                     self.diag(
-                        decl.name_span,
+                        decl.name,
                         "missing-endpoint",
-                        f"{decl.name!r} has no {keyword} at the endpoint "
+                        f"{decl.name.text!r} has no {keyword} at the endpoint "
                         f"{coord_str(endpoint)}",
                     )
         return out
@@ -1036,38 +951,38 @@ class _Linker:
     def build_processes(self) -> None:
         self.processes = {}
         for decl in self.decls_of(_Process):
-            ch = self.resolve_chronoid(decl.chron, decl.chron_span)
+            ch = self.resolve_chronoid(decl.chron)
             boundary_map = self._sample_map(decl, decl.boundaries, ch, "boundary")
             trajectories: dict = {}
-            for prop, prop_span, samples in decl.trajectories:
-                pdef = self.resolve_property(prop, prop_span)
+            for prop, samples in decl.trajectories:
+                pdef = self.resolve_property(prop)
                 if pdef is None:
                     continue
                 if pdef.support.kind == ISOLATED:
                     self.diag(
-                        prop_span,
+                        prop,
                         "kind-conflict",
-                        f"property {prop!r} has isolated support; its values live "
+                        f"property {prop.text!r} has isolated support; its values live "
                         "on presentials, not trajectories",
                     )
                     continue
-                if prop in trajectories:
+                if prop.text in trajectories:
                     self.diag(
-                        prop_span,
+                        prop,
                         "duplicate-id",
-                        f"trajectory for {prop!r} is declared twice",
+                        f"trajectory for {prop.text!r} is declared twice",
                     )
                     continue
                 points: dict = {}
-                for t, t_span, value, value_span in samples:
-                    if not self.new_sample(t, t_span, ch, points, "trajectory sample"):
+                for t, value in samples:
+                    if not self.new_sample(t, ch, points, "trajectory sample"):
                         continue
-                    if self.check_value(pdef, value, value_span):
-                        points[t] = value
-                trajectories[prop] = tuple(sorted(points.items()))
+                    if self.check_value(pdef, value):
+                        points[t.value] = value.value
+                trajectories[prop.text] = tuple(sorted(points.items()))
             if ch is not None:
-                self.processes[decl.name] = Process(
-                    id=decl.name,
+                self.processes[decl.name.text] = Process(
+                    id=decl.name.text,
                     extent=ch,
                     boundary_map=boundary_map,
                     trajectories=trajectories,
@@ -1076,11 +991,11 @@ class _Linker:
     def build_continuants(self) -> None:
         self.continuants = {}
         for decl in self.decls_of(_Continuant):
-            ch = self.resolve_chronoid(decl.chron, decl.chron_span)
+            ch = self.resolve_chronoid(decl.chron)
             exhibit_map = self._sample_map(decl, decl.exhibits, ch, "exhibits")
             if ch is not None:
-                self.continuants[decl.name] = Continuant(
-                    id=decl.name,
+                self.continuants[decl.name.text] = Continuant(
+                    id=decl.name.text,
                     lifetime=ch,
                     exhibit_map=exhibit_map,
                     material=decl.material,
@@ -1089,96 +1004,94 @@ class _Linker:
     def build_facts(self) -> None:
         self.facts = {}
         for decl in self.decls_of(_Fact):
-            args = []
             ok = True
-            pdef = self.property_defs.get(decl.relator)
+            pdef = self.property_defs.get(decl.relator.text)
             if pdef is not None:
                 # property fact: (subject entity, literal value)
                 if len(decl.args) != 2:
                     self.diag(
-                        decl.relator_span,
+                        decl.relator,
                         "bad-value",
                         f"a property fact takes (subject, value); "
-                        f"{decl.relator!r} got {len(decl.args)} argument(s)",
+                        f"{decl.relator.text!r} got {len(decl.args)} argument(s)",
                     )
                     ok = False
                 else:
-                    subject, subject_span = decl.args[0]
-                    value, value_span = decl.args[1]
-                    if isinstance(subject, Fraction):
+                    subject, value = decl.args
+                    if subject.kind == NUMBER:
                         self.diag(
-                            subject_span,
+                            subject,
                             "bad-value",
                             "the subject of a property fact must be an entity",
                         )
                         ok = False
-                    elif not self.resolve_entity(subject, subject_span):
+                    elif not self.resolve_entity(subject):
                         ok = False
-                    if not self.check_value(pdef, value, value_span):
+                    if not self.check_value(pdef, value):
                         ok = False
-                    args = [subject, value]
             else:
-                for value, span in decl.args:
-                    if isinstance(value, Fraction):
+                for arg in decl.args:
+                    if arg.kind == NUMBER:
                         self.diag(
-                            span,
+                            arg,
                             "bad-value",
                             "literal arguments are only allowed in property facts",
                         )
                         ok = False
-                    elif not self.resolve_entity(value, span):
+                    elif not self.resolve_entity(arg):
                         ok = False
-                    args.append(value)
             if ok:
-                self.facts[decl.name] = Fact(
-                    id=decl.name, relator=decl.relator, args=tuple(args)
+                self.facts[decl.name.text] = Fact(
+                    id=decl.name.text,
+                    relator=decl.relator.text,
+                    args=tuple(arg.value for arg in decl.args),
                 )
 
     def build_situations(self) -> None:
         self.situations = {}
         used_facts = set()
         for decl in self.decls_of(_Situation):
-            if decl.mode == "at":
-                extent = self._boundary_at(
-                    decl.chron, decl.chron_span, decl.t, decl.t_span
-                )
+            if decl.t is None:
+                extent = self.resolve_chronoid(decl.chron)
             else:
-                extent = self.resolve_chronoid(decl.chron, decl.chron_span)
+                extent = self._boundary_at(decl.chron, decl.t)
+            founded_on = None
             if decl.founded is not None:
-                self.resolve_entity(decl.founded, decl.founded_span, kind="process")
+                self.resolve_entity(decl.founded, kind="process")
+                founded_on = decl.founded.text
             constituents = set()
-            for fact, span in decl.contains:
-                if self.resolve_entity(fact, span, kind="fact"):
-                    constituents.add(fact)
-                    used_facts.add(fact)
+            for fact in decl.contains:
+                if self.resolve_entity(fact, kind="fact"):
+                    constituents.add(fact.text)
+                    used_facts.add(fact.text)
             participants = set()
-            for entity, span in decl.participants:
-                if self.resolve_entity(entity, span):
-                    participants.add(entity)
+            for entity in decl.participants:
+                if self.resolve_entity(entity):
+                    participants.add(entity.text)
             if extent is not None:
-                self.situations[decl.name] = Situation(
-                    id=decl.name,
+                self.situations[decl.name.text] = Situation(
+                    id=decl.name.text,
                     extent=extent,
                     constituents=frozenset(constituents),
                     participants=frozenset(participants),
-                    founded_on=decl.founded,
+                    founded_on=founded_on,
                 )
         # facts are properties of processes only through situations; a fact
         # contained in no situation has nothing to be founded on
         for decl in self.decls_of(_Fact):
-            if decl.name not in used_facts:
+            if decl.name.text not in used_facts:
                 self.diag(
-                    decl.name_span,
+                    decl.name,
                     "orphan-fact",
-                    f"fact {decl.name!r} is not a constituent of any situation",
+                    f"fact {decl.name.text!r} is not a constituent of any situation",
                 )
 
-    def _concept(self, fn_name: str, which: str, items: list | None, name_span):
+    def _concept(self, fn: Token, which: str, items: list | None):
         if not items:
             self.diag(
-                name_span,
+                fn,
                 "empty-concept",
-                f"function {fn_name!r} needs a non-empty '"
+                f"function {fn.text!r} needs a non-empty '"
                 + ("requires" if which == "req" else "achieves")
                 + "' block",
             )
@@ -1186,53 +1099,51 @@ class _Linker:
         patterns = set()
         constraints = set()
         for item in items:
-            if item[0] == "fact":
-                _, relator, _relator_span, pats = item
-                patterns.add(
-                    FactPattern(relator=relator, args=tuple(v for v, _ in pats))
-                )
-            else:
-                _, entity, _e_span, prop, prop_span, value, value_span = item
-                if not self.resolve_value(prop, prop_span, value, value_span):
-                    continue
+            if isinstance(item, FactPattern):
+                patterns.add(item)
+                continue
+            entity, prop, value = item
+            if self.resolve_value(prop, value):
                 constraints.add(
-                    PropertyConstraint(entity=entity, prop=prop, value=value)
+                    PropertyConstraint(entity=entity.text, prop=prop.text, value=value.value)
                 )
         if not patterns and not constraints:
             return None
         return SituationConcept(
             required_facts=frozenset(patterns),
             required_props=frozenset(constraints),
-            name=f"{fn_name}.{which}",
+            name=f"{fn.text}.{which}",
         )
 
     def build_functions(self) -> None:
         self.functions = {}
-        for decl in self.fn_decls.values():
-            req = self._concept(decl.name, "req", decl.req_items, decl.name_span)
-            goal = self._concept(decl.name, "goal", decl.goal_items, decl.name_span)
-            if decl.kind == INDIVIDUAL and decl.bearer is None:
-                self.diag(
-                    decl.name_span,
-                    "dangling-reference",
-                    f"individual function {decl.name!r} must name a bearer",
-                )
+        for name, decl in self.fn_decls.items():
+            req = self._concept(decl.name, "req", decl.req_items)
+            goal = self._concept(decl.name, "goal", decl.goal_items)
+            bearer = None
             if decl.bearer is not None:
-                self.resolve_entity(decl.bearer, decl.bearer_span)
+                self.resolve_entity(decl.bearer)
+                bearer = decl.bearer.text
+            elif decl.kind == INDIVIDUAL:
+                self.diag(
+                    decl.name,
+                    "dangling-reference",
+                    f"individual function {name!r} must name a bearer",
+                )
             fitem = []
-            for prop, prop_span, value, value_span in decl.fitem:
-                if self.resolve_value(prop, prop_span, value, value_span):
-                    fitem.append((prop, value))
+            for prop, value in decl.fitem:
+                if self.resolve_value(prop, value):
+                    fitem.append((prop.text, value.value))
             if req is None or goal is None:
                 continue
-            self.functions[decl.name] = FunctionSpec(
-                id=decl.name,
+            self.functions[name] = FunctionSpec(
+                id=name,
                 req=req,
                 goal=goal,
                 labels=frozenset(decl.labels),
                 fitem=tuple(sorted(fitem, key=lambda c: (c[0], str(c[1])))),
                 kind=decl.kind,
-                bearer=decl.bearer,
+                bearer=bearer,
             )
 
     def build_assertions(self) -> None:
@@ -1241,26 +1152,26 @@ class _Linker:
         self.goal_instances: dict = {}
         for decl in self.decls:
             if isinstance(decl, _Exe):
-                ok = self.resolve_entity(decl.x, decl.x_span)
-                ok = self.resolve_entity(decl.p, decl.p_span, kind="process") and ok
+                ok = self.resolve_entity(decl.x)
+                ok = self.resolve_entity(decl.p, kind="process") and ok
                 if ok:
-                    self.exe.add((decl.x, decl.p))
+                    self.exe.add((decl.x.text, decl.p.text))
             elif isinstance(decl, _Instance):
-                if decl.fn not in self.fn_decls:
+                if decl.fn.text not in self.fn_decls:
                     self.diag(
-                        decl.fn_span,
+                        decl.fn,
                         "unknown-id",
-                        f"function {decl.fn!r} is not declared",
+                        f"function {decl.fn.text!r} is not declared",
                     )
                     continue
-                if not self.resolve_entity(decl.sit, decl.sit_span, kind="situation"):
+                if not self.resolve_entity(decl.sit, kind="situation"):
                     continue
                 store = (
                     self.req_instances
                     if decl.which == "requirement"
                     else self.goal_instances
                 )
-                store.setdefault(decl.fn, set()).add(decl.sit)
+                store.setdefault(decl.fn.text, set()).add(decl.sit.text)
 
     def link(self) -> Model | None:
         self.register()
@@ -1304,7 +1215,7 @@ def parse(source: str, file: str = "<input>") -> Model:
     diagnostics: list = []
     tokens = _tokenize(source, file, diagnostics)
     decls = _Parser(tokens, file, diagnostics).parse()
-    model = _Linker(decls, diagnostics).link()
+    model = _Linker(decls, file, diagnostics).link()
     if diagnostics:
         raise ParseError(diagnostics)
     assert model is not None
@@ -1493,7 +1404,7 @@ def parse_query(text: str, m: Model | None = None):
             if m is not None and prop_name.text not in m.property_defs:
                 diagnostics.append(
                     ParseDiagnostic(
-                        parser.span(prop_name),
+                        prop_name.span(file),
                         "unknown-id",
                         f"property {prop_name.text!r} is not declared",
                     )
@@ -1509,15 +1420,13 @@ def parse_query(text: str, m: Model | None = None):
             time_ref = _parse_time_ref(parser, diagnostics)
             prop = FactProp(
                 relator=relator.text,
-                patterns=tuple(value for value, _ in args),
+                patterns=tuple(tok.value for tok in args),
                 time_ref=time_ref,
             )
         parser.end_block()
         tok = parser.peek()
         if tok.kind != EOF:
-            raise _Syntax(
-                parser.span(tok), f"unexpected trailing input: {tok.text!r}"
-            )
+            raise _Syntax(tok.span(file), f"unexpected trailing input: {tok.text!r}")
     except _Syntax as err:
         diagnostics.append(ParseDiagnostic(err.span, "unexpected-token", err.message))
     if diagnostics:
@@ -1534,7 +1443,7 @@ def _parse_time_ref(parser: _Parser, diagnostics: list):
         if left.value >= right.value:
             diagnostics.append(
                 ParseDiagnostic(
-                    parser.span(left),
+                    left.span(parser.file),
                     "zero-duration",
                     f"[{coord_str(left.value)}, {coord_str(right.value)}] "
                     "has no duration",
