@@ -328,6 +328,9 @@ class _Parser:
         self.file = file
         self.diagnostics = diagnostics
         self.pos = 0
+        # where the lexer reported a bad token; a syntax error found at one of
+        # these positions would only repeat it
+        self.lexed = {(d.span.line, d.span.column) for d in diagnostics}
 
     # -- token helpers -------------------------------------------------------
 
@@ -343,6 +346,10 @@ class _Parser:
     def at_punct(self, text: str) -> bool:
         tok = self.peek()
         return tok.kind == PUNCT and tok.text == text
+
+    def report(self, err: _Syntax) -> None:
+        if (err.span.line, err.span.column) not in self.lexed:
+            self.diagnostics.append(ParseDiagnostic(err.span, "unexpected-token", err.message))
 
     def expected(self, what: str) -> _Syntax:
         """The error for finding the next token where ``what`` was expected."""
@@ -543,9 +550,7 @@ class _Parser:
                     )
                 decls.append(handler())
             except _Syntax as err:
-                self.diagnostics.append(
-                    ParseDiagnostic(err.span, "unexpected-token", err.message)
-                )
+                self.report(err)
                 self.sync()
         return decls
 
@@ -1428,7 +1433,7 @@ def parse_query(text: str, m: Model | None = None):
         if tok.kind != EOF:
             raise _Syntax(tok.span(file), f"unexpected trailing input: {tok.text!r}")
     except _Syntax as err:
-        diagnostics.append(ParseDiagnostic(err.span, "unexpected-token", err.message))
+        parser.report(err)
     if diagnostics:
         raise ParseError(diagnostics)
     return prop

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from genmodels import random_full_model
 from gfo.chrono import coord_str
-from gfo.dsl import DIAGNOSTIC_CODES, ParseError, parse, parse_file, serialize
+from gfo.dsl import DIAGNOSTIC_CODES, ParseError, parse, parse_file, parse_query, serialize
 from helpers import corpus_files, split_statements
 
 MINIMAL = """
@@ -271,3 +271,15 @@ def test_escaped_newline_in_string_counts_as_a_line():
 def test_rational_literals_round_trip(q):
     text = coord_str(q)
     assert Fraction(text) == q
+
+
+def test_a_bad_token_gets_one_diagnostic():
+    cases = (
+        (parse, 'chronoid c = [0, 1] "x', "<input>:1:21: unexpected-token: unterminated string literal"),
+        (parse, "chronoid c = 1/0;", "<input>:1:14: bad-rational: '1/0' is not a valid rational literal"),
+        (parse_query, 'holds(blood, position, "x', "<query>:1:24: unexpected-token: unterminated string literal"),
+    )
+    for load, source, diagnostic in cases:
+        with pytest.raises(ParseError) as err:
+            load(source)
+        assert [str(d) for d in err.value.diagnostics] == [diagnostic]

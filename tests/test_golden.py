@@ -165,7 +165,7 @@ DIGESTS = {
     "dump": "009f9693fded42f5ffecbead1ba9d73aa5e852aa823a439319e77eab2d113a6f",
     "serialize": "34d1b576b3134b1c54cdf740a0ace2d08bea1fe4f80367fa571ca8262103dc59",
     "query": "29bdf064e078658571bd1c28e383ae89822d86bb61a472ef1f2a8f0a1ac4809e",
-    "mutations": "e504ce85c6ce9edf2aff27b5d25eb67f9ad46719e01094d8716c0da702af6eeb",
+    "mutations": "291f9964672702eefb9a7801a41b6ddcd8c63ad57c836e2c63528ec74987b8c0",
     "parse-query": "7796bf16770c973adc235efdf6f482ceefe2801f50802b5a13fafd1725d5ac56",
     "lexer": "05892da2b79fc1fe52efb01b75e091eef77c0a06359092f66aede77bb70b67ad",
     "linker": "40ae38f97398088f1dcde4e9f130bf23c45f2a44aebde8551a4c6d7cf5b94be4",
