@@ -696,7 +696,6 @@ class _Parser:
         return FactPattern(relator=relator.text, args=tuple(tok.value for tok in args))
 
     def concept_holds(self) -> tuple:
-        """``holds(entity, property, value) ;`` as three tokens."""
         entity, prop, value = self.holds_args()
         self.end_simple()
         return entity, prop, value
