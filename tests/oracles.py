@@ -45,6 +45,41 @@ def integration_candidates(m, c, identity=True):
     return sorted(good)
 
 
+def integration_closest(m, c, identity=True):
+    """``(process id, mismatch count)`` of the process closest to
+    integrating ``c``, smallest by (count, id); None without processes.
+
+    A process scores one mismatch for a differing extent and one for every
+    coordinate in the union of both sample grids where either side has no
+    sample or the two presentials do not match.
+    """
+    best = None
+    for pid, p in m.processes.items():
+        count = int(
+            p.extent.left != c.lifetime.left or p.extent.right != c.lifetime.right
+        )
+        for t in set(c.exhibit_map) | set(p.boundary_map):
+            if t not in c.exhibit_map or t not in p.boundary_map:
+                count += 1
+                continue
+            exhibited = c.exhibit_map[t]
+            bounded = p.boundary_map[t]
+            if identity:
+                count += exhibited != bounded
+            else:
+                pa = m.presentials.get(exhibited)
+                pb = m.presentials.get(bounded)
+                count += (
+                    pa is None
+                    or pb is None
+                    or pa.at.coordinate != pb.at.coordinate
+                    or pa.valuation != pb.valuation
+                )
+        if best is None or (count, pid) < (best[1], best[0]):
+            best = (pid, count)
+    return best
+
+
 def _time_ok(situation, time_ref) -> bool:
     if time_ref is None:
         return True

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from genmodels import random_integration_model
+from genmodels import mutate_one_snapshot, random_full_model, random_integration_model
 from gfo.checker import (
+    IDENTITY,
     INTEGRATION,
     INTEGRATION_NO_PROCESS,
     VALUATION,
@@ -111,6 +112,62 @@ def test_integration_valuation_mode():
     assert isinstance(strict, list) and strict  # identity fails
     lax = check_integration(m, c, VALUATION)
     assert isinstance(lax, IntegrationWitness)
+
+
+def _differential_worlds(seed, count):
+    """``count`` random worlds, each followed by its completion with one
+    snapshot of a material continuant pointed elsewhere."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = random_full_model(rng)
+        yield m
+        completed, _ = complete_integration(m)
+        material = sorted(cid for cid, c in completed.continuants.items() if c.material)
+        if material:
+            c = completed.continuants[rng.choice(material)]
+            yield mutate_one_snapshot(completed, c, rng)[0]
+
+
+@pytest.mark.parametrize("mode", [IDENTITY, VALUATION])
+def test_integration_agrees_with_oracles_on_random_worlds(mode):
+    identity = mode == IDENTITY
+    witnesses = violations = 0
+    for m in _differential_worlds(20261020, 200):
+        for cid in sorted(m.continuants):
+            c = m.continuants[cid]
+            if not c.material:
+                continue
+            result = check_integration(m, c, mode)
+            good = oracles.integration_candidates(m, c, identity)
+            if good:
+                assert isinstance(result, IntegrationWitness), cid
+                assert result.process == good[0]
+                witnesses += 1
+            elif not m.processes:
+                assert [v.axiom for v in result] == [INTEGRATION_NO_PROCESS]
+            else:
+                closest, count = oracles.integration_closest(m, c, identity)
+                assert {v.subjects for v in result} == {(cid, closest)}
+                assert len(result) == count
+                violations += 1
+    assert witnesses > 100 and violations > 100  # both paths were exercised
+
+
+def test_completion_lets_a_derived_process_witness_a_later_continuant():
+    ch = Chronoid("e", Fraction(0), Fraction(1))
+    presentials = {
+        "n0": Presential("n0", inner_boundary(ch, 0), {}),
+        "n1": Presential("n1", inner_boundary(ch, 1), {}),
+    }
+    emap = {Fraction(0): "n0", Fraction(1): "n1"}
+    twins = {cid: Continuant(cid, ch, dict(emap)) for cid in ("A", "B")}
+    m = Model(chronoids={"e": ch}, presentials=presentials, continuants=twins)
+    completed, derived = complete_integration(m)
+    assert derived == ["A-proc"]
+    for cid in ("A", "B"):
+        witness = check_integration(completed, completed.continuants[cid])
+        assert isinstance(witness, IntegrationWitness)
+        assert witness.process == "A-proc"
 
 
 def test_derive_process_round_trip(john):
