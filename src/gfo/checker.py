@@ -178,18 +178,54 @@ def _integration_mismatches(
     return out
 
 
+def _integration_key(m: Model, extent, samples: dict, mode: str):
+    """What an integrating process must share with a continuant: the extent
+    endpoints and the samples, as presential ids or, in valuation mode, as
+    (t, coordinate, valuation) triples.  None when valuation mode meets an
+    undeclared presential, which matches nothing (see _presentials_match)."""
+    if mode == IDENTITY:
+        return extent.left, extent.right, frozenset(samples.items())
+    triples = []
+    for t, pres_id in samples.items():
+        pres = m.presentials.get(pres_id)
+        if pres is None:
+            return None
+        triples.append((t, pres.at.coordinate, frozenset(pres.valuation.items())))
+    return extent.left, extent.right, frozenset(triples)
+
+
+def _integration_index(m: Model, mode: str) -> dict:
+    """Integration key -> smallest id of a process with that key, built once
+    per model and mode."""
+    index = m._indexes.get((INTEGRATION, mode))
+    if index is None:
+        index = m._indexes[INTEGRATION, mode] = {}
+        for pid, p in sorted(m.processes.items()):
+            key = _integration_key(m, p.extent, p.boundary_map, mode)
+            if key is not None:
+                index.setdefault(key, pid)
+    return index
+
+
+def _mismatch_count(m: Model, c: Continuant, p: Process, mode: str) -> int:
+    """len(_integration_mismatches(m, c, p, mode)), without building them."""
+    e, b = c.exhibit_map, p.boundary_map
+    shared = e.keys() & b.keys()
+    count = (not c.lifetime.same_extent(p.extent)) + len(e) + len(b) - 2 * len(shared)
+    return count + sum(not _presentials_match(m, e[t], b[t], mode) for t in shared)
+
+
 def check_integration(m: Model, c: Continuant, mode: str = IDENTITY):
     """Verify the integration axiom for one material continuant.
 
-    Returns an :class:`IntegrationWitness` when some process has extent
-    equal to the lifetime, the identical sample grid, and the same
-    presential at every sample (entity identity by default; equal valuation
-    under ``mode='valuation'``).  Otherwise returns the violation list of
-    the closest candidate, or a single no-process violation when the model
-    declares no process at all.
+    Returns an :class:`IntegrationWitness` naming the smallest process id
+    whose extent equals the lifetime and which has the identical sample grid
+    and the same presential at every sample (entity identity by default;
+    equal valuation under ``mode='valuation'``).  Otherwise returns the
+    violation list of the closest candidate, or a single no-process
+    violation when the model declares no process at all.
     """
-    candidates = sorted(m.processes.values(), key=lambda p: p.id)
-    if not candidates:
+    if not m.processes:
         return [
             Violation(
                 axiom=INTEGRATION_NO_PROCESS,
@@ -197,18 +233,14 @@ def check_integration(m: Model, c: Continuant, mode: str = IDENTITY):
                 message=f"no declared process integrates continuant {c.id!r}",
             )
         ]
-    best = None
-    for p in candidates:
-        mismatches = _integration_mismatches(m, c, p, mode)
-        if not mismatches:
-            return IntegrationWitness(
-                continuant=c.id,
-                process=p.id,
-                matched_samples=tuple(sorted(c.exhibit_map)),
-            )
-        if best is None or len(mismatches) < len(best):
-            best = mismatches
-    return sort_violations(best)
+    key = _integration_key(m, c.lifetime, c.exhibit_map, mode)
+    pid = _integration_index(m, mode).get(key)
+    if pid is not None:
+        return IntegrationWitness(c.id, pid, tuple(sorted(c.exhibit_map)))
+    closest = min(
+        m.processes.values(), key=lambda p: (_mismatch_count(m, c, p, mode), p.id)
+    )
+    return sort_violations(_integration_mismatches(m, c, closest, mode))
 
 
 def derive_process(m: Model, c: Continuant) -> Process:
@@ -238,16 +270,21 @@ def complete_integration(m: Model, mode: str = IDENTITY):
 
     Returns (augmented model, ids of derived processes).
     """
+    index = dict(_integration_index(m, mode))
     derived = []
     for cid in sorted(m.continuants):
         c = m.continuants[cid]
         if not c.material:
             continue
-        if isinstance(check_integration(m, c, mode), IntegrationWitness):
+        key = _integration_key(m, c.lifetime, c.exhibit_map, mode)
+        if key in index:
             continue
         p = derive_process(m, c)
         m = m.with_process(p)
         derived.append(p.id)
+        if key is not None:
+            # a later continuant with the same key is witnessed by ``p``
+            index[key] = p.id
     return m, derived
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 from .chrono import Chronoid, TimeBoundary, coord, coord_str, temporal_part_chronoid
@@ -196,6 +197,13 @@ class Model:
         return sum(len(p.boundary_map) for p in self.processes.values()) + sum(
             len(c.exhibit_map) for c in self.continuants.values()
         )
+
+    @cached_property
+    def _indexes(self) -> dict:
+        """Lookups the checker derives from this store, built on first use.
+        Not a field: it stays out of ``==`` and ``hash``, and the copies
+        ``replace()`` makes start empty."""
+        return {}
 
     # -- persistence-free updates (copies; the store itself never mutates) --
 
