@@ -1107,7 +1107,8 @@ class _Linker:
                 patterns.add(item)
                 continue
             entity, prop, value = item
-            if self.resolve_value(prop, value):
+            declared = self.resolve_entity(entity)
+            if self.resolve_value(prop, value) and declared:
                 constraints.add(
                     PropertyConstraint(entity=entity.text, prop=prop.text, value=value.value)
                 )

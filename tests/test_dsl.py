@@ -46,6 +46,18 @@ def test_parse_dangling_reference():
     assert "dangling-reference" in codes_of(source)
 
 
+def test_concept_holds_must_name_a_declared_entity():
+    source = (
+        "property hue : categorical { red };\n"
+        "function f { requires { holds(ghost, hue, red); } achieves { fact r(_); } }\n"
+    )
+    with pytest.raises(ParseError) as err:
+        parse(source)
+    [diag] = err.value.diagnostics
+    assert (diag.code, diag.span.line, diag.span.column) == ("dangling-reference", 2, 31)
+    assert diag.message == "'ghost' is not declared"
+
+
 def test_parse_kind_conflict():
     source = MINIMAL + "\nprocess John extent c { boundary 0 -> m0; boundary 2 -> m2; }\n"
     assert "kind-conflict" in codes_of(source)
