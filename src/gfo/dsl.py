@@ -347,6 +347,10 @@ class _Parser:
         tok = self.peek()
         return tok.kind == PUNCT and tok.text == text
 
+    def lexed_any(self, *tokens: Token) -> bool:
+        """Whether the lexer already reported one of ``tokens``."""
+        return any((tok.line, tok.column) in self.lexed for tok in tokens)
+
     def report(self, err: _Syntax) -> None:
         if (err.span.line, err.span.column) not in self.lexed:
             self.diagnostics.append(ParseDiagnostic(err.span, "unexpected-token", err.message))
@@ -716,8 +720,9 @@ class _Parser:
 
 
 class _Linker:
-    def __init__(self, decls: list, file: str, diagnostics: list):
+    def __init__(self, decls: list, file: str, diagnostics: list, parser: _Parser):
         self.decls = decls
+        self.lexed_any = parser.lexed_any  # a value the lexer rejected poisons no check
         self.file = file
         self.diagnostics = diagnostics
         self.prop_decls: dict = {}
@@ -865,15 +870,15 @@ class _Linker:
         self.chronoids = {}
         for name, decl in self.chron_decls.items():
             left, right = decl.left.value, decl.right.value
-            if left >= right:
+            if left < right:
+                self.chronoids[name] = Chronoid(name, left, right)
+            elif not self.lexed_any(decl.left, decl.right):
                 self.diag(
                     decl.left,
                     "zero-duration",
                     f"chronoid {name!r}: [{coord_str(left)}, "
                     f"{coord_str(right)}] has no duration",
                 )
-                continue
-            self.chronoids[name] = Chronoid(name, left, right)
 
     def _boundary_at(self, chron: Token, tok: Token):
         ch = self.resolve_chronoid(chron)
@@ -1219,8 +1224,8 @@ def parse(source: str, file: str = "<input>") -> Model:
     """
     diagnostics: list = []
     tokens = _tokenize(source, file, diagnostics)
-    decls = _Parser(tokens, file, diagnostics).parse()
-    model = _Linker(decls, file, diagnostics).link()
+    parser = _Parser(tokens, file, diagnostics)
+    model = _Linker(parser.parse(), file, diagnostics, parser).link()
     if diagnostics:
         raise ParseError(diagnostics)
     assert model is not None
@@ -1445,7 +1450,7 @@ def _parse_time_ref(parser: _Parser, diagnostics: list):
         return AtTime(t.value)
     if parser.accept_word("during"):
         left, right = parser.interval("a coordinate")
-        if left.value >= right.value:
+        if left.value >= right.value and not parser.lexed_any(left, right):
             diagnostics.append(
                 ParseDiagnostic(
                     left.span(parser.file),

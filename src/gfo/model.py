@@ -200,9 +200,8 @@ class Model:
 
     @cached_property
     def _indexes(self) -> dict:
-        """Lookups the checker derives from this store, built on first use.
-        Not a field: it stays out of ``==`` and ``hash``, and the copies
-        ``replace()`` makes start empty."""
+        # lookups the checker derives from this store, built on first use; not
+        # a field, so outside == and hash, and replace() copies start empty
         return {}
 
     # -- persistence-free updates (copies; the store itself never mutates) --

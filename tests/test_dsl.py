@@ -295,3 +295,17 @@ def test_a_bad_token_gets_one_diagnostic():
         with pytest.raises(ParseError) as err:
             load(source)
         assert [str(d) for d in err.value.diagnostics] == [diagnostic]
+
+
+def test_a_bad_rational_endpoint_gets_no_zero_duration():
+    cases = (
+        (parse, "chronoid c = [0, 1/0];", "<input>:1:18: bad-rational: '1/0' is not a valid rational literal"),
+        (parse, "chronoid c = [1/0, 0];", "<input>:1:15: bad-rational: '1/0' is not a valid rational literal"),
+        (parse_query, "holds(b, p, v) during [1, 1/0]", "<query>:1:27: bad-rational: '1/0' is not a valid rational literal"),
+    )
+    for load, source, diagnostic in cases:
+        with pytest.raises(ParseError) as err:
+            load(source)
+        assert [str(d) for d in err.value.diagnostics] == [diagnostic]
+    # a well-formed empty interval is still reported
+    assert codes_of("chronoid c = [1, 1/1];") == ["zero-duration"]
