@@ -720,9 +720,9 @@ class _Parser:
 
 
 class _Linker:
-    def __init__(self, decls: list, file: str, diagnostics: list, parser: _Parser):
+    def __init__(self, decls: list, file: str, diagnostics: list, lexed_any):
         self.decls = decls
-        self.lexed_any = parser.lexed_any  # a value the lexer rejected poisons no check
+        self.lexed_any = lexed_any  # a literal the lexer rejected poisons no check
         self.file = file
         self.diagnostics = diagnostics
         self.prop_decls: dict = {}
@@ -1225,7 +1225,7 @@ def parse(source: str, file: str = "<input>") -> Model:
     diagnostics: list = []
     tokens = _tokenize(source, file, diagnostics)
     parser = _Parser(tokens, file, diagnostics)
-    model = _Linker(parser.parse(), file, diagnostics, parser).link()
+    model = _Linker(parser.parse(), file, diagnostics, parser.lexed_any).link()
     if diagnostics:
         raise ParseError(diagnostics)
     assert model is not None
