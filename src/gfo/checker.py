@@ -188,7 +188,7 @@ def _integration_key(m: Model, extent, samples: dict, mode: str):
     triples = []
     for t, pres_id in samples.items():
         pres = m.presentials.get(pres_id)
-        if pres is None:
+        if pres is None:  # hand-built stores only (docs/semantics.md, store invariants)
             return None
         triples.append((t, pres.at.coordinate, frozenset(pres.valuation.items())))
     return extent.left, extent.right, frozenset(triples)
