@@ -7,9 +7,41 @@ enumeration; nothing calls the checking or query layers it verifies.
 from __future__ import annotations
 
 from gfo.chrono import TimeBoundary
+from gfo.dsl import _ESCAPE, _ESCAPES, _LEXEME, ParseDiagnostic, SourceSpan, _rational
 from gfo.truthmakers import AtTime, HoldsProp
 
 WILDCARD = "_"
+
+
+def tokens(source, file):
+    """``(tokens, diagnostics)`` of the lexer on ``source``: each token as a
+    ``(kind, text, value, line, column)`` tuple, its line counted from the
+    newlines before it and its value computed afresh for every literal."""
+    out, diagnostics = [], []
+    for m in _LEXEME.finditer(source):
+        kind = m.lastgroup
+        text, start = m[kind], m.start(kind)
+        line = source.count("\n", 0, start) + 1
+        column = start - (source.rfind("\n", 0, start) + 1) + 1
+        value, error, code, length = text, None, "unexpected-token", 1
+        if kind == "number":
+            value, error = _rational(text)
+            code, length = "bad-rational", len(text)
+        elif kind == "string":
+            value = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), m["body"])
+            if m["closed"] is None:
+                error = "unterminated string literal"
+        elif kind == "bad":
+            error = f"unexpected character {text!r}"
+        elif kind == "eof":
+            value = None
+        if error:
+            diagnostics.append(ParseDiagnostic(SourceSpan(file, line, column, length), code, error))
+        if kind != "bad":
+            out.append((kind, text, value, line, column))
+        if kind == "eof":
+            break
+    return out, diagnostics
 
 
 def integration_candidates(m, c, identity=True):

@@ -6,9 +6,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from genmodels import random_full_model
 from gfo.chrono import coord_str
-from gfo.dsl import DIAGNOSTIC_CODES, ParseError, parse, parse_file, parse_query, serialize
+from gfo.dsl import (
+    DIAGNOSTIC_CODES,
+    ParseError,
+    Token,
+    _tokenize,
+    parse,
+    parse_file,
+    parse_query,
+    serialize,
+)
 from helpers import corpus_files, split_statements
 
 MINIMAL = """
@@ -277,6 +287,40 @@ def test_escaped_newline_in_string_counts_as_a_line():
     [d] = err.value.diagnostics
     assert (str(d.span), d.span.length, d.code) == ("<input>:3:2", 4, "unexpected-token")
     assert d.message == "expected 'label', 'requires', 'achieves' or 'fitem', found 'oops'"
+
+
+# pieces of multi-line sources: every token class, strings with an escaped
+# newline or left open, CRLF line ends, comments (also as the last piece),
+# unlexable characters and long runs of lines
+LEXER_PIECES = (
+    "a", "Zq_9", "x-y", "0", "1/2", "-3", "0.25", "1/0", "12/4", "->", ";", "{", "}",
+    "(", ")", "[", "]", "@", ":", ",", "=", "-", "/", ".", "#", ">", "\\", '"',
+    '"s"', '"a\\\nb"', '"x\\\r\ny"', '"\\\n\\\n"', '"open', '"esc\\',
+    "// note", "//", "\n", "\r\n", "\r", " ", "\t", "\u00e9", "\xa0",
+)
+
+
+def _random_source(rng: random.Random) -> str:
+    parts = []
+    for _ in range(rng.randint(0, 60)):
+        if rng.random() < 0.05:
+            parts.append(rng.choice(("\n", "\r\n")) * rng.randint(20, 400))
+        else:
+            parts.append(rng.choice(LEXER_PIECES))
+        if rng.random() < 0.5:
+            parts.append(" ")
+    return "".join(parts)
+
+
+def test_token_positions_agree_with_oracle_on_random_sources():
+    rng = random.Random(20261021)
+    for i in range(400):
+        source = _random_source(rng)
+        diagnostics = []
+        tokens = _tokenize(source, "lex.gfo", diagnostics)
+        assert all(type(tok) is Token for tok in tokens), f"source #{i}"
+        expected = oracles.tokens(source, "lex.gfo")
+        assert ([tuple(tok) for tok in tokens], diagnostics) == expected, f"source #{i}: {source!r}"
 
 
 @given(st.fractions(min_value=-1000, max_value=1000, max_denominator=999))
