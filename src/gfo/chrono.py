@@ -105,7 +105,8 @@ def inner_boundary(ch: Chronoid, t: int | str | Fraction) -> TimeBoundary:
     coordinates yield an inner boundary, interned so that repeated calls on
     the same (chronoid, coordinate) return the same entity.
     """
-    t = coord(t)
+    if not isinstance(t, Fraction):
+        t = coord(t)
     if not ch.contains(t):
         raise OutOfExtent(
             f"{coord_str(t)} lies outside [{coord_str(ch.left)}, {coord_str(ch.right)}] "

@@ -18,7 +18,6 @@ The full grammar is published in docs/grammar.md.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -192,29 +191,42 @@ def _overlong(text: str, count: str) -> str:
 
 
 def _tokenize(source: str, file: str, diagnostics: list) -> list:
-    line_starts = [0] + [m.end() for m in re.finditer("\n", source)]
     tokens = []
+    append, token = tokens.append, tuple.__new__  # no Python frame per token
+    rationals: dict = {}  # number text -> _rational(text), for this source only
+    # matches arrive in order, so the line count only ever moves past the
+    # newlines between the last match and the next
+    line, line_start = 1, 0
+    newline = source.find("\n")  # the first newline not counted yet, or -1
     for m in _LEXEME.finditer(source):
         kind = m.lastgroup
         text, start = m[kind], m.start(kind)
-        line = bisect_right(line_starts, start)
-        column = start - line_starts[line - 1] + 1
+        while -1 < newline < start:
+            line += 1
+            line_start = newline + 1
+            newline = source.find("\n", line_start)
+        column = start - line_start + 1
+        if kind == IDENT or kind == PUNCT:
+            append(token(Token, (kind, text, text, line, column)))
+            continue
         value, error = text, None
         if kind == NUMBER:
-            value, error = _rational(text)
+            if text not in rationals:
+                rationals[text] = _rational(text)
+            value, error = rationals[text]
         elif kind == STRING:
             value = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), m["body"])
             error = None if m["closed"] else "unterminated string literal"
         elif kind == BAD:
             error = f"unexpected character {text!r}"
         elif kind == EOF:
-            tokens.append(Token(EOF, "", None, line, column))
+            append(Token(EOF, "", None, line, column))
             break  # a second, empty match at the end may follow this one
         if error:
             code, length = ("bad-rational", len(text)) if kind == NUMBER else ("unexpected-token", 1)
             diagnostics.append(ParseDiagnostic(SourceSpan(file, line, column, length), code, error))
         if kind != BAD:
-            tokens.append(Token(kind, text, value, line, column))
+            append(token(Token, (kind, text, value, line, column)))
     return tokens
 
 
@@ -334,18 +346,17 @@ class _Parser:
 
     # -- token helpers -------------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
     def advance(self) -> Token:
+        """Consume the next token unless it is EOF.  Helpers that consume a
+        token of a known kind, never EOF, step ``pos`` past it themselves."""
         tok = self.tokens[self.pos]
         if tok.kind != EOF:
             self.pos += 1
         return tok
 
     def at_punct(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == PUNCT and tok.text == text
+        tok = self.tokens[self.pos]
+        return tok.text == text and tok.kind == PUNCT
 
     def lexed_any(self, *tokens: Token) -> bool:
         """Whether the lexer already reported one of ``tokens``."""
@@ -357,14 +368,15 @@ class _Parser:
 
     def expected(self, what: str) -> _Syntax:
         """The error for finding the next token where ``what`` was expected."""
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return _Syntax(tok.span(self.file), f"expected {what}, found {tok.text!r}")
 
     def accept_word(self, *words: str) -> str | None:
         """Consume and return one of ``words`` when it comes next."""
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind == IDENT and tok.text in words:
-            return self.advance().text
+            self.pos += 1
+            return tok.text
         return None
 
     def keyword(self, *words: str) -> str:
@@ -377,32 +389,34 @@ class _Parser:
     def dispatch(self, handlers: dict):
         """Consume one keyword of ``handlers`` and run its handler; any other
         token is an error naming every keyword."""
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         handler = handlers.get(tok.text) if tok.kind == IDENT else None
         if handler is None:
             raise self.expected(_one_of(handlers))
-        self.advance()
+        self.pos += 1
         return handler()
 
     def take_punct(self, text: str) -> Token:
-        if not self.at_punct(text):
+        tok = self.tokens[self.pos]
+        if tok.text != text or tok.kind != PUNCT:
             raise self.expected(repr(text))
-        return self.advance()
+        self.pos += 1
+        return tok
 
-    def take_ident(self, what: str) -> Token:
-        if self.peek().kind != IDENT:
+    def take(self, kind: str, what: str) -> Token:
+        """Consume a token of ``kind``; any other token is an error naming ``what``."""
+        tok = self.tokens[self.pos]
+        if tok.kind != kind:
             raise self.expected(what)
-        return self.advance()
-
-    def take_number(self, what: str = "a rational literal") -> Token:
-        if self.peek().kind != NUMBER:
-            raise self.expected(what)
-        return self.advance()
+        self.pos += 1
+        return tok
 
     def take_value(self) -> Token:
-        if self.peek().kind not in (IDENT, NUMBER):
+        tok = self.tokens[self.pos]
+        if tok.kind not in (IDENT, NUMBER):
             raise self.expected("a symbol or rational")
-        return self.advance()
+        self.pos += 1
+        return tok
 
     def end_simple(self) -> None:
         self.take_punct(";")
@@ -410,7 +424,7 @@ class _Parser:
     def end_block(self) -> None:
         # a ';' after '}' (or after a query) is permitted but not required
         if self.at_punct(";"):
-            self.advance()
+            self.pos += 1
 
     # -- shared constructs -----------------------------------------------------
 
@@ -434,7 +448,7 @@ class _Parser:
 
     def assignment(self) -> tuple:
         """``property = value ;`` as two tokens."""
-        prop = self.take_ident("a property name")
+        prop = self.take(IDENT, "a property name")
         self.take_punct("=")
         value = self.take_value()
         self.end_simple()
@@ -442,24 +456,24 @@ class _Parser:
 
     def sample(self, take_target) -> tuple:
         """``rational -> target ;`` as two tokens."""
-        t = self.take_number("a coordinate")
+        t = self.take(NUMBER, "a coordinate")
         self.take_punct("->")
         target = take_target()
         self.end_simple()
         return t, target
 
     def presential_ref(self) -> Token:
-        return self.take_ident("a presential name")
+        return self.take(IDENT, "a presential name")
 
     def member(self, what: str) -> Token:
         """``id ;`` as the id token."""
-        tok = self.take_ident(what)
+        tok = self.take(IDENT, what)
         self.end_simple()
         return tok
 
     def relator_args(self) -> tuple:
         """``relator(value, ...)`` as the relator token and the value tokens."""
-        relator = self.take_ident("a relator name")
+        relator = self.take(IDENT, "a relator name")
         self.take_punct("(")
         args = self.comma_list(self.take_value)
         self.take_punct(")")
@@ -469,16 +483,16 @@ class _Parser:
         """``item { , item }``: what ``take`` parses for each item."""
         out = [take()]
         while self.at_punct(","):
-            self.advance()
+            self.pos += 1
             out.append(take())
         return out
 
     def holds_args(self) -> tuple:
         """``(entity, property, value)`` after ``holds``, as three tokens."""
         self.take_punct("(")
-        entity = self.take_ident("an entity name")
+        entity = self.take(IDENT, "an entity name")
         self.take_punct(",")
-        prop = self.take_ident("a property name")
+        prop = self.take(IDENT, "a property name")
         self.take_punct(",")
         value = self.take_value()
         self.take_punct(")")
@@ -487,9 +501,9 @@ class _Parser:
     def pair(self, first: str, second: str) -> tuple:
         """``(id, id) ;`` as two tokens."""
         self.take_punct("(")
-        a = self.take_ident(first)
+        a = self.take(IDENT, first)
         self.take_punct(",")
-        b = self.take_ident(second)
+        b = self.take(IDENT, second)
         self.take_punct(")")
         self.end_simple()
         return a, b
@@ -497,9 +511,9 @@ class _Parser:
     def interval(self, what: str = "a rational literal") -> tuple:
         """``[rational, rational]`` as two tokens."""
         self.take_punct("[")
-        left = self.take_number(what)
+        left = self.take(NUMBER, what)
         self.take_punct(",")
-        right = self.take_number(what)
+        right = self.take(NUMBER, what)
         self.take_punct("]")
         return left, right
 
@@ -508,7 +522,7 @@ class _Parser:
     def sync(self) -> None:
         depth = 0
         while True:
-            tok = self.peek()
+            tok = self.tokens[self.pos]
             if tok.kind == EOF:
                 return
             if tok.kind == PUNCT:
@@ -539,15 +553,15 @@ class _Parser:
             "fact": self.fact,
             "function": self.function,
             "exe": self.exe,
-            "requirement-instance": self.instance,
-            "goal-instance": self.instance,
+            "requirement-instance": lambda: self.instance("requirement"),
+            "goal-instance": lambda: self.instance("goal"),
         }
-        while self.peek().kind != EOF:
-            tok = self.peek()
+        while self.tokens[self.pos].kind != EOF:
+            tok = self.tokens[self.pos]
             handler = table.get(tok.text) if tok.kind == IDENT else None
+            self.pos += 1  # the keyword, or the token that should have been one
             try:
                 if handler is None:
-                    self.advance()
                     raise _Syntax(
                         tok.span(self.file),
                         f"expected a declaration keyword, found {tok.text!r}",
@@ -559,44 +573,38 @@ class _Parser:
         return decls
 
     def chronoid(self) -> _Chronoid:
-        self.advance()
-        name = self.take_ident("a chronoid name")
+        name = self.take(IDENT, "a chronoid name")
         self.take_punct("=")
         left, right = self.interval()
         self.end_simple()
         return _Chronoid(name, left, right)
 
     def property(self) -> _Property:
-        self.advance()
-        name = self.take_ident("a property name")
+        name = self.take(IDENT, "a property name")
         self.take_punct(":")
         domain_kind = self.keyword(CATEGORICAL, NUMERIC)
         symbols = []
         if domain_kind == CATEGORICAL:
             self.take_punct("{")
-            symbols = [tok.text for tok in self.comma_list(self.symbol)]
+            symbols = [tok.text for tok in self.comma_list(lambda: self.take(IDENT, "a symbol"))]
             self.take_punct("}")
         support_kind = self.accept_word(ISOLATED, NON_ISOLATED, GLOBAL) or ISOLATED
         radius = None
         if support_kind == NON_ISOLATED:
             self.take_punct("(")
-            radius = self.take_number("a window radius")
+            radius = self.take(NUMBER, "a window radius")
             self.take_punct(")")
         self.end_simple()
         return _Property(name, domain_kind, symbols, support_kind, radius)
 
-    def symbol(self) -> Token:
-        return self.take_ident("a symbol")
-
     def _time_point(self):
-        chron = self.take_ident("a chronoid name")
+        chron = self.take(IDENT, "a chronoid name")
         self.take_punct("@")
-        t = self.take_number("a coordinate")
+        t = self.take(NUMBER, "a coordinate")
         return chron, t
 
     def presential(self) -> _Presential:
-        self.advance()
-        name = self.take_ident("a presential name")
+        name = self.take(IDENT, "a presential name")
         self.keyword("at")
         chron, t = self._time_point()
         material = not self.accept_word("immaterial")
@@ -604,10 +612,9 @@ class _Parser:
         return _Presential(name, chron, t, material, valuation)
 
     def process(self) -> _Process:
-        self.advance()
-        name = self.take_ident("a process name")
+        name = self.take(IDENT, "a process name")
         self.keyword("extent")
-        chron = self.take_ident("a chronoid name")
+        chron = self.take(IDENT, "a chronoid name")
         boundaries = []
         trajectories = []
         items = {
@@ -618,32 +625,30 @@ class _Parser:
         return _Process(name, chron, boundaries, trajectories)
 
     def trajectory(self) -> tuple:
-        prop = self.take_ident("a property name")
+        prop = self.take(IDENT, "a property name")
         samples = self.block(lambda: self.sample(self.take_value))
         return prop, samples
 
     def continuant(self) -> _Continuant:
-        self.advance()
-        name = self.take_ident("a continuant name")
+        name = self.take(IDENT, "a continuant name")
         self.keyword("lifetime")
-        chron = self.take_ident("a chronoid name")
+        chron = self.take(IDENT, "a chronoid name")
         material = not self.accept_word("immaterial")
         items = {"exhibits": lambda: self.sample(self.presential_ref)}
         exhibits = self.body(lambda: self.dispatch(items))
         return _Continuant(name, chron, material, exhibits)
 
     def situation(self) -> _Situation:
-        self.advance()
-        name = self.take_ident("a situation name")
+        name = self.take(IDENT, "a situation name")
         t = None
         if self.keyword("at", "during") == "at":
             chron, t = self._time_point()
         else:
-            chron = self.take_ident("a chronoid name")
+            chron = self.take(IDENT, "a chronoid name")
         founded = None
         if self.accept_word("founded"):
             self.keyword("on")
-            founded = self.take_ident("a process name")
+            founded = self.take(IDENT, "a process name")
         contains = []
         participants = []
         items = {
@@ -654,20 +659,18 @@ class _Parser:
         return _Situation(name, chron, t, founded, contains, participants)
 
     def fact(self) -> _Fact:
-        self.advance()
-        name = self.take_ident("a fact name")
+        name = self.take(IDENT, "a fact name")
         self.take_punct("=")
         relator, args = self.relator_args()
         self.end_simple()
         return _Fact(name, relator, args)
 
     def function(self) -> _Function:
-        self.advance()
-        name = self.take_ident("a function name")
+        name = self.take(IDENT, "a function name")
         kind = self.accept_word(*FUNCTION_KINDS) or CONCEPTUAL
         bearer = None
         if self.accept_word("bearer"):
-            bearer = self.take_ident("a bearer entity")
+            bearer = self.take(IDENT, "a bearer entity")
         labels = []
         concepts = {}  # "requires"/"achieves" -> items of the last such block
         fitem = []
@@ -684,9 +687,7 @@ class _Parser:
         )
 
     def label(self) -> str:
-        if self.peek().kind != STRING:
-            raise self.expected("a string label")
-        tok = self.advance()
+        tok = self.take(STRING, "a string label")
         self.end_simple()
         return tok.value
 
@@ -705,12 +706,9 @@ class _Parser:
         return entity, prop, value
 
     def exe(self) -> _Exe:
-        self.advance()
         return _Exe(*self.pair("an executor entity", "a process name"))
 
-    def instance(self) -> _Instance:
-        keyword = self.advance()
-        which = "requirement" if keyword.text == "requirement-instance" else "goal"
+    def instance(self, which: str) -> _Instance:
         return _Instance(which, *self.pair("a function name", "a situation name"))
 
 
@@ -1434,7 +1432,7 @@ def parse_query(text: str, m: Model | None = None):
                 time_ref=time_ref,
             )
         parser.end_block()
-        tok = parser.peek()
+        tok = parser.tokens[parser.pos]
         if tok.kind != EOF:
             raise _Syntax(tok.span(file), f"unexpected trailing input: {tok.text!r}")
     except _Syntax as err:
@@ -1446,7 +1444,7 @@ def parse_query(text: str, m: Model | None = None):
 
 def _parse_time_ref(parser: _Parser, diagnostics: list):
     if parser.accept_word("at"):
-        t = parser.take_number("a coordinate")
+        t = parser.take(NUMBER, "a coordinate")
         return AtTime(t.value)
     if parser.accept_word("during"):
         left, right = parser.interval("a coordinate")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from genmodels import random_full_model
+from gfo import dsl
 from gfo.chrono import coord_str
 from gfo.dsl import (
     DIAGNOSTIC_CODES,
@@ -321,6 +322,21 @@ def test_token_positions_agree_with_oracle_on_random_sources():
         assert all(type(tok) is Token for tok in tokens), f"source #{i}"
         expected = oracles.tokens(source, "lex.gfo")
         assert ([tuple(tok) for tok in tokens], diagnostics) == expected, f"source #{i}: {source!r}"
+
+
+def test_each_distinct_number_text_is_read_once_per_parse(monkeypatch):
+    lines = ["chronoid c = [0, 4];", "property v : numeric nonisolated(1/2);"]
+    for i in range(200):
+        lines.append(f"presential p{i} at c@{i % 5};")
+    samples = " ".join(f"{t} -> {t}/2;" for t in range(5))
+    lines.append(f"process q extent c {{ boundary 0 -> p0; boundary 4 -> p4; trajectory v {{ {samples} }} }}")
+    source = "\n".join(lines)
+    numbers = [tok.text for tok in _tokenize(source, "<input>", []) if tok.kind == "number"]
+    calls = []
+    monkeypatch.setattr(dsl, "_rational", lambda text, read=dsl._rational: calls.append(text) or read(text))
+    parse(source)
+    assert len(numbers) > 20 * len(set(numbers))  # texts repeat heavily
+    assert sorted(calls) == sorted(set(numbers))
 
 
 @given(st.fractions(min_value=-1000, max_value=1000, max_denominator=999))
