@@ -144,7 +144,8 @@ MAX_LITERAL_DIGITS = 300
 
 # Whitespace and comments are a skip prefix of every match.  The last two
 # alternatives match wherever the others do not, so the greedy prefix never
-# backtracks and never hands a blank or a ``//`` to the catch-all.
+# backtracks and never hands a blank or a ``//`` to the catch-all.  A bad run
+# goes on over every character at which no blank, comment or token starts.
 _LEXEME = re.compile(
     r"""(?:[ \t\r\n]+|//[^\n]*)*
     (?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*)
@@ -152,7 +153,7 @@ _LEXEME = re.compile(
       |(?P<punct>->|[=;,(){}\[\]@:])
       |(?P<string>"(?P<body>(?:[^"\\\n]+|\\[\s\S]?)*)(?P<closed>")?)
       |(?P<eof>\Z)
-      |(?P<bad>.))""",
+      |(?P<bad>.(?:(?![ \t\r\n]|//|->|-?[0-9]|[A-Za-z_"=;,(){}\[\]@:]).)*))""",
     re.VERBOSE,
 )
 _ESCAPE = re.compile(r"\\([\s\S])")
@@ -218,12 +219,14 @@ def _tokenize(source: str, file: str, diagnostics: list) -> list:
             value = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), m["body"])
             error = None if m["closed"] else "unterminated string literal"
         elif kind == BAD:
-            error = f"unexpected character {text!r}"
+            shown = repr(text) if len(text) <= 20 else f"{text[:20]!r}..."
+            error = f"unexpected character{'s' if len(text) > 1 else ''} {shown}"
         elif kind == EOF:
             append(Token(EOF, "", None, line, column))
             break  # a second, empty match at the end may follow this one
         if error:
-            code, length = ("bad-rational", len(text)) if kind == NUMBER else ("unexpected-token", 1)
+            code = "bad-rational" if kind == NUMBER else "unexpected-token"
+            length = 1 if kind == STRING else len(text)
             diagnostics.append(ParseDiagnostic(SourceSpan(file, line, column, length), code, error))
         if kind != BAD:
             append(token(Token, (kind, text, value, line, column)))

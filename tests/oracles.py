@@ -23,16 +23,18 @@ def tokens(source, file):
         text, start = m[kind], m.start(kind)
         line = source.count("\n", 0, start) + 1
         column = start - (source.rfind("\n", 0, start) + 1) + 1
-        value, error, code, length = text, None, "unexpected-token", 1
+        value, error, code, length = text, None, "unexpected-token", len(text)
         if kind == "number":
             value, error = _rational(text)
-            code, length = "bad-rational", len(text)
+            code = "bad-rational"
         elif kind == "string":
             value = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), m["body"])
             if m["closed"] is None:
-                error = "unterminated string literal"
+                error, length = "unterminated string literal", 1
         elif kind == "bad":
-            error = f"unexpected character {text!r}"
+            plural = "s" if len(text) > 1 else ""
+            shown = text if len(text) <= 20 else text[:20]
+            error = f"unexpected character{plural} {shown!r}" + ("..." if len(text) > 20 else "")
         elif kind == "eof":
             value = None
         if error:

@@ -357,6 +357,23 @@ def test_a_bad_token_gets_one_diagnostic():
         assert [str(d) for d in err.value.diagnostics] == [diagnostic]
 
 
+def test_a_run_of_unlexable_characters_gets_one_diagnostic():
+    with pytest.raises(ParseError) as err:
+        parse("chronoid c = [0, 1]; " + "\u00e9" * 3000)
+    [d] = err.value.diagnostics
+    assert str(d) == "<input>:1:22: unexpected-token: unexpected characters 'éééééééééééééééééééé'..."
+    assert d.span.length == 3000
+    # a run ends where a blank, a comment or a token starts
+    with pytest.raises(ParseError) as err:
+        parse("chronoid c = [0, 1]; #.>\\ \u00e9\xa0\u00e9//x\n-#-1/2;")
+    assert [(str(d), d.span.length) for d in err.value.diagnostics] == [
+        ("<input>:1:22: unexpected-token: unexpected characters '#.>\\\\'", 4),
+        ("<input>:1:27: unexpected-token: unexpected characters '\u00e9\\xa0\u00e9'", 3),
+        ("<input>:2:1: unexpected-token: unexpected characters '-#'", 2),
+        ("<input>:2:3: unexpected-token: expected a declaration keyword, found '-1/2'", 4),
+    ]
+
+
 def test_a_bad_rational_endpoint_gets_no_zero_duration():
     cases = (
         (parse, "chronoid c = [0, 1/0];", "<input>:1:18: bad-rational: '1/0' is not a valid rational literal"),

@@ -165,9 +165,9 @@ DIGESTS = {
     "dump": "009f9693fded42f5ffecbead1ba9d73aa5e852aa823a439319e77eab2d113a6f",
     "serialize": "34d1b576b3134b1c54cdf740a0ace2d08bea1fe4f80367fa571ca8262103dc59",
     "query": "29bdf064e078658571bd1c28e383ae89822d86bb61a472ef1f2a8f0a1ac4809e",
-    "mutations": "890371b75ad4b4f31dfd06db80813479c9d4dd70db1c00ae4c3712b5d49cfb34",
+    "mutations": "32bf27a5e4d96833a40e5f9246279e9c8660b097182b6ab56af65cfc4bf87b25",
     "parse-query": "7796bf16770c973adc235efdf6f482ceefe2801f50802b5a13fafd1725d5ac56",
-    "lexer": "05892da2b79fc1fe52efb01b75e091eef77c0a06359092f66aede77bb70b67ad",
+    "lexer": "e9945695ad173ca013724a874f93a465dd45935737e322c3572cc5c8ad14317b",
     "linker": "d5566160e5fbbeb69112a83873b8fe934338ab54787a7ee2223e874405b31840",
 }
 
