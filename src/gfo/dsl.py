@@ -883,7 +883,7 @@ class _Linker:
 
     def _boundary_at(self, chron: Token, tok: Token):
         ch = self.resolve_chronoid(chron)
-        if ch is None:
+        if ch is None or self.lexed_any(tok):
             return None
         t = tok.value
         if not ch.contains(t):

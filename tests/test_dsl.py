@@ -374,6 +374,19 @@ def test_a_run_of_unlexable_characters_gets_one_diagnostic():
     ]
 
 
+def test_a_bad_rational_coordinate_gets_no_extent_check():
+    cases = (
+        ("chronoid c = [1, 2];\npresential p at c@1/0;", "<input>:2:19: bad-rational: '1/0' is not a valid rational literal"),
+        ("chronoid c = [1, 2];\nsituation s at c@1/0;", "<input>:2:18: bad-rational: '1/0' is not a valid rational literal"),
+    )
+    for source, diagnostic in cases:
+        with pytest.raises(ParseError) as err:
+            parse(source)
+        assert [str(d) for d in err.value.diagnostics] == [diagnostic]
+    # a coordinate that lexes is still checked
+    assert codes_of("chronoid c = [1, 2];\npresential p at c@0;") == ["out-of-extent"]
+
+
 def test_a_bad_rational_endpoint_gets_no_zero_duration():
     cases = (
         (parse, "chronoid c = [0, 1/0];", "<input>:1:18: bad-rational: '1/0' is not a valid rational literal"),
