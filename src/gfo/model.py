@@ -97,9 +97,6 @@ class Process:
     # property name -> ((coordinate, value), ...) sorted by coordinate
     trajectories: dict = field(default_factory=dict, hash=False)
 
-    def sample_coordinates(self) -> list[Fraction]:
-        return sorted(self.boundary_map)
-
 
 @dataclass(frozen=True)
 class Continuant:
@@ -110,9 +107,6 @@ class Continuant:
     lifetime: Chronoid
     exhibit_map: dict = field(default_factory=dict, hash=False)  # Fraction -> presential id
     material: bool = True
-
-    def sample_coordinates(self) -> list[Fraction]:
-        return sorted(self.exhibit_map)
 
 
 @dataclass(frozen=True)
