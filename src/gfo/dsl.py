@@ -555,7 +555,7 @@ class _Parser:
             "situation": self.situation,
             "fact": self.fact,
             "function": self.function,
-            "exe": self.exe,
+            "exe": lambda: _Exe(*self.pair("an executor entity", "a process name")),
             "requirement-instance": lambda: self.instance("requirement"),
             "goal-instance": lambda: self.instance("goal"),
         }
@@ -707,9 +707,6 @@ class _Parser:
         entity, prop, value = self.holds_args()
         self.end_simple()
         return entity, prop, value
-
-    def exe(self) -> _Exe:
-        return _Exe(*self.pair("an executor entity", "a process name"))
 
     def instance(self, which: str) -> _Instance:
         return _Instance(which, *self.pair("a function name", "a situation name"))
