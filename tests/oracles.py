@@ -16,7 +16,10 @@ WILDCARD = "_"
 def tokens(source, file):
     """``(tokens, diagnostics)`` of the lexer on ``source``: each token as a
     ``(kind, text, value, line, column)`` tuple, its line counted from the
-    newlines before it and its value computed afresh for every literal."""
+    newlines before it and its value computed afresh for every literal.
+
+    It shares the lexer's pattern and literal rules; what it re-derives is
+    every position and every value, one token at a time."""
     out, diagnostics = [], []
     for m in _LEXEME.finditer(source):
         kind = m.lastgroup
@@ -33,8 +36,7 @@ def tokens(source, file):
                 error, length = "unterminated string literal", 1
         elif kind == "bad":
             plural = "s" if len(text) > 1 else ""
-            shown = text if len(text) <= 20 else text[:20]
-            error = f"unexpected character{plural} {shown!r}" + ("..." if len(text) > 20 else "")
+            error = f"unexpected character{plural} {text[:20]!r}" + ("..." if len(text) > 20 else "")
         elif kind == "eof":
             value = None
         if error:
