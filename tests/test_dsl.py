@@ -21,6 +21,7 @@ from gfo.dsl import (
     serialize,
 )
 from helpers import corpus_files, split_statements
+from test_golden import _mutate
 
 MINIMAL = """
 chronoid c = [0,2];
@@ -399,3 +400,47 @@ def test_a_bad_rational_endpoint_gets_no_zero_duration():
         assert [str(d) for d in err.value.diagnostics] == [diagnostic]
     # a well-formed empty interval is still reported
     assert codes_of("chronoid c = [1, 1/1];") == ["zero-duration"]
+
+
+def test_a_bad_rational_value_drives_no_linker_check():
+    cases = (
+        ("property w : numeric nonisolated(1/0);", "<input>:1:34"),
+        (
+            "chronoid c = [1, 2];\npresential a at c@1;\npresential b at c@2;\n"
+            "process p extent c { boundary 1 -> a; boundary 1/0 -> b; boundary 2 -> b; }",
+            "<input>:4:48",
+        ),
+        (
+            "chronoid c = [1, 2];\nproperty hue : categorical { red };\n"
+            "presential a at c@1 { hue = 1/0; }",
+            "<input>:3:29",
+        ),
+    )
+    for source, at in cases:
+        with pytest.raises(ParseError) as err:
+            parse(source)
+        assert [str(d) for d in err.value.diagnostics] == [
+            f"{at}: bad-rational: '1/0' is not a valid rational literal"
+        ]
+
+
+# not the golden MUTATION_SEED, so these edits are fresh inputs
+POLICY_SEED = 20261019
+LEXICAL_OR_SYNTAX = {"unexpected-token", "bad-rational"}
+
+
+def test_a_file_with_a_lexical_or_syntax_error_gets_no_linker_diagnostics():
+    rng = random.Random(POLICY_SEED)
+    sources = {path.name: path.read_text(encoding="utf-8") for path in corpus_files()}
+    broken = 0
+    for _ in range(500):
+        name = rng.choice(sorted(sources))
+        kind, text = _mutate(rng, sources[name])
+        try:
+            parse(text, file=name)
+        except ParseError as exc:
+            codes = {d.code for d in exc.diagnostics}
+            if codes & LEXICAL_OR_SYNTAX:
+                broken += 1
+                assert codes <= LEXICAL_OR_SYNTAX, (name, kind, [str(d) for d in exc.diagnostics])
+    assert broken >= 100  # the edits reach the policy, not only clean or linker-only files
