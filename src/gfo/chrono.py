@@ -109,8 +109,8 @@ def inner_boundary(ch: Chronoid, t: int | str | Fraction) -> TimeBoundary:
         t = coord(t)
     if not ch.contains(t):
         raise OutOfExtent(
-            f"{coord_str(t)} lies outside [{coord_str(ch.left)}, {coord_str(ch.right)}] "
-            f"of chronoid {ch.id!r}"
+            f"{coord_str(t)} lies outside chronoid {ch.id!r} "
+            f"[{coord_str(ch.left)}, {coord_str(ch.right)}]"
         )
     with ch._lock:
         entity = ch._boundaries.get(t)

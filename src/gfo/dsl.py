@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .chrono import Chronoid, TimeBoundary, coord_str, inner_boundary
-from .errors import GfoError
+from .errors import GfoError, OutOfExtent, ZeroOrNegativeDuration
 from .functions import (
     CONCEPTUAL,
     FUNCTION_KINDS,
@@ -360,10 +360,6 @@ class _Parser:
     def at_punct(self, text: str) -> bool:
         tok = self.tokens[self.pos]
         return tok.text == text and tok.kind == PUNCT
-
-    def lexed_any(self, *tokens: Token) -> bool:
-        """Whether the lexer already reported one of ``tokens``."""
-        return any((tok.line, tok.column) in self.lexed for tok in tokens)
 
     def report(self, err: _Syntax) -> None:
         if (err.span.line, err.span.column) not in self.lexed:
@@ -718,9 +714,8 @@ class _Parser:
 
 
 class _Linker:
-    def __init__(self, decls: list, file: str, diagnostics: list, lexed_any):
+    def __init__(self, decls: list, file: str, diagnostics: list):
         self.decls = decls
-        self.lexed_any = lexed_any  # a literal the lexer rejected poisons no check
         self.file = file
         self.diagnostics = diagnostics
         self.prop_decls: dict = {}
@@ -867,31 +862,20 @@ class _Linker:
     def build_chronoids(self) -> None:
         self.chronoids = {}
         for name, decl in self.chron_decls.items():
-            left, right = decl.left.value, decl.right.value
-            if left < right:
-                self.chronoids[name] = Chronoid(name, left, right)
-            elif not self.lexed_any(decl.left, decl.right):
-                self.diag(
-                    decl.left,
-                    "zero-duration",
-                    f"chronoid {name!r}: [{coord_str(left)}, "
-                    f"{coord_str(right)}] has no duration",
-                )
+            try:
+                self.chronoids[name] = Chronoid(name, decl.left.value, decl.right.value)
+            except ZeroOrNegativeDuration as err:
+                self.diag(decl.left, "zero-duration", str(err))
 
     def _boundary_at(self, chron: Token, tok: Token):
         ch = self.resolve_chronoid(chron)
-        if ch is None or self.lexed_any(tok):
+        if ch is None:
             return None
-        t = tok.value
-        if not ch.contains(t):
-            self.diag(
-                tok,
-                "out-of-extent",
-                f"{coord_str(t)} lies outside chronoid {ch.id!r} "
-                f"[{coord_str(ch.left)}, {coord_str(ch.right)}]",
-            )
+        try:
+            return inner_boundary(ch, tok.value)
+        except OutOfExtent as err:
+            self.diag(tok, "out-of-extent", str(err))
             return None
-        return inner_boundary(ch, t)
 
     def build_presentials(self) -> None:
         self.presentials = {}
@@ -1218,15 +1202,15 @@ def parse(source: str, file: str = "<input>") -> Model:
 
     Raises :class:`ParseError` with the full diagnostic list on any lexical,
     syntactic or structural problem; a returned model always satisfies the
-    store invariants.
+    store invariants.  The linker runs only on a clean parse, so a lexical
+    or syntax error comes with no structural diagnostics.
     """
     diagnostics: list = []
     tokens = _tokenize(source, file, diagnostics)
-    parser = _Parser(tokens, file, diagnostics)
-    model = _Linker(parser.parse(), file, diagnostics, parser.lexed_any).link()
+    decls = _Parser(tokens, file, diagnostics).parse()
+    model = None if diagnostics else _Linker(decls, file, diagnostics).link()
     if diagnostics:
         raise ParseError(diagnostics)
-    assert model is not None
     return model
 
 
@@ -1398,9 +1382,11 @@ def parse_query(text: str, m: Model | None = None):
     Forms: ``holds(subject, property, value)`` and ``fact relator(arg, ...)``
     with an optional time reference ``at <rational>`` or ``during [l, r]``
     and an optional trailing ``;``.  When a model is supplied, the property
-    name of a ``holds`` proposition must be declared in it.
+    name of a ``holds`` proposition must be declared in it.  That check and
+    the one for an empty ``during`` span are made only on a clean parse.
     """
     diagnostics: list = []
+    checks: list = []  # semantic diagnostics, reported only on a clean parse
     file = "<query>"
     tokens = _tokenize(text, file, diagnostics)
     parser = _Parser(tokens, file, diagnostics)
@@ -1408,9 +1394,9 @@ def parse_query(text: str, m: Model | None = None):
     try:
         if parser.keyword("holds", "fact") == "holds":
             subject, prop_name, value = parser.holds_args()
-            time_ref = _parse_time_ref(parser, diagnostics)
+            time_ref = _parse_time_ref(parser, checks)
             if m is not None and prop_name.text not in m.property_defs:
-                diagnostics.append(
+                checks.append(
                     ParseDiagnostic(
                         prop_name.span(file),
                         "unknown-id",
@@ -1425,7 +1411,7 @@ def parse_query(text: str, m: Model | None = None):
             )
         else:
             relator, args = parser.relator_args()
-            time_ref = _parse_time_ref(parser, diagnostics)
+            time_ref = _parse_time_ref(parser, checks)
             prop = FactProp(
                 relator=relator.text,
                 patterns=tuple(tok.value for tok in args),
@@ -1437,19 +1423,19 @@ def parse_query(text: str, m: Model | None = None):
             raise _Syntax(tok.span(file), f"unexpected trailing input: {tok.text!r}")
     except _Syntax as err:
         parser.report(err)
-    if diagnostics:
-        raise ParseError(diagnostics)
+    if diagnostics or checks:
+        raise ParseError(diagnostics or checks)
     return prop
 
 
-def _parse_time_ref(parser: _Parser, diagnostics: list):
+def _parse_time_ref(parser: _Parser, checks: list):
     if parser.accept_word("at"):
         t = parser.take(NUMBER, "a coordinate")
         return AtTime(t.value)
     if parser.accept_word("during"):
         left, right = parser.interval("a coordinate")
-        if left.value >= right.value and not parser.lexed_any(left, right):
-            diagnostics.append(
+        if left.value >= right.value:
+            checks.append(
                 ParseDiagnostic(
                     left.span(parser.file),
                     "zero-duration",
