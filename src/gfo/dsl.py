@@ -518,8 +518,11 @@ class _Parser:
 
     # -- recovery --------------------------------------------------------------
 
-    def sync(self) -> None:
-        depth = 0
+    def sync(self, start: int) -> None:
+        """Skip to the end of the declaration whose tokens after its keyword
+        begin at ``start``, counting the braces it opened before the error."""
+        texts = [tok.text for tok in self.tokens[start : self.pos]]
+        depth = texts.count("{") - texts.count("}")
         while True:
             tok = self.tokens[self.pos]
             if tok.kind == EOF:
@@ -559,6 +562,7 @@ class _Parser:
             tok = self.tokens[self.pos]
             handler = table.get(tok.text) if tok.kind == IDENT else None
             self.pos += 1  # the keyword, or the token that should have been one
+            start = self.pos
             try:
                 if handler is None:
                     raise _Syntax(
@@ -568,7 +572,7 @@ class _Parser:
                 decls.append(handler())
             except _Syntax as err:
                 self.report(err)
-                self.sync()
+                self.sync(start)
         return decls
 
     def chronoid(self) -> _Chronoid:

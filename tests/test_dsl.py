@@ -424,6 +424,27 @@ def test_a_bad_rational_value_drives_no_linker_check():
         ]
 
 
+
+def test_recovery_skips_to_the_end_of_the_failing_declaration():
+    cases = (
+        (
+            "process p extent c { boundary 0 -> ; boundary 1 -> b; }\nchronoid c = [0, 1]",
+            ["<input>:1:36: unexpected-token: expected a presential name, found ';'",
+             "<input>:2:20: unexpected-token: expected ';', found ''"],
+        ),
+        (
+            "process p extent c { trajectory v { 0 -> ; 1 -> 2; } boundary 0 -> a; };\n"
+            "property hue : categorical { red } nonisolated(x);\nfact f = r(a)",
+            ["<input>:1:42: unexpected-token: expected a symbol or rational, found ';'",
+             "<input>:2:48: unexpected-token: expected a window radius, found 'x'",
+             "<input>:3:14: unexpected-token: expected ';', found ''"],
+        ),
+    )
+    for source, diagnostics in cases:
+        with pytest.raises(ParseError) as err:
+            parse(source)
+        assert [str(d) for d in err.value.diagnostics] == diagnostics
+
 # not the golden MUTATION_SEED, so these edits are fresh inputs
 POLICY_SEED = 20261019
 LEXICAL_OR_SYNTAX = {"unexpected-token", "bad-rational"}
