@@ -797,7 +797,7 @@ class _Linker:
 
     def resolve_chronoid(self, ref: Token):
         ch = self.chronoids.get(ref.text)
-        if ch is None:
+        if ch is None and ref.text not in self.chron_decls:  # a rejected one was reported
             self.diag(ref, "dangling-reference", f"chronoid {ref.text!r} is not declared")
         return ch
 
@@ -917,9 +917,11 @@ class _Linker:
 
     def _sample_map(self, decl, entries, ch, keyword: str) -> dict:
         out: dict = {}
+        sampled = set()  # every coordinate given: a rejected target is no missing endpoint
         for t, target in entries:
             if not self.new_sample(t, ch, out, keyword):
                 continue
+            sampled.add(t.value)
             if not self.resolve_entity(target, kind="presential"):
                 continue
             pres = self.presentials.get(target.text)
@@ -934,7 +936,7 @@ class _Linker:
             out[t.value] = target.text
         if ch is not None:
             for endpoint in (ch.left, ch.right):
-                if endpoint not in out:
+                if endpoint not in sampled:
                     self.diag(
                         decl.name,
                         "missing-endpoint",

@@ -425,6 +425,30 @@ def test_a_bad_rational_value_drives_no_linker_check():
 
 
 
+def test_a_rejected_chronoid_is_not_also_undeclared():
+    source = "chronoid c = [1, 1]; presential a at c@1; process p extent c { boundary 1 -> a; }"
+    with pytest.raises(ParseError) as err:
+        parse(source)
+    assert [str(d) for d in err.value.diagnostics] == [
+        "<input>:1:15: zero-duration: chronoid 'c': [1, 1] has no duration"
+    ]
+
+
+def test_a_rejected_sample_target_still_occupies_its_endpoint():
+    base = "chronoid c = [0, 2];\npresential a at c@0;\npresential b at c@2;\n"
+    cases = (
+        ("process p extent c { boundary 0 -> ghost; boundary 2 -> b; }",
+         "<input>:4:36: dangling-reference: 'ghost' is not declared"),
+        ("process p extent c { boundary 0 -> p; boundary 2 -> b; }",
+         "<input>:4:36: kind-conflict: 'p' is a process, but a presential is required here"),
+        ("continuant k lifetime c { exhibits 0 -> b; exhibits 2 -> b; }",
+         "<input>:4:41: coordinate-mismatch: presential 'b' is at 2, not at 0"),
+    )
+    for decl, diagnostic in cases:
+        with pytest.raises(ParseError) as err:
+            parse(base + decl)
+        assert [str(d) for d in err.value.diagnostics] == [diagnostic]
+
 def test_recovery_skips_to_the_end_of_the_failing_declaration():
     cases = (
         (

@@ -165,10 +165,10 @@ DIGESTS = {
     "dump": "009f9693fded42f5ffecbead1ba9d73aa5e852aa823a439319e77eab2d113a6f",
     "serialize": "34d1b576b3134b1c54cdf740a0ace2d08bea1fe4f80367fa571ca8262103dc59",
     "query": "29bdf064e078658571bd1c28e383ae89822d86bb61a472ef1f2a8f0a1ac4809e",
-    "mutations": "45c46d08130f6dc9c43f3159a45b15714cc0605b081c86d16cdca224438449dd",
+    "mutations": "879516932aebdd0f2bf3b9bbcbb8a86a2746f4fc18964ccc95fc2faf6eaf50a3",
     "parse-query": "7796bf16770c973adc235efdf6f482ceefe2801f50802b5a13fafd1725d5ac56",
     "lexer": "e9945695ad173ca013724a874f93a465dd45935737e322c3572cc5c8ad14317b",
-    "linker": "d5566160e5fbbeb69112a83873b8fe934338ab54787a7ee2223e874405b31840",
+    "linker": "1abfda249614db451fc3ae27b33997d280e79b869434587824fcc9ac40bf5bc7",
 }
 
 
