@@ -21,8 +21,6 @@ from fractions import Fraction
 
 from .errors import NotASubinterval, OutOfExtent, ZeroOrNegativeDuration
 
-TimeCoordinate = Fraction
-
 LEFT = "left"
 RIGHT = "right"
 INNER = "inner"

@@ -335,12 +335,6 @@ def valuation_at(m: Model, entity_id: str, t: Fraction) -> dict | None:
     return sample_valuation(m, sample_map(m, entity_id), t)
 
 
-def sample_points_of(m: Model, entity_id: str) -> list[Fraction]:
-    """All declared sample coordinates of an individual (empty for
-    situations and facts)."""
-    return sorted(sample_map(m, entity_id))
-
-
 __all__ = [
     "CATEGORICAL",
     "NUMERIC",
@@ -363,5 +357,4 @@ __all__ = [
     "snapshot",
     "process_temporal_part",
     "valuation_at",
-    "sample_points_of",
 ]
