@@ -4,8 +4,10 @@ The language is statement-oriented (``keyword name ... ;`` with braces for
 maps) and resolved in two passes, so forward references are legal.  Parsing
 either yields a model satisfying every structural invariant of the store,
 or raises :class:`ParseError` carrying span-annotated diagnostics — never a
-partial model.  Error recovery skips to the next ``;`` at brace depth zero,
-so one run reports as many diagnostics as possible.
+partial model.  The lexer and the parser report every error they can:
+recovery skips to the end of the failing declaration and goes on with the
+next.  The linker (the second pass) runs only on a clean parse, so none of
+its diagnostics follows from a lexical or syntax error.
 
 ``serialize`` emits canonical text: declarations sorted by kind and id,
 map entries sorted by coordinate, rationals normalized.  Parsing the
