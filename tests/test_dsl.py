@@ -424,7 +424,6 @@ def test_a_bad_rational_value_drives_no_linker_check():
         ]
 
 
-
 def test_a_rejected_chronoid_is_not_also_undeclared():
     source = "chronoid c = [1, 1]; presential a at c@1; process p extent c { boundary 1 -> a; }"
     with pytest.raises(ParseError) as err:
@@ -449,6 +448,7 @@ def test_a_rejected_sample_target_still_occupies_its_endpoint():
             parse(base + decl)
         assert [str(d) for d in err.value.diagnostics] == [diagnostic]
 
+
 def test_recovery_skips_to_the_end_of_the_failing_declaration():
     cases = (
         (
@@ -468,6 +468,7 @@ def test_recovery_skips_to_the_end_of_the_failing_declaration():
         with pytest.raises(ParseError) as err:
             parse(source)
         assert [str(d) for d in err.value.diagnostics] == diagnostics
+
 
 # not the golden MUTATION_SEED, so these edits are fresh inputs
 POLICY_SEED = 20261019
