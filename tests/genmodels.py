@@ -439,6 +439,89 @@ def random_full_model(rng: random.Random) -> Model:
 
 
 # ---------------------------------------------------------------------------
+# Crowded realization worlds
+# ---------------------------------------------------------------------------
+
+
+def random_realization_model(rng: random.Random) -> Model:
+    """Processes on a shared integer grid, several presentic situations at
+    each grid coordinate and a few situoids, all drawn from a four-fact
+    pool and a four-entity focus, so that many situations qualify for one
+    concept at one coordinate; up to 40 exe pairs.  Ids are drawn at random,
+    so no store's insertion order is its id order."""
+    day = Chronoid("day", Fraction(0), Fraction(6))
+    chronoids = {"day": day}
+    hue = PropertyDef("hue", ValueDomain(CATEGORICAL, frozenset({"red", "blue"})))
+    names = iter(rng.sample(range(1000), 120))
+    presentials = {}
+    for t in range(7):
+        for _ in range(2):
+            pid = f"m{next(names)}"
+            presentials[pid] = Presential(
+                pid, inner_boundary(day, t), {"hue": rng.choice(("red", "blue"))}
+            )
+    at = {t: [p for p, v in presentials.items() if v.at.coordinate == t] for t in range(7)}
+    processes = {}
+    for _ in range(rng.randint(3, 14)):
+        a, b = sorted(rng.sample(range(7), 2))
+        ch = chronoids.setdefault(f"c{a}_{b}", Chronoid(f"c{a}_{b}", Fraction(a), Fraction(b)))
+        pid = f"P{next(names)}"
+        processes[pid] = Process(pid, ch, {Fraction(t): rng.choice(at[t]) for t in (a, b)})
+    inside = [t for t in range(1, 6) if rng.random() < 0.5]
+    continuants = {
+        "k": Continuant("k", day, {Fraction(t): rng.choice(at[t]) for t in (0, *inside, 6)})
+    }
+    focus = ["k", rng.choice(sorted(processes)), *rng.sample(sorted(presentials), 2)]
+    facts = {
+        f"f{i}": Fact(f"f{i}", relator, (arg,))
+        for i, (relator, arg) in enumerate(product(("r", "q"), focus[:2]))
+    }
+    situations = {}
+
+    def situation(extent):
+        sid = f"s{next(names)}"
+        constituents = frozenset(fid for fid in facts if rng.random() < 0.5)
+        participants = frozenset(rng.sample(focus, rng.randint(0, 3)))
+        situations[sid] = Situation(sid, extent, constituents, participants)
+
+    for t in range(7):
+        for _ in range(rng.randint(0, 4)):
+            situation(inner_boundary(day, t))
+    for _ in range(rng.randint(0, 3)):
+        situation(rng.choice(sorted(chronoids.values(), key=lambda ch: ch.id)))
+    patterns = [FactPattern("r", (WILDCARD,)), FactPattern("q", (WILDCARD,)), FactPattern("r", (focus[0],))]
+
+    def concept(name):
+        constraints = set()
+        if rng.random() < 0.4:
+            constraints.add(PropertyConstraint(rng.choice(focus), "hue", rng.choice(("red", "blue"))))
+        return SituationConcept(frozenset([rng.choice(patterns)]), frozenset(constraints), name=name)
+
+    functions = {}
+    for i in range(rng.randint(1, 3)):
+        functions[f"fn{i}"] = FunctionSpec(f"fn{i}", concept("req"), concept("goal"))
+    presentic = sorted(sid for sid, s in situations.items() if s.presentic)
+    requirement_instances = {
+        fnid: frozenset(rng.sample(presentic, min(len(presentic), rng.randint(0, 3))))
+        for fnid in functions
+    }
+    entities = sorted(presentials) + sorted(processes) + ["k"]
+    exe = {(rng.choice(entities), rng.choice(sorted(processes))) for _ in range(rng.randint(5, 40))}
+    return Model(
+        chronoids=chronoids,
+        presentials=presentials,
+        processes=processes,
+        continuants=continuants,
+        situations=situations,
+        facts=facts,
+        property_defs={"hue": hue},
+        functions=functions,
+        exe_assertions=frozenset(exe),
+        requirement_instances=requirement_instances,
+    )
+
+
+# ---------------------------------------------------------------------------
 # Random boundary sets for the coincidence laws
 # ---------------------------------------------------------------------------
 

@@ -178,7 +178,12 @@ def continuant_change_pairs(m, c):
     return out
 
 
-def _concept_holds(m, s, concept) -> bool:
+def concept_holds(m, s, concept) -> bool:
+    """Whether situation ``s`` satisfies ``concept``: every fact pattern
+    matches a constituent, and every property constraint holds for its
+    participant at every declared sample of it in the situation's extent.
+    A presentic situation's extent is its one coordinate; a situoid with no
+    sample of the participant inside satisfies the constraint vacuously."""
     facts = [m.facts[fid] for fid in s.constituents if fid in m.facts]
     for pat in concept.required_facts:
         hit = False
@@ -193,21 +198,22 @@ def _concept_holds(m, s, concept) -> bool:
     for pc in concept.required_props:
         if pc.entity not in s.participants:
             return False
-        if not isinstance(s.extent, TimeBoundary):
-            return False  # oracle only handles presentic situations
-        t = s.extent.coordinate
-        valuation = None
         if pc.entity in m.presentials:
-            pres = m.presentials[pc.entity]
-            valuation = pres.valuation if pres.at.coordinate == t else None
+            samples = {m.presentials[pc.entity].at.coordinate: pc.entity}
         elif pc.entity in m.continuants:
-            pres_id = m.continuants[pc.entity].exhibit_map.get(t)
-            valuation = m.presentials[pres_id].valuation if pres_id else None
+            samples = m.continuants[pc.entity].exhibit_map
         elif pc.entity in m.processes:
-            pres_id = m.processes[pc.entity].boundary_map.get(t)
-            valuation = m.presentials[pres_id].valuation if pres_id else None
-        if valuation is None or valuation.get(pc.prop) != pc.value:
-            return False
+            samples = m.processes[pc.entity].boundary_map
+        else:
+            return False  # only individuals present property values
+        if isinstance(s.extent, TimeBoundary):
+            times = [s.extent.coordinate]
+        else:
+            times = [t for t in samples if s.extent.left <= t <= s.extent.right]
+        for t in times:
+            pres = m.presentials.get(samples.get(t))
+            if pres is None or pres.valuation.get(pc.prop) != pc.value:
+                return False
     return True
 
 
@@ -220,14 +226,44 @@ def realization_pairs(m, p, f):
             continue
         if req.extent.coordinate != p.extent.left:
             continue
-        if not _concept_holds(m, req, f.req):
+        if not concept_holds(m, req, f.req):
             continue
         for goal_sid, goal in m.situations.items():
             if not isinstance(goal.extent, TimeBoundary):
                 continue
             if goal.extent.coordinate != p.extent.right:
                 continue
-            if not _concept_holds(m, goal, f.goal):
+            if not concept_holds(m, goal, f.goal):
                 continue
             pairs.append((req_sid, goal_sid))
     return sorted(pairs)
+
+
+def realizers(m, f):
+    """Sorted ids of the executors of some declared process that has a
+    realization pair for ``f``."""
+    return sorted(
+        {
+            x
+            for x, pid in m.exe_assertions
+            if pid in m.processes and realization_pairs(m, m.processes[pid], f)
+        }
+    )
+
+
+def universal_realization(m, process_ids, f):
+    """``(verdict, diagnostics)`` for the category ``process_ids`` against
+    ``f``: each member must have a realization pair, and the requirement
+    situations of the members' smallest pairs must cover every declared
+    requirement instance of ``f``."""
+    diagnostics, covered = [], set()
+    for pid in sorted(process_ids):
+        pairs = realization_pairs(m, m.processes[pid], f)
+        if pairs:
+            covered.add(pairs[0][0])
+        else:
+            diagnostics.append(f"process {pid!r} is not a realization of {f.id!r}")
+    for sid in sorted(m.requirement_instances.get(f.id, ())):
+        if sid not in covered:
+            diagnostics.append(f"requirement instance {sid!r} is not covered")
+    return not diagnostics, diagnostics

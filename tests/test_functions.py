@@ -1,9 +1,12 @@
-from dataclasses import replace
+import random
+from collections import Counter
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
 
 import oracles
+from genmodels import random_full_model, random_realization_model
 from gfo.chrono import Chronoid
 from gfo.dsl import parse_file
 from gfo.errors import UnknownEntity, UnknownSituation, UnsampledTime
@@ -268,3 +271,80 @@ def test_constraints_on_non_individuals_never_hold(heart):
     m2 = replace(heart, situations={**heart.situations, s.id: grown})
     concept = _concept(props=[PropertyConstraint("s_goal", "intact", "yes")])
     assert not satisfies_concept(grown, concept, m2)
+
+
+def _stores_reversed(m):
+    """``m`` with every store dict rebuilt in reversed insertion order."""
+    stores = {f.name: getattr(m, f.name) for f in fields(m)}
+    return replace(
+        m, **{k: dict(reversed(v.items())) for k, v in stores.items() if isinstance(v, dict)}
+    )
+
+
+def _realization_worlds():
+    """200 random full worlds and 100 crowded realization worlds, each
+    followed by its copy with every store in reversed insertion order."""
+    rng = random.Random(20261021)
+    for make, count in ((random_full_model, 200), (random_realization_model, 100)):
+        for _ in range(count):
+            m = make(rng)
+            yield m
+            yield _stores_reversed(m)
+
+
+def _entity_ids(m):
+    return sorted({*m.presentials, *m.processes, *m.continuants, *m.situations, *m.facts})
+
+
+def test_realizations_and_realizers_agree_with_oracles_on_random_worlds():
+    seen = Counter()
+    for m in _realization_worlds():
+        for f in m.functions.values():
+            for pid, p in m.processes.items():
+                pairs = oracles.realization_pairs(m, p, f)
+                record = is_actual_realization(p, f, m)
+                if pairs:
+                    got = (record.process, record.requirement_situation, record.goal_situation)
+                    assert got == (pid, *min(pairs))
+                    seen["realization"] += 1
+                    seen["several pairs"] += len(pairs) > 1
+                else:
+                    assert record is None
+            expected = oracles.realizers(m, f)
+            for x in _entity_ids(m):
+                assert is_actual_realizer(x, f, m) == (x in expected), (f.id, x)
+            seen["realizer"] += len(expected)
+    assert min(seen.values()) > 500, seen  # every path was exercised
+
+
+def test_concept_satisfaction_agrees_with_oracle_on_random_worlds():
+    seen = Counter()
+    for m in _realization_worlds():
+        for s in m.situations.values():
+            for f in m.functions.values():
+                for concept in (f.req, f.goal):
+                    got = satisfies_concept(s, concept, m)
+                    assert got == oracles.concept_holds(m, s, concept), (s.id, concept)
+                    if concept.required_props and not s.presentic:
+                        seen["situoid", got] += 1
+    assert min(seen[key] for key in (("situoid", True), ("situoid", False))) > 50, seen
+
+
+def test_universal_realization_agrees_with_oracle_on_random_worlds():
+    rng = random.Random(20261022)
+    seen = Counter()
+    for m in _realization_worlds():
+        for f in m.functions.values():
+            pairs = {pid: oracles.realization_pairs(m, p, f) for pid, p in m.processes.items()}
+            realizing = sorted(pid for pid in pairs if pairs[pid])
+            half = set(rng.sample(realizing, len(realizing) // 2))
+            # the declared instances, and some that the realizing processes cover
+            covered = sorted({pairs[pid][0][0] for pid in realizing})
+            some = frozenset(rng.sample(covered, (len(covered) + 1) // 2))
+            for instances in (m.requirement_instances.get(f.id, frozenset()), some):
+                mf = replace(m, requirement_instances={**m.requirement_instances, f.id: instances})
+                for members in (set(m.processes), set(realizing), half):
+                    expected = oracles.universal_realization(mf, members, f)
+                    assert is_universal_realization(members, f, mf) == expected
+                    seen[expected[0], bool(instances)] += 1
+    assert min(seen[True, True], seen[False, True]) > 50, seen
