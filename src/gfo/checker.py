@@ -195,15 +195,13 @@ def _integration_key(m: Model, extent, samples: dict, mode: str):
 
 
 def _integration_index(m: Model, mode: str) -> dict:
-    """Integration key -> smallest id of a process with that key, built once
-    per model and mode."""
-    index = m._indexes.get((INTEGRATION, mode))
-    if index is None:
-        index = m._indexes[INTEGRATION, mode] = {}
-        for pid, p in sorted(m.processes.items()):
-            key = _integration_key(m, p.extent, p.boundary_map, mode)
-            if key is not None:
-                index.setdefault(key, pid)
+    """Integration key -> smallest id of a process with that key; read
+    through ``m.index``, which builds it once per model and mode."""
+    index = {}
+    for pid, p in sorted(m.processes.items()):
+        key = _integration_key(m, p.extent, p.boundary_map, mode)
+        if key is not None:
+            index.setdefault(key, pid)
     return index
 
 
@@ -234,7 +232,7 @@ def check_integration(m: Model, c: Continuant, mode: str = IDENTITY):
             )
         ]
     key = _integration_key(m, c.lifetime, c.exhibit_map, mode)
-    pid = _integration_index(m, mode).get(key)
+    pid = m.index(_integration_index, mode).get(key)
     if pid is not None:
         return IntegrationWitness(c.id, pid, tuple(sorted(c.exhibit_map)))
     closest = min(
@@ -270,7 +268,7 @@ def complete_integration(m: Model, mode: str = IDENTITY):
 
     Returns (augmented model, ids of derived processes).
     """
-    index = dict(_integration_index(m, mode))
+    index = dict(m.index(_integration_index, mode))
     derived = []
     for cid in sorted(m.continuants):
         c = m.continuants[cid]

@@ -18,7 +18,7 @@ from . import checker
 from .chrono import TimeBoundary, coord_str
 from .dsl import ParseError, concept_items, fmt_value, parse_file, parse_query
 from .errors import GfoError
-from .functions import is_actual_realization, is_actual_realizer
+from .functions import _executed, is_actual_realization, is_actual_realizer
 from .model import Model
 from .truthmakers import classify_property_support, find_truthmakers
 
@@ -166,12 +166,7 @@ def _function(m: Model, fn_id: str):
 
 def _query_realizers(m: Model, fn_id: str):
     fn = _function(m, fn_id)
-    out = []
-    executors = sorted({x for x, _ in m.exe_assertions})
-    for x in executors:
-        if is_actual_realizer(x, fn, m):
-            out.append(x)
-    return out
+    return [x for x in m.index(_executed) if is_actual_realizer(x, fn, m)]
 
 
 def _query_realizations(m: Model, fn_id: str):

@@ -147,13 +147,31 @@ def satisfies_concept(s: Situation, c: SituationConcept, m: Model) -> bool:
 # -- realization ---------------------------------------------------------------
 
 
-def _qualifying_situations(m: Model, t: Fraction, concept: SituationConcept) -> list[str]:
-    out = []
-    for sid in sorted(m.situations):
-        s = m.situations[sid]
-        if s.presentic and s.extent.coordinate == t and satisfies_concept(s, concept, m):
-            out.append(sid)
-    return out
+def _presentic_situations(m: Model) -> dict:
+    """Coordinate -> ids of the presentic situations there, in id order;
+    read through ``m.index``, which builds it once per model."""
+    index = {}
+    for sid, s in sorted(m.situations.items()):
+        if s.presentic:
+            index.setdefault(s.extent.coordinate, []).append(sid)
+    return index
+
+
+def _executed(m: Model) -> dict:
+    """Executor id -> ids of the processes asserted for it, both in id
+    order; read through ``m.index``, which builds it once per model."""
+    index = {}
+    for x, pid in sorted(m.exe_assertions):
+        index.setdefault(x, []).append(pid)
+    return index
+
+
+def _first_qualifying(m: Model, t: Fraction, concept: SituationConcept) -> str | None:
+    """The smallest id of a presentic situation at ``t`` satisfying ``concept``."""
+    for sid in m.index(_presentic_situations).get(t, ()):
+        if satisfies_concept(m.situations[sid], concept, m):
+            return sid
+    return None
 
 
 def is_actual_realization(p: Process, f: FunctionSpec, m: Model) -> RealizationRecord | None:
@@ -164,17 +182,11 @@ def is_actual_realization(p: Process, f: FunctionSpec, m: Model) -> RealizationR
     boundary; when several situations qualify, the lexicographically
     smallest ids are chosen.
     """
-    req_ids = _qualifying_situations(m, p.extent.left, f.req)
-    if not req_ids:
+    req_id = _first_qualifying(m, p.extent.left, f.req)
+    goal_id = req_id and _first_qualifying(m, p.extent.right, f.goal)
+    if goal_id is None:
         return None
-    goal_ids = _qualifying_situations(m, p.extent.right, f.goal)
-    if not goal_ids:
-        return None
-    return RealizationRecord(
-        process=p.id,
-        requirement_situation=req_ids[0],
-        goal_situation=goal_ids[0],
-    )
+    return RealizationRecord(p.id, req_id, goal_id)
 
 
 def is_universal_realization(process_ids, f: FunctionSpec, m: Model):
@@ -214,9 +226,7 @@ def is_actual_realizer(x: str, f: FunctionSpec, m: Model) -> bool:
     """True iff ``x`` executes some process that actually realizes ``f``."""
     if not m.has_entity(x):
         raise UnknownEntity(x)
-    for executor, pid in sorted(m.exe_assertions):
-        if executor != x:
-            continue
+    for pid in m.index(_executed).get(x, ()):
         p = m.processes.get(pid)
         if p is not None and is_actual_realization(p, f, m) is not None:
             return True

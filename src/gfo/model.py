@@ -194,9 +194,16 @@ class Model:
 
     @cached_property
     def _indexes(self) -> dict:
-        # lookups the checker derives from this store, built on first use; not
-        # a field, so outside == and hash, and replace() copies start empty
+        # not a field, so outside == and hash, and replace() copies start empty
         return {}
+
+    def index(self, build, *args):
+        """``build(self, *args)``: a lookup derived from this store, built on
+        the first call with these arguments and kept with the model."""
+        key = (build, *args)
+        if key not in self._indexes:
+            self._indexes[key] = build(self, *args)
+        return self._indexes[key]
 
     # -- persistence-free updates (copies; the store itself never mutates) --
 

@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
 
 import pytest
 from jsonschema import validate
 
 from gfo import checker, cli
+from gfo.dsl import parse_file
 from helpers import CORPUS, SCHEMA, corpus_files, run_cli
 
 
@@ -68,6 +70,88 @@ def test_check_scans_candidates_only_for_continuants_without_a_witness(
         assert (code, len(report["derived_processes"]), scanned) == (0, len(failing), [])
     else:
         assert (code, sorted(scanned)) == (1, sorted(failing))
+
+
+class _Walked(dict):
+    """A store dict that counts the walks over it."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+    def items(self):
+        self.walks += 1
+        return super().items()
+
+    def keys(self):
+        self.walks += 1
+        return super().keys()
+
+    def values(self):
+        self.walks += 1
+        return super().values()
+
+
+class _WalkedSet(frozenset):
+    """A frozenset that counts the walks over it."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+def _realization_chain(n: int) -> str:
+    """``n`` processes p{i} over [i, i+1], each realizing f through its own
+    situations at i and i+1 and executed by its own presential."""
+    lines = [
+        "property stage : categorical { a, b } isolated;",
+        "function f { requires { fact stage(_, a); } achieves { fact stage(_, b); } }",
+    ]
+    for i in range(n):
+        lines += [
+            f"chronoid g{i} = [{i}, {i + 1}];",
+            f"presential e{i}a at g{i}@{i};",
+            f"presential e{i}b at g{i}@{i + 1};",
+            f"process p{i} extent g{i} {{ boundary {i} -> e{i}a; boundary {i + 1} -> e{i}b; }}",
+            f"fact fa{i} = stage(p{i}, a);",
+            f"fact fb{i} = stage(p{i}, b);",
+            f"situation r{i} at g{i}@{i} {{ contains fa{i}; }}",
+            f"situation s{i} at g{i}@{i + 1} {{ contains fb{i}; }}",
+            f"exe(e{i}a, p{i});",
+        ]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("query, exe_walks", [("--realizations", 0), ("--realizers", 1)])
+def test_function_queries_walk_the_situations_and_exe_pairs_once(
+    tmp_path, monkeypatch, capsys, query, exe_walks
+):
+    path = tmp_path / "chain.gfo"
+    path.write_text(_realization_chain(100))
+    loaded = []
+
+    def load(path):
+        m = parse_file(path)
+        loaded.append(
+            replace(
+                m,
+                situations=_Walked(m.situations),
+                exe_assertions=_WalkedSet(m.exe_assertions),
+            )
+        )
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "parse_file", load)
+    assert cli.main(["query", str(path), query, "f"]) == 0
+    answer = json.loads(capsys.readouterr().out)
+    names = [a["process"] if isinstance(a, dict) else a for a in answer]
+    assert (len(names), names) == (100, sorted(names))
+    (m,) = loaded
+    assert (m.situations.walks, m.exe_assertions.walks) == (1, exe_walks)
 
 
 def test_check_integration_mode_flag():
