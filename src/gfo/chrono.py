@@ -79,6 +79,13 @@ class Chronoid:
     def contains(self, t: Fraction) -> bool:
         return self.left <= t <= self.right
 
+    def outside(self, t: Fraction) -> str:
+        """The message for a coordinate ``t`` that this chronoid does not contain."""
+        return (
+            f"{coord_str(t)} lies outside chronoid {self.id!r} "
+            f"[{coord_str(self.left)}, {coord_str(self.right)}]"
+        )
+
     def same_extent(self, other: "Chronoid") -> bool:
         return self.left == other.left and self.right == other.right
 
@@ -106,10 +113,7 @@ def inner_boundary(ch: Chronoid, t: int | str | Fraction) -> TimeBoundary:
     if not isinstance(t, Fraction):
         t = coord(t)
     if not ch.contains(t):
-        raise OutOfExtent(
-            f"{coord_str(t)} lies outside chronoid {ch.id!r} "
-            f"[{coord_str(ch.left)}, {coord_str(ch.right)}]"
-        )
+        raise OutOfExtent(ch.outside(t))
     with ch._lock:
         entity = ch._boundaries.get(t)
         if entity is None:

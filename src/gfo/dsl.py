@@ -830,12 +830,7 @@ class _Linker:
         ``seen`` yet; otherwise reports why not."""
         t = tok.value
         if ch is not None and not ch.contains(t):
-            self.diag(
-                tok,
-                "out-of-extent",
-                f"{coord_str(t)} lies outside [{coord_str(ch.left)}, "
-                f"{coord_str(ch.right)}]",
-            )
+            self.diag(tok, "out-of-extent", ch.outside(t))
             return False
         if t in seen:
             self.diag(
