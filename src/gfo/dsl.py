@@ -520,14 +520,16 @@ class _Parser:
 
     # -- recovery --------------------------------------------------------------
 
-    def sync(self, start: int) -> None:
+    def sync(self, start: int, keywords) -> None:
         """Skip to the end of the declaration whose tokens after its keyword
-        begin at ``start``, counting the braces it opened before the error."""
+        begin at ``start``, counting the braces it opened before the error.
+        While a brace is open, one of the declaration ``keywords`` at column 1
+        ends the skip unconsumed: the error left the block unbalanced."""
         texts = [tok.text for tok in self.tokens[start : self.pos]]
         depth = texts.count("{") - texts.count("}")
         while True:
             tok = self.tokens[self.pos]
-            if tok.kind == EOF:
+            if tok.kind == EOF or (depth > 0 and tok.column == 1 and tok.text in keywords):
                 return
             if tok.kind == PUNCT:
                 if tok.text == "{":
@@ -574,7 +576,7 @@ class _Parser:
                 decls.append(handler())
             except _Syntax as err:
                 self.report(err)
-                self.sync(start)
+                self.sync(start, table)
         return decls
 
     def chronoid(self) -> _Chronoid:

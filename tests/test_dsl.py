@@ -463,6 +463,18 @@ def test_recovery_skips_to_the_end_of_the_failing_declaration():
              "<input>:2:48: unexpected-token: expected a window radius, found 'x'",
              "<input>:3:14: unexpected-token: expected ';', found ''"],
         ),
+        (  # the stray '{' leaves the block open: the next line's keyword ends the skip
+            "process p extent c { boundary 0 -> a; { boundary 2 -> b; }\n"
+            "chronoid d = [0 1];\nchronoid e = [0 1];",
+            ["<input>:1:39: unexpected-token: expected 'boundary' or 'trajectory', found '{'",
+             "<input>:2:17: unexpected-token: expected ',', found '1'",
+             "<input>:3:17: unexpected-token: expected ',', found '1'"],
+        ),
+        (  # an indented keyword is still skipped
+            "process p extent c { boundary 0 -> a; {\n  chronoid d = [0 1];\n}\nchronoid e = [0 1];",
+            ["<input>:1:39: unexpected-token: expected 'boundary' or 'trajectory', found '{'",
+             "<input>:4:17: unexpected-token: expected ',', found '1'"],
+        ),
     )
     for source, diagnostics in cases:
         with pytest.raises(ParseError) as err:
