@@ -1,3 +1,7 @@
+import copy
+import operator
+import pickle
+import random
 import threading
 from fractions import Fraction
 
@@ -145,3 +149,49 @@ def test_meets_implies_coinciding_boundaries(a, b, c):
     second = make_chronoid(mid, hi)
     assert meets(first, second)
     assert coincides(right_boundary(first), left_boundary(second))
+
+
+def _seeded_rationals(rng: random.Random, count: int) -> list:
+    """Small and 300-digit rationals of both signs, zero and integers."""
+    values = [Fraction(0), Fraction(1), Fraction(-1)]
+    while len(values) < count:
+        digits = rng.choice((2, 6, 300))
+        num = rng.randint(-(10**digits), 10**digits)
+        den = 1 if rng.random() < 0.25 else rng.randint(1, 10 ** rng.choice((2, 6, 300)))
+        values.append(Fraction(num, den))
+    return values
+
+
+_COMPARISONS = (
+    operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge
+)
+
+
+def test_coordinates_compare_and_hash_as_fractions():
+    rng = random.Random(20261018)
+    values = _seeded_rationals(rng, 2000)
+    # neighbours, each value against itself, and an equal value built afresh
+    pairs = [*zip(values, values[1:]), *zip(values, values)]
+    pairs += [(x, Fraction(x.numerator * 3, x.denominator * 3)) for x in values[:500]]
+    for x, y in pairs:
+        tx, ty = coord(x), coord(y)
+        k = y.numerator // y.denominator
+        for op in _COMPARISONS:
+            expected = op(x, y)
+            assert op(tx, ty) == op(tx, y) == op(x, ty) == expected, (op, x, y)
+            assert op(tx, k) == op(x, k) and op(k, tx) == op(k, x), (op, x, k)
+        assert hash(tx) == hash(x) and hash(tx) == hash(x), x  # the second is cached
+        if x.denominator == 1:
+            assert hash(tx) == hash(x.numerator)
+        assert len({tx, x, ty, y}) == len({x, y})
+
+
+def test_coordinates_render_and_round_trip_as_fractions():
+    rng = random.Random(20261019)
+    for x in _seeded_rationals(rng, 2000):
+        t = coord(x)
+        assert (str(t), repr(t), coord_str(t)) == (str(x), repr(x), coord_str(x))
+        hash(t)  # a cached hash must not leak into a copy
+        for copied in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t), copy.copy(t)):
+            assert type(copied) is type(t)
+            assert copied == x and repr(copied) == repr(x) and hash(copied) == hash(x)

@@ -49,6 +49,20 @@ def test_parse_minimal_example():
     assert sorted(m.continuants["John"].exhibit_map) == [0, 1, 2]
 
 
+def test_parsed_numbers_and_coordinates_are_time():
+    # the cached hash and direct comparisons live on chrono.Time; a parse
+    # that fell back to plain Fractions would stay correct but lose them
+    from gfo.chrono import Time
+
+    numbers = [tok.value for tok in _tokenize(MINIMAL, "<t>", []) if tok.kind == dsl.NUMBER]
+    assert len(numbers) == 8 and {type(v) for v in numbers} == {Time}
+    m = parse(MINIMAL)
+    ch = m.chronoids["c"]
+    assert type(ch.left) is Time and type(ch.right) is Time
+    assert {type(t) for t in m.continuants["John"].exhibit_map} == {Time}
+    assert {type(p.at.coordinate) for p in m.presentials.values()} == {Time}
+
+
 def test_parse_zero_duration_chronoid():
     assert "zero-duration" in codes_of("chronoid c = [5,5];")
 

@@ -3,15 +3,32 @@
 For every model and in both integration modes, completing a completed
 model derives nothing, the completed model survives serialize -> parse
 unchanged, and every material continuant in it has an integration witness.
+A random world built in code and its serialize -> parse twin answer every
+check and query alike, although only the parsed twin's coordinates are
+``chrono.Time`` values.
 """
 
+import json
 import random
+from collections import Counter
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
-from genmodels import random_full_model
-from gfo.checker import IDENTITY, VALUATION, IntegrationWitness, check_integration, complete_integration
+from genmodels import random_full_model, random_realization_model
+from gfo.checker import (
+    IDENTITY,
+    VALUATION,
+    IntegrationWitness,
+    check_integration,
+    complete_integration,
+    detect_continuant_changes,
+    detect_process_changes,
+)
+from gfo.cli import model_to_json
 from gfo.dsl import parse, parse_file, serialize
+from gfo.functions import is_actual_realization
 from helpers import corpus_files
 
 RANDOM_SEED = 20261019
@@ -39,3 +56,46 @@ def test_completion_is_idempotent_reparses_and_integrates(mode):
                 witness = check_integration(completed, c, mode)
                 assert isinstance(witness, IntegrationWitness), (name, c.id)
     assert derived_total > 0  # the laws were tested on models completion changed
+
+
+def _answers(m) -> list:
+    """Every check and query answer of ``m``, in a fixed order."""
+    out = [json.dumps(model_to_json(m), sort_keys=True)]  # as `gfo dump` emits it
+    for mode in (IDENTITY, VALUATION):
+        completed, derived = complete_integration(m, mode)
+        out += [serialize(completed), derived]
+        out += [check_integration(m, m.continuants[cid], mode) for cid in sorted(m.continuants)]
+    for cid in sorted(m.continuants):
+        out.append(detect_continuant_changes(m, m.continuants[cid]))
+    for pid in sorted(m.processes):
+        p = m.processes[pid]
+        for prop in sorted(p.trajectories):
+            for tol in (0, Fraction(1, 2)):
+                out.append(detect_process_changes(m, p, prop, tol))
+        for fid in sorted(m.functions):
+            out.append(is_actual_realization(p, m.functions[fid], m))
+    return out
+
+
+def _without_empty_instance_sets(m):
+    """``m`` less the empty instance sets, which the language cannot write."""
+    return replace(
+        m,
+        requirement_instances={f: s for f, s in m.requirement_instances.items() if s},
+        goal_instances={f: s for f, s in m.goal_instances.items() if s},
+    )
+
+
+def test_built_and_parsed_coordinates_give_the_same_answers():
+    # the crowded realization worlds add realizations, which full worlds lack
+    rng = random.Random(20261018)
+    seen = Counter()
+    for make, count in ((random_full_model, RANDOM_WORLDS), (random_realization_model, 100)):
+        for i in range(count):
+            built = _without_empty_instance_sets(make(rng))
+            expected, got = _answers(built), _answers(parse(serialize(built)))
+            assert got == expected, (make.__name__, i)
+            assert repr(got) == repr(expected), (make.__name__, i)
+            for answer in expected:
+                seen[type(answer).__name__, bool(answer)] += 1
+    assert min(seen.values()) >= 100, seen  # every kind of answer, empty and not
