@@ -3,6 +3,12 @@
 Time coordinates are exact rationals (``fractions.Fraction``).  All checks
 downstream rely on decidable equality for coincidence and meeting tests, so
 floats never enter the time layer; decimal literals are converted exactly.
+Parsed coordinates and numbers, and whatever :func:`coord` returns, are
+:class:`Time` values: Fractions that cache their hash and compare with one
+another directly, for the maps and comparisons keyed by coordinate.  A
+``Time`` equals, orders and hashes as the ``Fraction`` of the same value,
+and its repr is that Fraction's, so stores built in code from plain
+Fractions give the same answers through ``Fraction``'s generic methods.
 
 A chronoid is a connected time interval of strictly positive duration,
 represented symbolically by its endpoints.  Boundary entities are
@@ -26,9 +32,52 @@ RIGHT = "right"
 INNER = "inner"
 
 
-def coord(value: int | str | Fraction) -> Fraction:
+class Time(Fraction):
+    """An exact coordinate whose hash is computed once and whose comparisons
+    with another ``Time`` cross-multiply without ``Fraction``'s type checks.
+    Any other operand, and all arithmetic, take ``Fraction``'s methods."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = Fraction.__hash__(self)
+            return self._hash
+
+    def __repr__(self):
+        return f"Fraction({self._numerator}, {self._denominator})"
+
+    def __eq__(a, b):
+        if type(b) is Time:
+            return a._numerator == b._numerator and a._denominator == b._denominator
+        return Fraction.__eq__(a, b)
+
+    def __lt__(a, b):
+        if type(b) is Time:
+            return a._numerator * b._denominator < b._numerator * a._denominator
+        return Fraction.__lt__(a, b)
+
+    def __le__(a, b):
+        if type(b) is Time:
+            return a._numerator * b._denominator <= b._numerator * a._denominator
+        return Fraction.__le__(a, b)
+
+    def __gt__(a, b):
+        if type(b) is Time:
+            return a._numerator * b._denominator > b._numerator * a._denominator
+        return Fraction.__gt__(a, b)
+
+    def __ge__(a, b):
+        if type(b) is Time:
+            return a._numerator * b._denominator >= b._numerator * a._denominator
+        return Fraction.__ge__(a, b)
+
+
+def coord(value: int | str | Fraction) -> Time:
     """Coerce ints, Fractions and strings ('3/2', '0.25') to an exact coordinate."""
-    return Fraction(value)
+    return Time(value)
 
 
 def coord_str(value: Fraction) -> str:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .chrono import Chronoid, TimeBoundary, coord_str, inner_boundary
+from .chrono import Chronoid, Time, TimeBoundary, coord_str, inner_boundary
 from .errors import GfoError, OutOfExtent, ZeroOrNegativeDuration
 from .functions import (
     CONCEPTUAL,
@@ -178,14 +178,14 @@ def _rational(text: str) -> tuple:
     short = len(text) <= MAX_LITERAL_DIGITS // 2  # then its p/q text fits too
     digits = 0 if short else sum(c.isdigit() for c in text)
     if digits > MAX_LITERAL_DIGITS:
-        return Fraction(0), _overlong(text, f"{digits} digits")
+        return Time(0), _overlong(text, f"{digits} digits")
     try:
-        value = Fraction(text)
+        value = Time(text)
     except ZeroDivisionError:
-        return Fraction(0), f"{text!r} is not a valid rational literal"
+        return Time(0), f"{text!r} is not a valid rational literal"
     digits = 0 if short else sum(c.isdigit() for c in coord_str(value))
     if digits > MAX_LITERAL_DIGITS:
-        return Fraction(0), _overlong(text, f"{digits} digits as p/q")
+        return Time(0), _overlong(text, f"{digits} digits as p/q")
     return value, None
 
 

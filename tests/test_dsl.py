@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from genmodels import random_full_model
 from gfo import dsl
-from gfo.chrono import coord_str
+from gfo.chrono import Time, coord_str
 from gfo.dsl import (
     DIAGNOSTIC_CODES,
     ParseError,
@@ -52,8 +52,6 @@ def test_parse_minimal_example():
 def test_parsed_numbers_and_coordinates_are_time():
     # the cached hash and direct comparisons live on chrono.Time; a parse
     # that fell back to plain Fractions would stay correct but lose them
-    from gfo.chrono import Time
-
     numbers = [tok.value for tok in _tokenize(MINIMAL, "<t>", []) if tok.kind == dsl.NUMBER]
     assert len(numbers) == 8 and {type(v) for v in numbers} == {Time}
     m = parse(MINIMAL)
