@@ -3,12 +3,9 @@
 Time coordinates are exact rationals (``fractions.Fraction``).  All checks
 downstream rely on decidable equality for coincidence and meeting tests, so
 floats never enter the time layer; decimal literals are converted exactly.
-Parsed coordinates and numbers, and whatever :func:`coord` returns, are
-:class:`Time` values: Fractions that cache their hash and compare with one
-another directly, for the maps and comparisons keyed by coordinate.  A
-``Time`` equals, orders and hashes as the ``Fraction`` of the same value,
-and its repr is that Fraction's, so stores built in code from plain
-Fractions give the same answers through ``Fraction``'s generic methods.
+Parsed numbers and :func:`coord` results are :class:`Time` values, which
+equal, order, hash and repr as the ``Fraction`` of the same value but are
+faster as keys and to compare; plain-Fraction stores take Fraction's path.
 
 A chronoid is a connected time interval of strictly positive duration,
 represented symbolically by its endpoints.  Boundary entities are
@@ -42,9 +39,9 @@ class Time(Fraction):
     def __hash__(self):
         try:
             return self._hash
-        except AttributeError:
+        except AttributeError:  # the first call
             self._hash = Fraction.__hash__(self)
-            return self._hash
+        return self._hash
 
     def __repr__(self):
         return f"Fraction({self._numerator}, {self._denominator})"
@@ -87,6 +84,11 @@ def coord_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def no_duration(l: Fraction, r: Fraction) -> str | None:
+    """The message for a span [l, r] that has no duration (l >= r), else None."""
+    return f"[{coord_str(l)}, {coord_str(r)}] has no duration" if l >= r else None
+
+
 def _id_safe(value: Fraction) -> str:
     # '/' and leading '-' are not legal inside ids
     return coord_str(value).replace("-", "m").replace("/", "_")
@@ -115,11 +117,8 @@ class Chronoid:
     )
 
     def __post_init__(self) -> None:
-        if self.left >= self.right:
-            raise ZeroOrNegativeDuration(
-                f"chronoid {self.id!r}: [{coord_str(self.left)}, {coord_str(self.right)}] "
-                "has no duration"
-            )
+        if message := no_duration(self.left, self.right):
+            raise ZeroOrNegativeDuration(f"chronoid {self.id!r}: {message}")
 
     @property
     def duration(self) -> Fraction:
@@ -206,10 +205,8 @@ def temporal_part_chronoid(
 ) -> Chronoid:
     """Restrict ``ch`` to the subinterval [l, r] (improper parts allowed)."""
     l, r = coord(l), coord(r)
-    if l >= r:
-        raise ZeroOrNegativeDuration(
-            f"[{coord_str(l)}, {coord_str(r)}] has no duration"
-        )
+    if message := no_duration(l, r):
+        raise ZeroOrNegativeDuration(message)
     if l < ch.left or r > ch.right:
         raise NotASubinterval(
             f"[{coord_str(l)}, {coord_str(r)}] is not a subinterval of "

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .chrono import Chronoid, Time, TimeBoundary, coord_str, inner_boundary
+from .chrono import Chronoid, Time, TimeBoundary, coord_str, inner_boundary, no_duration
 from .errors import GfoError, OutOfExtent, ZeroOrNegativeDuration
 from .functions import (
     CONCEPTUAL,
@@ -1439,15 +1439,8 @@ def _parse_time_ref(parser: _Parser, checks: list):
         return AtTime(t.value)
     if parser.accept_word("during"):
         left, right = parser.interval("a coordinate")
-        if left.value >= right.value:
-            checks.append(
-                ParseDiagnostic(
-                    left.span(parser.file),
-                    "zero-duration",
-                    f"[{coord_str(left.value)}, {coord_str(right.value)}] "
-                    "has no duration",
-                )
-            )
+        if message := no_duration(left.value, right.value):
+            checks.append(ParseDiagnostic(left.span(parser.file), "zero-duration", message))
         return DuringSpan(left.value, right.value)
     return None
 
