@@ -524,13 +524,19 @@ class _Parser:
         """Skip to the end of the declaration whose tokens after its keyword
         begin at ``start``, counting the braces it opened before the error.
         While a brace is open, one of the declaration ``keywords`` at column 1
-        ends the skip unconsumed: the error left the block unbalanced."""
+        ends the skip unconsumed: the error left the block unbalanced.  A
+        ``fact`` does so only as ``fact name =``, not as a concept's
+        ``fact relator(...)`` item."""
         texts = [tok.text for tok in self.tokens[start : self.pos]]
         depth = texts.count("{") - texts.count("}")
         while True:
             tok = self.tokens[self.pos]
-            if tok.kind == EOF or (depth > 0 and tok.column == 1 and tok.text in keywords):
+            if tok.kind == EOF:
                 return
+            if depth > 0 and tok.column == 1 and tok.text in keywords:
+                after = self.tokens[self.pos + 2 : self.pos + 3]  # '=' in `fact name =`
+                if tok.text != "fact" or (after and after[0].text == "="):
+                    return
             if tok.kind == PUNCT:
                 if tok.text == "{":
                     depth += 1

@@ -487,6 +487,13 @@ def test_recovery_skips_to_the_end_of_the_failing_declaration():
             ["<input>:1:39: unexpected-token: expected 'boundary' or 'trajectory', found '{'",
              "<input>:4:17: unexpected-token: expected ',', found '1'"],
         ),
+        (  # a concept's `fact r(...)` item at column 1 is skipped; a `fact f =` is not
+            "function f {\nlabel 1;\nrequires {\nfact r(_);\n}\nachieves { fact r(_); }\n}\n"
+            "function g {\nlabel 2;\nrequires { holds(a, b, c); }\nfact h = r(a b);\n",
+            ["<input>:2:7: unexpected-token: expected a string label, found '1'",
+             "<input>:9:7: unexpected-token: expected a string label, found '2'",
+             "<input>:11:14: unexpected-token: expected ')', found 'b'"],
+        ),
     )
     for source, diagnostics in cases:
         with pytest.raises(ParseError) as err:
