@@ -1,11 +1,12 @@
-"""Metamorphic laws of integration completion, over the corpus and random worlds.
+"""Metamorphic laws over the corpus and random worlds.
 
 For every model and in both integration modes, completing a completed
 model derives nothing, the completed model survives serialize -> parse
 unchanged, and every material continuant in it has an integration witness.
 A random world built in code and its serialize -> parse twin answer every
 check and query alike, although only the parsed twin's coordinates are
-``chrono.Time`` values.
+``chrono.Time`` values.  Shuffling the top-level declarations of a
+source changes neither the parsed model nor any answer.
 """
 
 import json
@@ -29,7 +30,7 @@ from gfo.checker import (
 from gfo.cli import model_to_json
 from gfo.dsl import parse, parse_file, serialize
 from gfo.functions import is_actual_realization
-from helpers import corpus_files
+from helpers import corpus_files, split_statements
 
 RANDOM_SEED = 20261019
 RANDOM_WORLDS = 200
@@ -99,3 +100,25 @@ def test_built_and_parsed_coordinates_give_the_same_answers():
             for answer in expected:
                 seen[type(answer).__name__, bool(answer)] += 1
     assert min(seen.values()) >= 100, seen  # every kind of answer, empty and not
+
+
+def test_declaration_order_changes_no_answer():
+    """Reordering the top-level declarations of a source changes neither the
+    parsed model nor any answer: a parsed store's dict order follows the
+    source, so an answer that leaks store order fails here."""
+    rng = random.Random(20261020)
+    models = [(str(path), parse_file(path)) for path in corpus_files()]
+    for make, count in ((random_full_model, RANDOM_WORLDS), (random_realization_model, 100)):
+        models += [(f"{make.__name__} #{i}", make(rng)) for i in range(count)]
+    for name, m in models:
+        text = serialize(m)
+        twin = parse(text)
+        expected = _answers(twin)
+        declarations = split_statements(text)
+        for order in range(3):
+            rng.shuffle(declarations)
+            shuffled = parse("\n".join(declarations) + "\n")
+            assert shuffled == twin, (name, order)
+            got = _answers(shuffled)
+            assert got == expected, (name, order)
+            assert repr(got) == repr(expected), (name, order)
