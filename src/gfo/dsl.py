@@ -7,7 +7,9 @@ or raises :class:`ParseError` carrying span-annotated diagnostics — never a
 partial model.  The lexer and the parser report every error they can:
 recovery skips to the end of the failing declaration and goes on with the
 next.  The linker (the second pass) runs only on a clean parse, so none of
-its diagnostics follows from a lexical or syntax error.
+its diagnostics follows from a lexical or syntax error.  It too reports
+every fault it finds, and builds every declaration as written; any
+diagnostic discards the model it built.
 
 ``serialize`` emits canonical text: declarations sorted by kind and id,
 map entries sorted by coordinate, rationals normalized.  Parsing the
@@ -20,7 +22,7 @@ The full grammar is published in docs/grammar.md.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -727,14 +729,27 @@ class _Parser:
 # ---------------------------------------------------------------------------
 
 
+def _noun(cls) -> str:
+    """What a diagnostic calls a raw declaration class: ``_Process`` is a process."""
+    return cls.__name__[1:].lower()
+
+
 class _Linker:
+    """The second pass: resolves raw declarations into the model's stores.
+
+    Each stage reports every fault it finds and then builds each declaration
+    from its tokens as written.  It leaves a value out only where a later
+    check reads it, so that a rejected declaration drives no follow-on
+    diagnostic.  Any diagnostic discards the model.
+    """
+
     def __init__(self, decls: list, file: str, diagnostics: list):
         self.decls = decls
         self.file = file
         self.diagnostics = diagnostics
         self.prop_decls: dict = {}
         self.chron_decls: dict = {}
-        self.entity_kinds: dict = {}  # name -> kind string (first declaration wins)
+        self.entity_decls: dict = {}  # name -> first declaration of an individual
         self.fn_decls: dict = {}
 
     def diag(self, tok: Token, code: str, message: str) -> None:
@@ -742,65 +757,44 @@ class _Linker:
 
     # -- namespace registration ------------------------------------------------
 
-    _ENTITY_KIND = {
-        _Presential: "presential",
-        _Process: "process",
-        _Continuant: "continuant",
-        _Situation: "situation",
-        _Fact: "fact",
-    }
-
     def register(self) -> None:
-        namespaces = {
-            _Property: ("property", self.prop_decls),
-            _Chronoid: ("chronoid", self.chron_decls),
-            _Function: ("function", self.fn_decls),
-        }
+        tables = {_Property: self.prop_decls, _Chronoid: self.chron_decls, _Function: self.fn_decls}
         for decl in self.decls:
-            if type(decl) in namespaces:
-                noun, table = namespaces[type(decl)]
-                if decl.name.text in table:
-                    self.diag(
-                        decl.name,
-                        "duplicate-id",
-                        f"{noun} {decl.name.text!r} is declared twice",
-                    )
-                else:
-                    table[decl.name.text] = decl
-            elif type(decl) in self._ENTITY_KIND:
-                kind = self._ENTITY_KIND[type(decl)]
-                prior = self.entity_kinds.get(decl.name.text)
-                if prior is None:
-                    self.entity_kinds[decl.name.text] = kind
-                elif prior == kind:
-                    self.diag(
-                        decl.name,
-                        "duplicate-id",
-                        f"{kind} {decl.name.text!r} is declared twice",
-                    )
-                else:
-                    self.diag(
-                        decl.name,
-                        "kind-conflict",
-                        f"{decl.name.text!r} is already declared as a {prior}, "
-                        f"cannot also be a {kind}",
-                    )
+            if isinstance(decl, (_Exe, _Instance)):
+                continue
+            name = decl.name.text
+            prior = tables.get(type(decl), self.entity_decls).setdefault(name, decl)
+            if prior is decl:
+                continue
+            if type(prior) is type(decl):
+                self.diag(
+                    decl.name,
+                    "duplicate-id",
+                    f"{_noun(type(decl))} {name!r} is declared twice",
+                )
+            else:
+                self.diag(
+                    decl.name,
+                    "kind-conflict",
+                    f"{name!r} is already declared as a {_noun(type(prior))}, "
+                    f"cannot also be a {_noun(type(decl))}",
+                )
 
     def decls_of(self, cls) -> list:
         return [decl for decl in self.decls if isinstance(decl, cls)]
 
     # -- reference helpers -------------------------------------------------------
 
-    def resolve_entity(self, ref: Token, kind: str | None = None):
-        declared = self.entity_kinds.get(ref.text)
+    def resolve_entity(self, ref: Token, cls=None) -> bool:
+        declared = self.entity_decls.get(ref.text)
         if declared is None:
             self.diag(ref, "dangling-reference", f"{ref.text!r} is not declared")
             return False
-        if kind is not None and declared != kind:
+        if cls is not None and type(declared) is not cls:
             self.diag(
                 ref,
                 "kind-conflict",
-                f"{ref.text!r} is a {declared}, but a {kind} is required here",
+                f"{ref.text!r} is a {_noun(type(declared))}, but a {_noun(cls)} is required here",
             )
             return False
         return True
@@ -828,10 +822,11 @@ class _Linker:
             self.diag(ref, "unknown-id", f"property {ref.text!r} is not declared")
         return pdef
 
-    def resolve_value(self, prop: Token, value: Token) -> bool:
+    def resolve_value(self, prop: Token, value: Token) -> None:
         """Resolve a property name, then check the value it is given."""
         pdef = self.resolve_property(prop)
-        return pdef is not None and self.check_value(pdef, value)
+        if pdef is not None:
+            self.check_value(pdef, value)
 
     def new_sample(self, tok: Token, ch, seen, what: str) -> bool:
         """True when the coordinate ``tok`` lies in ``ch`` and is not in
@@ -874,6 +869,7 @@ class _Linker:
             try:
                 self.chronoids[name] = Chronoid(name, decl.left.value, decl.right.value)
             except ZeroOrNegativeDuration as err:
+                # left out: resolve_chronoid then gives no chronoid to check against
                 self.diag(decl.left, "zero-duration", str(err))
 
     def _boundary_at(self, chron: Token, tok: Token):
@@ -890,6 +886,7 @@ class _Linker:
         self.presentials = {}
         for decl in self.decls_of(_Presential):
             boundary = self._boundary_at(decl.chron, decl.t)
+            # a rejected entry is left out: the duplicate check reads this map
             valuation = {}
             for prop, value in decl.valuation:
                 pdef = self.resolve_property(prop)
@@ -912,7 +909,7 @@ class _Linker:
                     continue
                 if self.check_value(pdef, value):
                     valuation[prop.text] = value.value
-            if boundary is not None:
+            if boundary is not None:  # coordinate-mismatch reads pres.at
                 self.presentials[decl.name.text] = Presential(
                     id=decl.name.text,
                     at=boundary,
@@ -921,13 +918,14 @@ class _Linker:
                 )
 
     def _sample_map(self, decl, entries, ch, keyword: str) -> dict:
+        # a rejected entry is left out: the duplicate check reads this map
         out: dict = {}
         sampled = set()  # every coordinate given: a rejected target is no missing endpoint
         for t, target in entries:
             if not self.new_sample(t, ch, out, keyword):
                 continue
             sampled.add(t.value)
-            if not self.resolve_entity(target, kind="presential"):
+            if not self.resolve_entity(target, _Presential):
                 continue
             pres = self.presentials.get(target.text)
             if pres is not None and pres.at.coordinate != t.value:
@@ -954,7 +952,7 @@ class _Linker:
         self.processes = {}
         for decl in self.decls_of(_Process):
             ch = self.resolve_chronoid(decl.chron)
-            boundary_map = self._sample_map(decl, decl.boundaries, ch, "boundary")
+            # a rejected trajectory or sample is left out: the duplicate checks read these maps
             trajectories: dict = {}
             for prop, samples in decl.trajectories:
                 pdef = self.resolve_property(prop)
@@ -982,31 +980,29 @@ class _Linker:
                     if self.check_value(pdef, value):
                         points[t.value] = value.value
                 trajectories[prop.text] = tuple(sorted(points.items()))
-            if ch is not None:
-                self.processes[decl.name.text] = Process(
-                    id=decl.name.text,
-                    extent=ch,
-                    boundary_map=boundary_map,
-                    trajectories=trajectories,
-                )
+            self.processes[decl.name.text] = Process(
+                id=decl.name.text,
+                extent=ch,
+                boundary_map=self._sample_map(decl, decl.boundaries, ch, "boundary"),
+                trajectories=trajectories,
+            )
 
     def build_continuants(self) -> None:
         self.continuants = {}
         for decl in self.decls_of(_Continuant):
             ch = self.resolve_chronoid(decl.chron)
-            exhibit_map = self._sample_map(decl, decl.exhibits, ch, "exhibits")
-            if ch is not None:
-                self.continuants[decl.name.text] = Continuant(
-                    id=decl.name.text,
-                    lifetime=ch,
-                    exhibit_map=exhibit_map,
-                    material=decl.material,
-                )
+            self.continuants[decl.name.text] = Continuant(
+                id=decl.name.text,
+                lifetime=ch,
+                exhibit_map=self._sample_map(decl, decl.exhibits, ch, "exhibits"),
+                material=decl.material,
+            )
 
     def build_facts(self) -> None:
         self.facts = {}
         for decl in self.decls_of(_Fact):
-            ok = True
+            entities = decl.args
+            literal = "literal arguments are only allowed in property facts"
             pdef = self.property_defs.get(decl.relator.text)
             if pdef is not None:
                 # property fact: (subject entity, literal value)
@@ -1017,67 +1013,44 @@ class _Linker:
                         f"a property fact takes (subject, value); "
                         f"{decl.relator.text!r} got {len(decl.args)} argument(s)",
                     )
-                    ok = False
+                    entities = ()
                 else:
-                    subject, value = decl.args
-                    if subject.kind == NUMBER:
-                        self.diag(
-                            subject,
-                            "bad-value",
-                            "the subject of a property fact must be an entity",
-                        )
-                        ok = False
-                    elif not self.resolve_entity(subject):
-                        ok = False
-                    if not self.check_value(pdef, value):
-                        ok = False
-            else:
-                for arg in decl.args:
-                    if arg.kind == NUMBER:
-                        self.diag(
-                            arg,
-                            "bad-value",
-                            "literal arguments are only allowed in property facts",
-                        )
-                        ok = False
-                    elif not self.resolve_entity(arg):
-                        ok = False
-            if ok:
-                self.facts[decl.name.text] = Fact(
-                    id=decl.name.text,
-                    relator=decl.relator.text,
-                    args=tuple(arg.value for arg in decl.args),
-                )
+                    entities = decl.args[:1]
+                    literal = "the subject of a property fact must be an entity"
+                    self.check_value(pdef, decl.args[1])
+            for arg in entities:
+                if arg.kind == NUMBER:
+                    self.diag(arg, "bad-value", literal)
+                else:
+                    self.resolve_entity(arg)
+            self.facts[decl.name.text] = Fact(
+                id=decl.name.text,
+                relator=decl.relator.text,
+                args=tuple([arg.value for arg in decl.args]),
+            )
 
     def build_situations(self) -> None:
         self.situations = {}
-        used_facts = set()
+        used_facts = set()  # orphan-fact reads only the facts a situation really contains
         for decl in self.decls_of(_Situation):
             if decl.t is None:
                 extent = self.resolve_chronoid(decl.chron)
             else:
                 extent = self._boundary_at(decl.chron, decl.t)
-            founded_on = None
             if decl.founded is not None:
-                self.resolve_entity(decl.founded, kind="process")
-                founded_on = decl.founded.text
-            constituents = set()
+                self.resolve_entity(decl.founded, _Process)
             for fact in decl.contains:
-                if self.resolve_entity(fact, kind="fact"):
-                    constituents.add(fact.text)
+                if self.resolve_entity(fact, _Fact):
                     used_facts.add(fact.text)
-            participants = set()
             for entity in decl.participants:
-                if self.resolve_entity(entity):
-                    participants.add(entity.text)
-            if extent is not None:
-                self.situations[decl.name.text] = Situation(
-                    id=decl.name.text,
-                    extent=extent,
-                    constituents=frozenset(constituents),
-                    participants=frozenset(participants),
-                    founded_on=founded_on,
-                )
+                self.resolve_entity(entity)
+            self.situations[decl.name.text] = Situation(
+                id=decl.name.text,
+                extent=extent,
+                constituents=frozenset([fact.text for fact in decl.contains]),
+                participants=frozenset([entity.text for entity in decl.participants]),
+                founded_on=None if decl.founded is None else decl.founded.text,
+            )
         # facts are properties of processes only through situations; a fact
         # contained in no situation has nothing to be founded on
         for decl in self.decls_of(_Fact):
@@ -1105,13 +1078,11 @@ class _Linker:
                 patterns.add(item)
                 continue
             entity, prop, value = item
-            declared = self.resolve_entity(entity)
-            if self.resolve_value(prop, value) and declared:
-                constraints.add(
-                    PropertyConstraint(entity=entity.text, prop=prop.text, value=value.value)
-                )
-        if not patterns and not constraints:
-            return None
+            self.resolve_entity(entity)
+            self.resolve_value(prop, value)
+            constraints.add(
+                PropertyConstraint(entity=entity.text, prop=prop.text, value=value.value)
+            )
         return SituationConcept(
             required_facts=frozenset(patterns),
             required_props=frozenset(constraints),
@@ -1121,44 +1092,35 @@ class _Linker:
     def build_functions(self) -> None:
         self.functions = {}
         for name, decl in self.fn_decls.items():
-            req = self._concept(decl.name, "req", decl.req_items)
-            goal = self._concept(decl.name, "goal", decl.goal_items)
-            bearer = None
             if decl.bearer is not None:
                 self.resolve_entity(decl.bearer)
-                bearer = decl.bearer.text
             elif decl.kind == INDIVIDUAL:
                 self.diag(
                     decl.name,
                     "dangling-reference",
                     f"individual function {name!r} must name a bearer",
                 )
-            fitem = []
             for prop, value in decl.fitem:
-                if self.resolve_value(prop, value):
-                    fitem.append((prop.text, value.value))
-            if req is None or goal is None:
-                continue
+                self.resolve_value(prop, value)
+            fitem = [(prop.text, value.value) for prop, value in decl.fitem]
             self.functions[name] = FunctionSpec(
                 id=name,
-                req=req,
-                goal=goal,
+                req=self._concept(decl.name, "req", decl.req_items),
+                goal=self._concept(decl.name, "goal", decl.goal_items),
                 labels=frozenset(decl.labels),
                 fitem=tuple(sorted(fitem, key=lambda c: (c[0], str(c[1])))),
                 kind=decl.kind,
-                bearer=bearer,
+                bearer=None if decl.bearer is None else decl.bearer.text,
             )
 
     def build_assertions(self) -> None:
-        self.exe = set()
-        self.req_instances: dict = {}
-        self.goal_instances: dict = {}
+        exe = []
+        instances: dict = {"requirement": {}, "goal": {}}
         for decl in self.decls:
             if isinstance(decl, _Exe):
-                ok = self.resolve_entity(decl.x)
-                ok = self.resolve_entity(decl.p, kind="process") and ok
-                if ok:
-                    self.exe.add((decl.x.text, decl.p.text))
+                self.resolve_entity(decl.x)
+                self.resolve_entity(decl.p, _Process)
+                exe.append((decl.x.text, decl.p.text))
             elif isinstance(decl, _Instance):
                 if decl.fn.text not in self.fn_decls:
                     self.diag(
@@ -1166,15 +1128,14 @@ class _Linker:
                         "unknown-id",
                         f"function {decl.fn.text!r} is not declared",
                     )
-                    continue
-                if not self.resolve_entity(decl.sit, kind="situation"):
-                    continue
-                store = (
-                    self.req_instances
-                    if decl.which == "requirement"
-                    else self.goal_instances
-                )
-                store.setdefault(decl.fn.text, set()).add(decl.sit.text)
+                    continue  # one diagnostic per cause: the situation is not resolved
+                self.resolve_entity(decl.sit, _Situation)
+                instances[decl.which].setdefault(decl.fn.text, []).append(decl.sit.text)
+        self.exe_assertions = frozenset(exe)
+        self.requirement_instances = {
+            fn: frozenset(sits) for fn, sits in instances["requirement"].items()
+        }
+        self.goal_instances = {fn: frozenset(sits) for fn, sits in instances["goal"].items()}
 
     def link(self) -> Model | None:
         self.register()
@@ -1189,23 +1150,7 @@ class _Linker:
         self.build_assertions()
         if self.diagnostics:
             return None
-        return Model(
-            chronoids=self.chronoids,
-            presentials=self.presentials,
-            processes=self.processes,
-            continuants=self.continuants,
-            situations=self.situations,
-            facts=self.facts,
-            property_defs=self.property_defs,
-            functions=self.functions,
-            exe_assertions=frozenset(self.exe),
-            requirement_instances={
-                fn: frozenset(sits) for fn, sits in self.req_instances.items()
-            },
-            goal_instances={
-                fn: frozenset(sits) for fn, sits in self.goal_instances.items()
-            },
-        )
+        return Model(**{field.name: getattr(self, field.name) for field in fields(Model)})
 
 
 def parse(source: str, file: str = "<input>") -> Model:
