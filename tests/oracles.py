@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from gfo.chrono import TimeBoundary
 from gfo.dsl import _ESCAPE, _ESCAPES, _LEXEME, ParseDiagnostic, SourceSpan, _rational
+from gfo.model import CATEGORICAL
 from gfo.truthmakers import AtTime, HoldsProp
 
 WILDCARD = "_"
@@ -176,6 +177,23 @@ def continuant_change_pairs(m, c):
             if v1.get(prop) != v2.get(prop):
                 out.append((t1, t2, prop, v1.get(prop), v2.get(prop)))
     return out
+
+
+def trajectory_change_points(m, p, prop, tol):
+    """Midpoints of the neighbouring samples of ``prop`` on ``p`` whose values
+    differ: any inequality for a categorical property, ``|v2 - v1| > tol``
+    for a numeric one.  Two declared samples are neighbours when no declared
+    sample lies strictly between them."""
+    samples = p.trajectories[prop]
+    categorical = m.property_defs[prop].domain.kind == CATEGORICAL
+    out = []
+    for t1, v1 in samples:
+        for t2, v2 in samples:
+            if t2 <= t1 or any(t1 < t < t2 for t, _ in samples):
+                continue
+            if v1 != v2 if categorical else abs(v2 - v1) > tol:
+                out.append((t1 + t2) / 2)
+    return sorted(out)
 
 
 def concept_holds(m, s, concept) -> bool:

@@ -27,6 +27,7 @@ from gfo.dsl import parse_file
 from gfo.errors import MalformedContinuant, UnknownProperty
 from gfo.model import (
     CATEGORICAL,
+    NUMERIC,
     Continuant,
     Model,
     Presential,
@@ -303,6 +304,27 @@ def test_process_changes_unknown_property():
     bare = replace(p, trajectories={})
     with pytest.raises(UnknownProperty):
         detect_process_changes(m, bare, "w")
+
+
+def test_process_changes_agree_with_oracle_on_random_worlds():
+    # tolerances: 0 and every distinct neighbour difference, where > and >= part
+    rng = random.Random(20261022)
+    runs = changes = numeric = 0
+    for _ in range(200):
+        m = random_full_model(rng)
+        for p in m.processes.values():
+            for prop, samples in p.trajectories.items():
+                tols = {0}
+                if m.property_defs[prop].domain.kind == NUMERIC:
+                    values = [v for _, v in sorted(samples)]
+                    tols |= {abs(b - a) for a, b in zip(values, values[1:])}
+                    numeric += len(values) > 1
+                for tol in sorted(tols):
+                    expected = oracles.trajectory_change_points(m, p, prop, tol)
+                    assert detect_process_changes(m, p, prop, tol) == expected, (p.id, prop, tol)
+                    runs += 1
+                    changes += len(expected)
+    assert runs >= 300 and changes >= 300 and numeric >= 80, (runs, changes, numeric)
 
 
 def test_violation_order_is_canonical(john):
