@@ -324,12 +324,11 @@ def model_to_json(m: Model) -> dict:
             for fid, fn in m.functions.items()
         },
         "exe": sorted([list(pair) for pair in m.exe_assertions]),
+        # an empty set is left out, as serialize leaves it out
         "requirement_instances": {
-            fn: sorted(sits) for fn, sits in m.requirement_instances.items()
+            fn: sorted(sits) for fn, sits in m.requirement_instances.items() if sits
         },
-        "goal_instances": {
-            fn: sorted(sits) for fn, sits in m.goal_instances.items()
-        },
+        "goal_instances": {fn: sorted(sits) for fn, sits in m.goal_instances.items() if sits},
     }
 
 
