@@ -228,6 +228,7 @@ def is_actual_realizer(x: str, f: FunctionSpec, m: Model) -> bool:
         raise UnknownEntity(x)
     for pid in m.index(_executed).get(x, ()):
         p = m.processes.get(pid)
+        # guard for hand-built stores only (docs/semantics.md, store invariants)
         if p is not None and is_actual_realization(p, f, m) is not None:
             return True
     return False
