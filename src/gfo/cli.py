@@ -324,7 +324,7 @@ def model_to_json(m: Model) -> dict:
             for fid, fn in m.functions.items()
         },
         "exe": sorted([list(pair) for pair in m.exe_assertions]),
-        # an empty set is left out, as serialize leaves it out
+        # the language cannot write an empty set, so serialize and the dump omit it
         "requirement_instances": {
             fn: sorted(sits) for fn, sits in m.requirement_instances.items() if sits
         },

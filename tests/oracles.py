@@ -191,7 +191,7 @@ def trajectory_change_points(m, p, prop, tol):
         for t2, v2 in samples:
             if t2 <= t1 or any(t1 < t < t2 for t, _ in samples):
                 continue
-            if v1 != v2 if categorical else abs(v2 - v1) > tol:
+            if (v1 != v2) if categorical else (abs(v2 - v1) > tol):
                 out.append((t1 + t2) / 2)
     return sorted(out)
 
