@@ -21,6 +21,7 @@ The full grammar is published in docs/grammar.md.
 
 from __future__ import annotations
 
+import gc
 import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -1162,9 +1163,15 @@ def parse(source: str, file: str = "<input>") -> Model:
     or syntax error comes with no structural diagnostics.
     """
     diagnostics: list = []
-    tokens = _tokenize(source, file, diagnostics)
-    decls = _Parser(tokens, file, diagnostics).parse()
-    model = None if diagnostics else _Linker(decls, file, diagnostics).link()
+    collecting = gc.isenabled()
+    gc.disable()  # a load makes no reference cycles: docs/semantics.md
+    try:
+        tokens = _tokenize(source, file, diagnostics)
+        decls = _Parser(tokens, file, diagnostics).parse()
+        model = None if diagnostics else _Linker(decls, file, diagnostics).link()
+    finally:
+        if collecting:
+            gc.enable()
     if diagnostics:
         raise ParseError(diagnostics)
     return model

@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 from fractions import Fraction
@@ -21,7 +22,7 @@ from gfo.dsl import (
     serialize,
 )
 from helpers import corpus_files, split_statements
-from test_golden import _mutate
+from test_golden import MUTATION_SEED, _mutate
 
 MINIMAL = """
 chronoid c = [0,2];
@@ -521,3 +522,52 @@ def test_a_file_with_a_lexical_or_syntax_error_gets_no_linker_diagnostics():
                 broken += 1
                 assert codes <= LEXICAL_OR_SYNTAX, (name, kind, [str(d) for d in exc.diagnostics])
     assert broken >= 100  # the edits reach the policy, not only clean or linker-only files
+
+
+def test_parse_pauses_the_collector_and_restores_its_state(monkeypatch):
+    seen = []
+    tokenize = dsl._tokenize
+
+    def watched(source, file, diagnostics):
+        seen.append(gc.isenabled())
+        return tokenize(source, file, diagnostics)
+
+    monkeypatch.setattr(dsl, "_tokenize", watched)
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            parse(MINIMAL)
+            assert gc.isenabled() is enabled
+            with pytest.raises(ParseError):
+                parse("chronoid c = [0 2];")
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False] * 4
+
+
+def test_loading_makes_no_reference_cycles():
+    """Pausing the collector in ``parse`` is sound only while a load, clean
+    or failed, leaves no cyclic garbage for a collection to find."""
+    rng = random.Random(MUTATION_SEED)
+    sources = [(path.name, path.read_text(encoding="utf-8")) for path in corpus_files()]
+    texts = dict(sources)
+    for n in range(300):
+        name = rng.choice(sorted(texts))
+        sources.append((f"{name} mutation {n}", _mutate(rng, texts[name])[1]))
+    failed = 0
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for name, text in sources:
+            try:
+                parse(text, file=name)
+            except ParseError:
+                failed += 1
+            assert gc.collect() == 0, name
+    finally:
+        if was:
+            gc.enable()
+    assert 0 < failed < len(sources)  # both the model and the diagnostic paths ran
