@@ -1,12 +1,17 @@
 import json
+import os
+import random
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
 from jsonschema import validate
 
+import test_golden as golden
 from gfo import checker, cli
-from gfo.dsl import parse_file
-from helpers import CORPUS, SCHEMA, corpus_files, run_cli
+from gfo.dsl import ParseError, parse, parse_file
+from helpers import CORPUS, REPO, SCHEMA, corpus_files, run_cli
 
 
 @pytest.fixture(scope="module")
@@ -352,3 +357,112 @@ def test_color_env_toggles_ansi():
     )
     assert "\x1b[31m" not in plain[1]
     assert "\x1b[31m" in colored[1]
+
+
+def _written(payload) -> str:
+    out: list = []
+    cli._json_parts(payload, "\n", out)
+    return "".join(out)
+
+
+def _dumps(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_json_writer_matches_json_dumps_on_every_corpus_payload(monkeypatch):
+    payloads = []
+    emit = cli._emit_json
+
+    def recorded(payload):
+        payloads.append(payload)
+        emit(payload)
+
+    monkeypatch.setattr(cli, "_emit_json", recorded)
+    monkeypatch.chdir(REPO)
+    monkeypatch.delenv("GFO_COLOR", raising=False)
+    for name in ("check-json", "check-complete-valuation-json", "dump"):
+        golden._render(name)
+    queries = golden._queries()
+    kinds = {argv[2] for argv, code, out, err in queries if out}
+    assert kinds == {"--realizations", "--realizers", "--changes", "--truthmakers", "--classify"}
+    rng = random.Random(golden.MUTATION_SEED)
+    for _ in range(50):  # the diagnostics payload of a failed load
+        try:
+            parse(golden._mutate(rng, (CORPUS / "heart.gfo").read_text())[1])
+        except ParseError as exc:
+            payloads.append({"diagnostics": [d.to_json() for d in exc.diagnostics]})
+    assert len(payloads) > 3 * len(golden.CORPUS) + 100
+    for payload in payloads:
+        assert _written(payload) == _dumps(payload)
+
+
+# quotes, backslashes, control characters, DEL, non-ASCII, a line separator
+# and a character outside the Basic Multilingual Plane
+_JSON_TEXT = 'aZ09 _-/"\\\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600'
+
+
+def _random_payload(rng: random.Random, depth: int = 0):
+    kind = rng.randrange(0 if depth < 4 else 4, 10)
+    if kind == 0:
+        return rng.choice(({}, []))
+    if kind == 1:  # a list, or a tuple, which json also lays out as a list
+        items = [_random_payload(rng, depth + 1) for _ in range(rng.randint(1, 4))]
+        return items if rng.random() < 0.8 else tuple(items)
+    if kind in (2, 3):
+        return {
+            "".join(rng.choices(_JSON_TEXT, k=rng.randint(0, 6))): _random_payload(rng, depth + 1)
+            for _ in range(rng.randint(1, 4))
+        }
+    if kind < 6:
+        return "".join(rng.choices(_JSON_TEXT, k=rng.randint(0, 8)))
+    if kind == 6:
+        return rng.choice((None, True, False))
+    if kind == 7:  # negative, and up to 30 digits
+        return rng.randint(-(10**30) + 1, 10**30 - 1)
+    if kind == 8:
+        return rng.choice((0, -1, 1, 10**29, -(10**29)))
+    return rng.choice((0.0, -0.0, 1.5, -2.25e-7, 1e300))
+
+
+def test_json_writer_matches_json_dumps_on_random_payloads():
+    rng = random.Random(20261020)
+    for n in range(1500):
+        payload = {"payload": _random_payload(rng)} if n % 3 else _random_payload(rng)
+        assert _written(payload) == _dumps(payload), payload
+
+
+def _closing_world(n: int, loads: bool) -> str:
+    """A world whose check report, dump and ``--changes ball`` answer each
+    exceed a 64 KiB pipe buffer: ``ball`` changes colour between each two of
+    its n + 1 samples, and n more continuants have no process.  Unless ``loads``,
+    those n continuants miss an endpoint, so the load fails with n
+    diagnostics."""
+    lines = [f"chronoid life = [0, {n}];", "property color : categorical { blue, red } isolated;"]
+    lines += [f"presential p{k} at life@{k} {{ color = {('red', 'blue')[k % 2]}; }}" for k in range(n + 1)]
+    lines.append("continuant ball lifetime life { " + " ".join(f"exhibits {k} -> p{k};" for k in range(n + 1)) + " }")
+    end = f" exhibits {n} -> p{n};" if loads else ""
+    lines += [f"continuant c{k} lifetime life {{ exhibits 0 -> p0;{end} }}" for k in range(n)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, loads, verdict",
+    [
+        (["check", "--format", "json"], True, 1),
+        (["check"], True, 1),
+        (["query", "--changes", "ball"], True, 0),
+        (["dump"], True, 0),
+        (["dump"], False, 2),
+    ],
+)
+def test_a_closed_stdout_ends_quietly_with_the_verdict(tmp_path, argv, loads, verdict):
+    path = tmp_path / "world.gfo"
+    path.write_text(_closing_world(1500, loads), encoding="utf-8")
+    command = [sys.executable, "-m", "gfo", argv[0], str(path), *argv[1:]]
+    env = dict(os.environ, GFO_COLOR="0")
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=REPO, env=env) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()  # the rest of the output no longer fits the pipe
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert (code, err) == (verdict, b"")
