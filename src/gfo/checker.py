@@ -120,78 +120,55 @@ def check_disjointness(m: Model) -> list[Violation]:
 # -- object-process integration ----------------------------------------------
 
 
-def _presentials_match(m: Model, exhibited: str, bounded: str, mode: str) -> bool:
+def _sample_tokens(m: Model, samples: dict, mode: str, times=None) -> dict:
+    """What "the same presential" compares at each sample (at each of
+    ``times`` when given): the presential id in identity mode, its
+    (coordinate, valuation) in valuation mode.  The one place that reads
+    the integration mode; identity mode returns ``samples`` itself."""
     if mode == IDENTITY:
-        return exhibited == bounded
-    a = m.presentials.get(exhibited)
-    b = m.presentials.get(bounded)
-    if a is None or b is None:
-        # guard for hand-built stores only (docs/semantics.md, store invariants)
-        return False
-    return a.at.coordinate == b.at.coordinate and a.valuation == b.valuation
+        return samples
+    tokens = {}
+    for t in samples if times is None else times:
+        pres = m.presentials.get(samples[t])
+        # guard for hand-built stores only (docs/semantics.md, store invariants):
+        # an undeclared presential gets a fresh object, which equals nothing
+        tokens[t] = (
+            object() if pres is None else (pres.at.coordinate, frozenset(pres.valuation.items()))
+        )
+    return tokens
 
 
 def _integration_mismatches(
     m: Model, c: Continuant, p: Process, mode: str
 ) -> list[Violation]:
-    out = []
-    subjects = (c.id, p.id)
+    """One violation per mismatch: a differing extent, a sample on one side
+    only, a shared sample whose tokens differ."""
+    found = []
     if not c.lifetime.same_extent(p.extent):
-        out.append(
-            Violation(
-                axiom=INTEGRATION,
-                subjects=subjects,
-                message=(
-                    f"lifetime [{coord_str(c.lifetime.left)}, {coord_str(c.lifetime.right)}] "
-                    f"differs from extent [{coord_str(p.extent.left)}, {coord_str(p.extent.right)}]"
-                ),
-            )
-        )
-    exhibit_keys = set(c.exhibit_map)
-    boundary_keys = set(p.boundary_map)
-    for missing, times in (
-        ("process boundary", exhibit_keys - boundary_keys),
-        ("exhibited presential", boundary_keys - exhibit_keys),
-    ):
-        for t in sorted(times):
-            out.append(
-                Violation(
-                    axiom=INTEGRATION,
-                    subjects=subjects,
-                    at=t,
-                    message=f"no {missing} at {coord_str(t)}",
-                )
-            )
-    for t in sorted(exhibit_keys & boundary_keys):
-        if not _presentials_match(m, c.exhibit_map[t], p.boundary_map[t], mode):
-            out.append(
-                Violation(
-                    axiom=INTEGRATION,
-                    subjects=subjects,
-                    at=t,
-                    message=(
-                        f"exhibited presential {c.exhibit_map[t]!r} and process boundary "
-                        f"{p.boundary_map[t]!r} differ at {coord_str(t)}"
-                    ),
-                )
-            )
-    return out
+        found.append((
+            None,
+            f"lifetime [{coord_str(c.lifetime.left)}, {coord_str(c.lifetime.right)}] "
+            f"differs from extent [{coord_str(p.extent.left)}, {coord_str(p.extent.right)}]",
+        ))
+    exhibited = _sample_tokens(m, c.exhibit_map, mode)
+    bounded = _sample_tokens(m, p.boundary_map, mode)
+    for t in exhibited.keys() | bounded.keys():
+        if t not in bounded:
+            found.append((t, f"no process boundary at {coord_str(t)}"))
+        elif t not in exhibited:
+            found.append((t, f"no exhibited presential at {coord_str(t)}"))
+        elif exhibited[t] != bounded[t]:
+            found.append((t, (
+                f"exhibited presential {c.exhibit_map[t]!r} and process boundary "
+                f"{p.boundary_map[t]!r} differ at {coord_str(t)}"
+            )))
+    return [Violation(INTEGRATION, (c.id, p.id), message, at=t) for t, message in found]
 
 
-def _integration_key(m: Model, extent, samples: dict, mode: str):
+def _integration_key(extent, tokens: dict):
     """What an integrating process must share with a continuant: the extent
-    endpoints and the samples, as presential ids or, in valuation mode, as
-    (t, coordinate, valuation) triples.  None when valuation mode meets an
-    undeclared presential, which matches nothing (see _presentials_match)."""
-    if mode == IDENTITY:
-        return extent.left, extent.right, frozenset(samples.items())
-    triples = []
-    for t, pres_id in samples.items():
-        pres = m.presentials.get(pres_id)
-        if pres is None:  # hand-built stores only (docs/semantics.md, store invariants)
-            return None
-        triples.append((t, pres.at.coordinate, frozenset(pres.valuation.items())))
-    return extent.left, extent.right, frozenset(triples)
+    endpoints and the sample tokens."""
+    return extent.left, extent.right, frozenset(tokens.items())
 
 
 def _integration_index(m: Model, mode: str) -> dict:
@@ -199,18 +176,22 @@ def _integration_index(m: Model, mode: str) -> dict:
     through ``m.index``, which builds it once per model and mode."""
     index = {}
     for pid, p in sorted(m.processes.items()):
-        key = _integration_key(m, p.extent, p.boundary_map, mode)
-        if key is not None:
-            index.setdefault(key, pid)
+        index.setdefault(_integration_key(p.extent, _sample_tokens(m, p.boundary_map, mode)), pid)
     return index
 
 
-def _mismatch_count(m: Model, c: Continuant, p: Process, mode: str) -> int:
-    """len(_integration_mismatches(m, c, p, mode)), without building them."""
-    e, b = c.exhibit_map, p.boundary_map
-    shared = e.keys() & b.keys()
-    count = (not c.lifetime.same_extent(p.extent)) + len(e) + len(b) - 2 * len(shared)
-    return count + sum(not _presentials_match(m, e[t], b[t], mode) for t in shared)
+def _mismatch_count(m: Model, c: Continuant, exhibited: dict, p: Process, mode: str) -> int:
+    """len(_integration_mismatches(m, c, p, mode)) from the continuant's
+    tokens, without building them: [extent differs] + |E| + |B| - |shared
+    times| - |shared (time, token) pairs|.  Only shared samples can match,
+    so only they need a token."""
+    b = p.boundary_map
+    shared = exhibited.keys() & b.keys()
+    bounded = _sample_tokens(m, b, mode, shared)
+    return (
+        (not c.lifetime.same_extent(p.extent)) + len(exhibited) + len(b) - len(shared)
+        - len(exhibited.items() & bounded.items())
+    )
 
 
 def check_integration(m: Model, c: Continuant, mode: str = IDENTITY):
@@ -231,12 +212,12 @@ def check_integration(m: Model, c: Continuant, mode: str = IDENTITY):
                 message=f"no declared process integrates continuant {c.id!r}",
             )
         ]
-    key = _integration_key(m, c.lifetime, c.exhibit_map, mode)
-    pid = m.index(_integration_index, mode).get(key)
+    exhibited = _sample_tokens(m, c.exhibit_map, mode)
+    pid = m.index(_integration_index, mode).get(_integration_key(c.lifetime, exhibited))
     if pid is not None:
         return IntegrationWitness(c.id, pid, tuple(sorted(c.exhibit_map)))
     closest = min(
-        m.processes.values(), key=lambda p: (_mismatch_count(m, c, p, mode), p.id)
+        m.processes.values(), key=lambda p: (_mismatch_count(m, c, exhibited, p, mode), p.id)
     )
     return sort_violations(_integration_mismatches(m, c, closest, mode))
 
@@ -266,24 +247,24 @@ def derive_process(m: Model, c: Continuant) -> Process:
 def complete_integration(m: Model, mode: str = IDENTITY):
     """Derive a process for every material continuant that lacks one.
 
-    Returns (augmented model, ids of derived processes).
+    Returns (augmented model, ids of derived processes).  Every process is
+    derived against ``m`` and the lot is added in one copy; their ids cannot
+    collide, since stripping ``-proc`` or ``-proc-<n>`` gives back the
+    continuant id.
     """
-    index = dict(m.index(_integration_index, mode))
+    keys = set(m.index(_integration_index, mode))
     derived = []
     for cid in sorted(m.continuants):
         c = m.continuants[cid]
         if not c.material:
             continue
-        key = _integration_key(m, c.lifetime, c.exhibit_map, mode)
-        if key in index:
-            continue
-        p = derive_process(m, c)
-        m = m.with_process(p)
-        derived.append(p.id)
-        if key is not None:
-            # a later continuant with the same key is witnessed by ``p``
-            index[key] = p.id
-    return m, derived
+        key = _integration_key(c.lifetime, _sample_tokens(m, c.exhibit_map, mode))
+        if key not in keys:
+            # a later continuant with the same key is witnessed by this process
+            keys.add(key)
+            derived.append(derive_process(m, c))
+    completed = m.with_process(*derived) if derived else m
+    return completed, [p.id for p in derived]
 
 
 # -- presential dependence ----------------------------------------------------

@@ -13,6 +13,7 @@ import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from functools import cache
 from json.encoder import encode_basestring_ascii
 
 from . import checker
@@ -421,6 +422,7 @@ def _tolerance(text: str) -> Fraction:
     return value
 
 
+@cache  # built once per process: a parser is a web of reference cycles
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gfo",

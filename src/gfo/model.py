@@ -207,12 +207,15 @@ class Model:
 
     # -- persistence-free updates (copies; the store itself never mutates) --
 
-    def with_process(self, p: Process) -> "Model":
+    def with_process(self, *processes: Process) -> "Model":
+        """A copy of the store with ``processes`` added, each replacing any
+        process of its id, and each extent chronoid whose id is not yet
+        declared.  One copy however many processes are added."""
         chronoids = dict(self.chronoids)
-        chronoids.setdefault(p.extent.id, p.extent)
-        return replace(
-            self, chronoids=chronoids, processes={**self.processes, p.id: p}
-        )
+        for p in processes:
+            chronoids.setdefault(p.extent.id, p.extent)
+        added = {p.id: p for p in processes}
+        return replace(self, chronoids=chronoids, processes={**self.processes, **added})
 
     def with_continuant(self, c: Continuant) -> "Model":
         chronoids = dict(self.chronoids)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from gfo.chrono import TimeBoundary
 from gfo.dsl import _ESCAPE, _ESCAPES, _LEXEME, ParseDiagnostic, SourceSpan, _rational
-from gfo.model import CATEGORICAL
+from gfo.model import CATEGORICAL, Process
 from gfo.truthmakers import AtTime, HoldsProp
 
 WILDCARD = "_"
@@ -115,6 +115,24 @@ def integration_closest(m, c, identity=True):
         if best is None or (count, pid) < (best[1], best[0]):
             best = (pid, count)
     return best
+
+
+def complete_sequentially(m, mode):
+    """Completion one process at a time: for each material continuant, in
+    id order, that no process of the growing model integrates, mint
+    ``<cid>-proc`` (or the first free ``<cid>-proc-<n>``), add it with
+    ``with_process`` and go on.  Returns (completed model, derived ids)."""
+    derived = []
+    for cid in sorted(m.continuants):
+        c = m.continuants[cid]
+        if not c.material or integration_candidates(m, c, mode == "identity"):
+            continue
+        pid, n = f"{cid}-proc", 2
+        while m.has_id(pid):
+            pid, n = f"{cid}-proc-{n}", n + 1
+        m = m.with_process(Process(pid, c.lifetime, dict(c.exhibit_map)))
+        derived.append(pid)
+    return m, derived
 
 
 def _time_ok(situation, time_ref) -> bool:

@@ -1,4 +1,5 @@
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from gfo.checker import (
     sort_violations,
 )
 from gfo.chrono import Chronoid, inner_boundary
-from gfo.dsl import parse_file
+from gfo.dsl import parse, parse_file
 from gfo.errors import MalformedContinuant, UnknownProperty
 from gfo.model import (
     CATEGORICAL,
@@ -36,7 +37,10 @@ from gfo.model import (
     Support,
     ValueDomain,
 )
-from helpers import CORPUS
+from helpers import CORPUS, REPO
+
+sys.path.insert(0, str(REPO / "perfbench"))
+import worlds  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +173,91 @@ def test_completion_lets_a_derived_process_witness_a_later_continuant():
         witness = check_integration(completed, completed.continuants[cid])
         assert isinstance(witness, IntegrationWitness)
         assert witness.process == "A-proc"
+
+
+def test_valuation_mode_matches_no_undeclared_presential():
+    # a store built in code: C and P both map 1 to the undeclared "ghost"
+    ch = Chronoid("e", Fraction(0), Fraction(1))
+    m = Model(
+        chronoids={"e": ch},
+        presentials={"n0": Presential("n0", inner_boundary(ch, 0), {})},
+        continuants={"C": Continuant("C", ch, {Fraction(0): "n0", Fraction(1): "ghost"})},
+        processes={"P": Process("P", ch, {Fraction(0): "n0", Fraction(1): "ghost"})},
+    )
+    c = m.continuants["C"]
+    assert check_integration(m, c) == IntegrationWitness("C", "P", (Fraction(0), Fraction(1)))
+    lax = check_integration(m, c, VALUATION)
+    assert [(v.subjects, v.at, v.message) for v in lax] == [
+        (("C", "P"), Fraction(1),
+         "exhibited presential 'ghost' and process boundary 'ghost' differ at 1")
+    ]
+    assert complete_integration(m, VALUATION)[1] == ["C-proc"]
+
+
+def _adversarial_ids_world(taken_by):
+    """Continuants a, a-proc, a-proc-2 and a-proc-2-proc, none integrated,
+    and the id a-proc-3 taken by a process or a chronoid."""
+    ch = Chronoid("e", Fraction(0), Fraction(1))
+    chronoids, presentials, continuants = {"e": ch}, {}, {}
+    for i, cid in enumerate(("a", "a-proc", "a-proc-2", "a-proc-2-proc")):
+        emap = {}
+        for t in (Fraction(0), Fraction(1)):
+            pres = Presential(f"n{i}_{t}", inner_boundary(ch, t), {"v": Fraction(i)})
+            presentials[pres.id] = pres
+            emap[t] = pres.id
+        continuants[cid] = Continuant(cid, ch, emap)
+    processes = {}
+    if taken_by == "process":
+        processes["a-proc-3"] = Process("a-proc-3", ch, {Fraction(0): "n0_0"})
+    else:
+        chronoids["a-proc-3"] = Chronoid("a-proc-3", Fraction(0), Fraction(2))
+    return Model(
+        chronoids=chronoids, presentials=presentials, processes=processes,
+        continuants=continuants,
+        property_defs={"v": PropertyDef("v", ValueDomain(NUMERIC))},
+    )
+
+
+@pytest.mark.parametrize("mode", [IDENTITY, VALUATION])
+def test_completion_equals_sequential_derivation(mode):
+    derived = 0
+    models = [_adversarial_ids_world("process"), _adversarial_ids_world("chronoid")]
+    rng = random.Random(20261018)
+    models += [random_full_model(rng) for _ in range(200)]
+    for m in models:
+        completed, ids = complete_integration(m, mode)
+        assert (completed, ids) == oracles.complete_sequentially(m, mode)
+        derived += len(ids)
+    assert complete_integration(models[0], mode)[1] == [
+        "a-proc-4", "a-proc-proc", "a-proc-2-proc-2", "a-proc-2-proc-proc"
+    ]
+    assert derived > 100  # the random worlds derive too
+
+
+@pytest.mark.parametrize("mode", [IDENTITY, VALUATION])
+def test_completion_copies_the_store_once(monkeypatch, mode):
+    """One ``Model.with_process`` call per completion that derives anything,
+    copying every process once: the entries it copies grow at most 4x (plus
+    4) when the world grows 4x.  A copy per derived process would make n/2
+    calls and copy about n**2/8 entries."""
+    copies = []
+    original = Model.with_process
+
+    def counted(self, *processes):
+        copies.append(len(self.processes) + len(processes))
+        return original(self, *processes)
+
+    monkeypatch.setattr(Model, "with_process", counted)
+    copied = []
+    for n in (100, 400):
+        m = parse(worlds._pair_world(random.Random(5), n, complete=True)[0])
+        copies.clear()
+        completed, derived = complete_integration(m, mode)
+        assert len(copies) == 1 and derived
+        copied.append(copies[0])
+        again, none = complete_integration(completed, mode)
+        assert (again is completed, none, len(copies)) == (True, [], 1)  # no copy
+    assert copied[1] <= 4 * copied[0] + 4
 
 
 def test_derive_process_round_trip(john):

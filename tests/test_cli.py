@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -75,6 +76,30 @@ def test_check_scans_candidates_only_for_continuants_without_a_witness(
         assert (code, len(report["derived_processes"]), scanned) == (0, len(failing), [])
     else:
         assert (code, sorted(scanned)) == (1, sorted(failing))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dump", "heart.gfo"],
+        ["check", "heart.gfo", "--format", "json"],
+        ["check", "john_incomplete.gfo", "--complete", "--integration=valuation"],
+        ["query", "heart.gfo", "--realizations", "f_pump"],
+        ["query", "heart.gfo", "--changes", "nope"],
+    ],
+)
+def test_an_in_process_request_leaves_no_cyclic_garbage(argv):
+    argv = [argv[0], str(CORPUS / argv[1]), *argv[2:]]
+    cli.main(argv)  # warm-up: module-level caches, the argument parser
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        cli.main(argv)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class _Walked(dict):
