@@ -3,7 +3,8 @@
 Each test renders a family of outputs, feeds the bytes to sha256 and
 compares the digest with the one recorded below.  The families are the
 corpus reports (`gfo check` human and JSON, completed valuation-mode JSON),
-`gfo dump`, `serialize`, the corpus queries, every parse diagnostic (code,
+`gfo dump`, `serialize`, both renderings of seeded random stores built in
+code, the corpus queries, every parse diagnostic (code,
 file, line, column, length, message) over a fixed-seed set of corpus
 mutations, a handful of malformed queries, the lexer's tokens and
 diagnostics over fixed-seed random strings drawn from every lexical class,
@@ -31,6 +32,7 @@ import re
 import sys
 from pathlib import Path
 
+from genmodels import random_full_model, random_realization_model
 from gfo import cli
 from gfo.dsl import ParseError, _tokenize, parse, parse_file, parse_query, serialize
 
@@ -44,6 +46,11 @@ MUTATION_COUNT = 2000
 LITERAL_POOL = ("0", "1", "-1", "1/2", "0.25", "1/0", "7", "x", "_", '"s"', "yes")
 STRAY = ";{}()[],=@:->\"/\\#"
 LITERAL = re.compile(r"-?\d+(?:[./]\d+)?|[A-Za-z_][A-Za-z0-9_-]*|\"[^\"\n]*\"")
+
+# stores built in code hold plain Fractions and sets in generated order,
+# which no parsed corpus file does
+RENDER_SEED = 20261021
+RENDER_COUNTS = ((random_full_model, 200), (random_realization_model, 100))
 
 LEXER_SEED = 20261018
 LEXER_COUNT = 5000
@@ -169,6 +176,7 @@ DIGESTS = {
     "parse-query": "7796bf16770c973adc235efdf6f482ceefe2801f50802b5a13fafd1725d5ac56",
     "lexer": "e9945695ad173ca013724a874f93a465dd45935737e322c3572cc5c8ad14317b",
     "linker": "a945d2d049a142b531b1954a7322d7460d6e2f9d974431731db789b8f59438c1",
+    "render": "1dd59fc863b3e72c57d02c400a221c54f2dfb6a66c8efbd54144590af2760f6e",
 }
 
 
@@ -216,6 +224,8 @@ def _render(name: str) -> list:
         return _lexer()
     if name == "linker":
         return _linker()
+    if name == "render":
+        return _render_built()
     return _parse_queries()
 
 
@@ -239,6 +249,17 @@ def _queries() -> list:
         for prop in sorted(m.property_defs):
             for pid in sorted(m.processes)[:2]:
                 out.append(_cli("query", path, "--classify", prop, pid))
+    return out
+
+
+def _render_built() -> list:
+    rng = random.Random(RENDER_SEED)
+    out = []
+    for make, count in RENDER_COUNTS:
+        for i in range(count):
+            m = make(rng)
+            dump = json.dumps(cli.model_to_json(m), indent=2, sort_keys=True)
+            out.append([make.__name__, i, serialize(m), dump])
     return out
 
 
@@ -347,6 +368,10 @@ def test_corpus_dump_is_byte_identical(monkeypatch):
 
 def test_corpus_serialize_is_byte_identical(monkeypatch):
     _check("serialize", monkeypatch)
+
+
+def test_built_store_renderings_are_byte_identical(monkeypatch):
+    _check("render", monkeypatch)
 
 
 def test_corpus_queries_are_byte_identical(monkeypatch):
