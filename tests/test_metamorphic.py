@@ -6,7 +6,8 @@ unchanged, and every material continuant in it has an integration witness.
 A random world built in code and its serialize -> parse twin answer every
 check and query alike, although only the parsed twin's coordinates are
 ``chrono.Time`` values.  Shuffling the top-level declarations of a
-source changes neither the parsed model nor any answer.
+source changes neither the parsed model nor any answer, and shuffling the
+entries inside its blocks changes neither rendering.
 """
 
 import json
@@ -112,3 +113,42 @@ def test_declaration_order_changes_no_answer():
             got = _answers(shuffled)
             assert got == expected, (name, order)
             assert repr(got) == repr(expected), (name, order)
+
+
+def _shuffled(lines: list, rng: random.Random) -> list:
+    """The entries of canonical ``lines`` in a random order, and the entries
+    inside every block among them too.  An entry is a line, or a line that
+    opens a block with its entries and the line that closes it."""
+    entries, i = [], 0
+    while i < len(lines):
+        line = lines[i]
+        if line.endswith("{"):
+            end = lines.index(line[: len(line) - len(line.lstrip())] + "}", i + 1)
+            entries.append([line, *_shuffled(lines[i + 1 : end], rng), lines[end]])
+            i = end + 1
+        else:
+            entries.append([line])
+            i += 1
+    rng.shuffle(entries)
+    return [line for entry in entries for line in entry]
+
+
+def test_entry_order_inside_blocks_changes_no_rendering():
+    """Boundaries, trajectories and their samples, exhibits, valuations,
+    situation members, function parts, concept items and fitem entries may
+    come in any order: ``serialize`` and ``dump`` do not show it."""
+    rng = random.Random(20261021)
+    models = [(str(path), parse_file(path)) for path in corpus_files()]
+    for make, count in ((random_full_model, RANDOM_WORLDS), (random_realization_model, 100)):
+        models += [(f"{make.__name__} #{i}", make(rng)) for i in range(count)]
+    for name, m in models:
+        text = serialize(m)
+        dump = json.dumps(model_to_json(m), sort_keys=True)
+        for order in range(3):
+            lines = []
+            for declaration in split_statements(text):
+                head, *rest = declaration.split("\n")
+                lines += [head, *_shuffled(rest[:-1], rng), *rest[-1:]]
+            shuffled = parse("\n".join(lines) + "\n")
+            assert serialize(shuffled) == text, (name, order)
+            assert json.dumps(model_to_json(shuffled), sort_keys=True) == dump, (name, order)
