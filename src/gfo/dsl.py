@@ -574,6 +574,15 @@ class _Parser:
         while self.tokens[self.pos].kind != EOF:
             tok = self.tokens[self.pos]
             handler = table.get(tok.text) if tok.kind == IDENT else None
+            if handler is None and self.at_punct(";"):
+                # each ';' of a run ends an empty declaration: one error for the
+                # run, and nothing after it is skipped
+                while self.at_punct(";"):
+                    last = self.advance()
+                length = last.column + 1 - tok.column if last.line == tok.line else 1
+                span = SourceSpan(self.file, tok.line, tok.column, length)
+                self.report(_Syntax(span, "expected a declaration keyword, found ';'"))
+                continue
             self.pos += 1  # the keyword, or the token that should have been one
             start = self.pos
             try:

@@ -502,6 +502,25 @@ def test_recovery_skips_to_the_end_of_the_failing_declaration():
         assert [str(d) for d in err.value.diagnostics] == diagnostics
 
 
+def test_a_run_of_stray_semicolons_is_one_error_and_skips_nothing():
+    stray = "unexpected-token: expected a declaration keyword, found ';'"
+    cases = (
+        (";;;;;;", [("<input>:1:1", 6)]),
+        # the declaration after the run is parsed, not skipped as the rest of the ';'
+        (";\nproperty mode : categorical { off, on } global;", [("<input>:1:1", 1)]),
+        # on one line the span reaches the last ';'; over lines it is the first
+        (
+            "property x : numeric; ;  ;\nproperty y : numeric;\n;\n ;",
+            [("<input>:1:23", 4), ("<input>:3:1", 1)],
+        ),
+    )
+    for source, expected in cases:
+        with pytest.raises(ParseError) as err:
+            parse(source)
+        got = [(str(d), d.span.length) for d in err.value.diagnostics]
+        assert got == [(f"{at}: {stray}", length) for at, length in expected], source
+
+
 # not the golden MUTATION_SEED, so these edits are fresh inputs
 POLICY_SEED = 20261019
 LEXICAL_OR_SYNTAX = {"unexpected-token", "bad-rational"}

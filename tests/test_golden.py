@@ -172,7 +172,7 @@ DIGESTS = {
     "dump": "009f9693fded42f5ffecbead1ba9d73aa5e852aa823a439319e77eab2d113a6f",
     "serialize": "34d1b576b3134b1c54cdf740a0ace2d08bea1fe4f80367fa571ca8262103dc59",
     "query": "29bdf064e078658571bd1c28e383ae89822d86bb61a472ef1f2a8f0a1ac4809e",
-    "mutations": "a8c822d74f613b1e4a43fd03330b907c4217c95fad7f11631419087297b27aa1",
+    "mutations": "621b4ec2894b79c5d235ca482d8382be227a26500bcbb38447954c379111686d",
     "parse-query": "7796bf16770c973adc235efdf6f482ceefe2801f50802b5a13fafd1725d5ac56",
     "lexer": "e9945695ad173ca013724a874f93a465dd45935737e322c3572cc5c8ad14317b",
     "linker": "a945d2d049a142b531b1954a7322d7460d6e2f9d974431731db789b8f59438c1",
