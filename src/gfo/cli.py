@@ -17,8 +17,8 @@ from functools import cache
 from json.encoder import encode_basestring_ascii
 
 from . import checker
-from .chrono import TimeBoundary, coord_str
-from .dsl import ParseError, concept_items, fmt_value, parse_file, parse_query
+from .chrono import coord_str
+from .dsl import ParseError, fmt_value, model_to_json, parse_file, parse_query
 from .errors import GfoError
 from .functions import _executed, is_actual_realization, is_actual_realizer
 from .model import Model
@@ -287,116 +287,6 @@ def run_query(args) -> int:
 # ---------------------------------------------------------------------------
 # dump
 # ---------------------------------------------------------------------------
-
-
-def _extent_json(extent) -> dict:
-    if isinstance(extent, TimeBoundary):
-        return {
-            "kind": "boundary",
-            "chronoid": extent.owner,
-            "coordinate": coord_str(extent.coordinate),
-        }
-    return {"kind": "chronoid", "chronoid": extent.id}
-
-
-def model_to_json(m: Model) -> dict:
-    """Canonical JSON view of the whole store (debugging aid)."""
-    return {
-        "chronoids": {
-            cid: {"left": coord_str(ch.left), "right": coord_str(ch.right)}
-            for cid, ch in m.chronoids.items()
-        },
-        "properties": {
-            name: {
-                "domain": pdef.domain.kind,
-                "symbols": sorted(pdef.domain.symbols),
-                "support": pdef.support.kind,
-                "window_radius": (
-                    coord_str(pdef.support.window_radius)
-                    if pdef.support.window_radius is not None
-                    else None
-                ),
-            }
-            for name, pdef in m.property_defs.items()
-        },
-        "presentials": {
-            pid: {
-                "at": _extent_json(pres.at),
-                "material": pres.material,
-                "valuation": {
-                    prop: fmt_value(v) for prop, v in pres.valuation.items()
-                },
-            }
-            for pid, pres in m.presentials.items()
-        },
-        "processes": {
-            pid: {
-                "extent": p.extent.id,
-                "boundaries": {
-                    coord_str(t): target for t, target in p.boundary_map.items()
-                },
-                "trajectories": {
-                    prop: [[coord_str(t), fmt_value(v)] for t, v in samples]
-                    for prop, samples in p.trajectories.items()
-                },
-            }
-            for pid, p in m.processes.items()
-        },
-        "continuants": {
-            cid: {
-                "lifetime": c.lifetime.id,
-                "material": c.material,
-                "exhibits": {
-                    coord_str(t): target for t, target in c.exhibit_map.items()
-                },
-            }
-            for cid, c in m.continuants.items()
-        },
-        "facts": {
-            fid: {"relator": f.relator, "args": [fmt_value(a) for a in f.args]}
-            for fid, f in m.facts.items()
-        },
-        "situations": {
-            sid: {
-                "extent": _extent_json(s.extent),
-                "founded_on": s.founded_on,
-                "constituents": sorted(s.constituents),
-                "participants": sorted(s.participants),
-            }
-            for sid, s in m.situations.items()
-        },
-        "functions": {
-            fid: {
-                "kind": fn.kind,
-                "bearer": fn.bearer,
-                "labels": sorted(fn.labels),
-                "requires": _concept_json(fn.req),
-                "achieves": _concept_json(fn.goal),
-                "fitem": [[prop, fmt_value(v)] for prop, v in fn.fitem],
-            }
-            for fid, fn in m.functions.items()
-        },
-        "exe": sorted([list(pair) for pair in m.exe_assertions]),
-        # the language cannot write an empty set, so serialize and the dump omit it
-        "requirement_instances": {
-            fn: sorted(sits) for fn, sits in m.requirement_instances.items() if sits
-        },
-        "goal_instances": {fn: sorted(sits) for fn, sits in m.goal_instances.items() if sits},
-    }
-
-
-def _concept_json(concept) -> dict:
-    patterns, constraints = concept_items(concept)
-    return {
-        "facts": [
-            {"relator": p.relator, "args": [fmt_value(a) for a in p.args]}
-            for p in patterns
-        ],
-        "holds": [
-            {"entity": c.entity, "property": c.prop, "value": fmt_value(c.value)}
-            for c in constraints
-        ],
-    }
 
 
 def run_dump(args) -> int:

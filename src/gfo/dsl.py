@@ -1,4 +1,4 @@
-"""The `.gfo` declaration language: parser, diagnostics, canonical serializer.
+"""The `.gfo` declaration language: parser, diagnostics, canonical rendering.
 
 The language is statement-oriented (``keyword name ... ;`` with braces for
 maps) and resolved in two passes, so forward references are legal.  Parsing
@@ -11,10 +11,12 @@ its diagnostics follows from a lexical or syntax error.  It too reports
 every fault it finds, and builds every declaration as written; any
 diagnostic discards the model it built.
 
-``serialize`` emits canonical text: declarations sorted by kind and id,
-map entries sorted by coordinate, rationals normalized.  Parsing the
-serialization of a model reproduces a store-equal model, and serialization
-of a parse is invariant under declaration reordering of the source.
+``model_to_json`` is the one canonical view of a store: map entries in
+coordinate order, sets sorted, rationals normalized.  `gfo dump` prints it
+as JSON and ``serialize`` as source text, declarations sorted by kind and
+id.  Parsing the serialization of a model reproduces a store-equal model,
+and serialization of a parse is invariant under reordering the source's
+declarations and the entries inside its blocks.
 
 The full grammar is published in docs/grammar.md.
 """
@@ -1192,153 +1194,244 @@ def parse_file(path) -> Model:
 
 
 # ---------------------------------------------------------------------------
-# Canonical serializer
+# Canonical rendering
 # ---------------------------------------------------------------------------
 
 
 def fmt_value(value):
-    """Canonical rendering of a value or argument, shared by ``serialize``
-    and the JSON dump: rationals as ``p/q``, anything else unchanged."""
+    """A value or argument as the canonical view holds it: rationals as
+    ``p/q``, anything else unchanged."""
     return coord_str(value) if isinstance(value, Fraction) else value
 
 
-def concept_items(concept) -> tuple:
-    """The fact patterns and the property constraints of a concept, each in
-    the canonical order shared by ``serialize`` and the JSON dump."""
-    return (
-        sorted(concept.required_facts, key=lambda p: (p.relator, tuple(map(str, p.args)))),
-        sorted(concept.required_props, key=lambda c: (c.entity, c.prop, str(c.value))),
-    )
+def _extent_json(extent) -> dict:
+    if isinstance(extent, TimeBoundary):
+        return {
+            "kind": "boundary",
+            "chronoid": extent.owner,
+            "coordinate": coord_str(extent.coordinate),
+        }
+    return {"kind": "chronoid", "chronoid": extent.id}
 
 
-def _args(values) -> str:
-    return ", ".join(str(fmt_value(v)) for v in values)
+def _concept_json(concept) -> dict:
+    patterns = sorted(concept.required_facts, key=lambda p: (p.relator, tuple(map(str, p.args))))
+    constraints = sorted(concept.required_props, key=lambda c: (c.entity, c.prop, str(c.value)))
+    return {
+        "facts": [
+            {"relator": p.relator, "args": [fmt_value(a) for a in p.args]}
+            for p in patterns
+        ],
+        "holds": [
+            {"entity": c.entity, "property": c.prop, "value": fmt_value(c.value)}
+            for c in constraints
+        ],
+    }
+
+
+def model_to_json(m: Model) -> dict:
+    """The canonical view of the whole store: `gfo dump` prints it as JSON
+    and ``serialize`` as source text.
+
+    Every rendering choice is made here, once: rationals as ``p/q``, maps and
+    trajectory samples in coordinate order, sets and concept items sorted.
+    Only the order of the stores' own ids is left to the printer.
+    """
+    return {
+        "chronoids": {
+            cid: {"left": coord_str(ch.left), "right": coord_str(ch.right)}
+            for cid, ch in m.chronoids.items()
+        },
+        "properties": {
+            name: {
+                "domain": pdef.domain.kind,
+                "symbols": sorted(pdef.domain.symbols),
+                "support": pdef.support.kind,
+                "window_radius": (
+                    coord_str(pdef.support.window_radius)
+                    if pdef.support.window_radius is not None
+                    else None
+                ),
+            }
+            for name, pdef in m.property_defs.items()
+        },
+        "presentials": {
+            pid: {
+                "at": _extent_json(pres.at),
+                "material": pres.material,
+                "valuation": {
+                    prop: fmt_value(v) for prop, v in pres.valuation.items()
+                },
+            }
+            for pid, pres in m.presentials.items()
+        },
+        "processes": {
+            pid: {
+                "extent": p.extent.id,
+                "boundaries": {
+                    coord_str(t): p.boundary_map[t] for t in sorted(p.boundary_map)
+                },
+                "trajectories": {
+                    prop: [[coord_str(t), fmt_value(v)] for t, v in sorted(samples)]
+                    for prop, samples in p.trajectories.items()
+                },
+            }
+            for pid, p in m.processes.items()
+        },
+        "continuants": {
+            cid: {
+                "lifetime": c.lifetime.id,
+                "material": c.material,
+                "exhibits": {
+                    coord_str(t): c.exhibit_map[t] for t in sorted(c.exhibit_map)
+                },
+            }
+            for cid, c in m.continuants.items()
+        },
+        "facts": {
+            fid: {"relator": f.relator, "args": [fmt_value(a) for a in f.args]}
+            for fid, f in m.facts.items()
+        },
+        "situations": {
+            sid: {
+                "extent": _extent_json(s.extent),
+                "founded_on": s.founded_on,
+                "constituents": sorted(s.constituents),
+                "participants": sorted(s.participants),
+            }
+            for sid, s in m.situations.items()
+        },
+        "functions": {
+            fid: {
+                "kind": fn.kind,
+                "bearer": fn.bearer,
+                "labels": sorted(fn.labels),
+                "requires": _concept_json(fn.req),
+                "achieves": _concept_json(fn.goal),
+                "fitem": [[prop, fmt_value(v)] for prop, v in fn.fitem],
+            }
+            for fid, fn in m.functions.items()
+        },
+        "exe": sorted([list(pair) for pair in m.exe_assertions]),
+        # the language cannot write an empty instance set, so the view has none
+        "requirement_instances": {
+            fn: sorted(sits) for fn, sits in m.requirement_instances.items() if sits
+        },
+        "goal_instances": {fn: sorted(sits) for fn, sits in m.goal_instances.items() if sits},
+    }
 
 
 def _escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
-def _time_point_ref(boundary: TimeBoundary) -> str:
-    return f"{boundary.owner}@{coord_str(boundary.coordinate)}"
+def _args(values) -> str:
+    return ", ".join(map(str, values))
+
+
+def _block(out: list, head: str, lines: list) -> None:
+    """``head;`` when ``lines`` is empty, else ``head {``, the lines, ``}``."""
+    if lines:
+        out += [head + " {", *lines, "}"]
+    else:
+        out.append(head + ";")
+
+
+def _at(extent: dict) -> str:
+    return f"{extent['chronoid']}@{extent['coordinate']}"
 
 
 def serialize(m: Model) -> str:
-    """Canonical text for a model: sorted declarations, normalized rationals.
+    """Canonical text for a model: the view of :func:`model_to_json` printed
+    as source, declarations in kind and id order.
 
     ``parse(serialize(m))`` is store-equal to ``m``, and serialization is a
     fixed point: reparsing and reserializing reproduces the bytes.
     """
+    view = model_to_json(m)
     out: list = []
 
-    for name in sorted(m.property_defs):
-        pdef = m.property_defs[name]
-        if pdef.domain.kind == CATEGORICAL:
-            domain = "categorical { " + ", ".join(sorted(pdef.domain.symbols)) + " }"
-        else:
-            domain = "numeric"
-        support = pdef.support.kind
-        if pdef.support.kind == NON_ISOLATED:
-            support = f"{NON_ISOLATED}({coord_str(pdef.support.window_radius)})"
+    for name, prop in sorted(view["properties"].items()):
+        domain = prop["domain"]
+        if domain == CATEGORICAL:
+            domain = "categorical { " + ", ".join(prop["symbols"]) + " }"
+        support = prop["support"]
+        if support == NON_ISOLATED:
+            support += f"({prop['window_radius']})"
         out.append(f"property {name} : {domain} {support};")
 
-    for name in sorted(m.chronoids):
-        ch = m.chronoids[name]
-        out.append(
-            f"chronoid {name} = [{coord_str(ch.left)}, {coord_str(ch.right)}];"
-        )
+    for name, ch in sorted(view["chronoids"].items()):
+        out.append(f"chronoid {name} = [{ch['left']}, {ch['right']}];")
 
-    for name in sorted(m.presentials):
-        pres = m.presentials[name]
-        head = f"presential {name} at {_time_point_ref(pres.at)}"
-        if not pres.material:
+    for name, pres in sorted(view["presentials"].items()):
+        head = f"presential {name} at {_at(pres['at'])}"
+        if not pres["material"]:
             head += " immaterial"
-        if pres.valuation:
-            out.append(head + " {")
-            for prop in sorted(pres.valuation):
-                out.append(f"  {prop} = {fmt_value(pres.valuation[prop])};")
-            out.append("}")
-        else:
-            out.append(head + ";")
+        valuation = sorted(pres["valuation"].items())
+        _block(out, head, [f"  {prop} = {value};" for prop, value in valuation])
 
-    for name in sorted(m.processes):
-        p = m.processes[name]
-        out.append(f"process {name} extent {p.extent.id} {{")
-        for t in sorted(p.boundary_map):
-            out.append(f"  boundary {coord_str(t)} -> {p.boundary_map[t]};")
-        for prop in sorted(p.trajectories):
+    for name, p in sorted(view["processes"].items()):
+        out.append(f"process {name} extent {p['extent']} {{")
+        out += [f"  boundary {t} -> {target};" for t, target in p["boundaries"].items()]
+        for prop, samples in sorted(p["trajectories"].items()):
             out.append(f"  trajectory {prop} {{")
-            for t, value in sorted(p.trajectories[prop]):
-                out.append(f"    {coord_str(t)} -> {fmt_value(value)};")
+            out += [f"    {t} -> {value};" for t, value in samples]
             out.append("  }")
         out.append("}")
 
-    for name in sorted(m.continuants):
-        c = m.continuants[name]
-        head = f"continuant {name} lifetime {c.lifetime.id}"
-        if not c.material:
+    for name, c in sorted(view["continuants"].items()):
+        head = f"continuant {name} lifetime {c['lifetime']}"
+        if not c["material"]:
             head += " immaterial"
         out.append(head + " {")
-        for t in sorted(c.exhibit_map):
-            out.append(f"  exhibits {coord_str(t)} -> {c.exhibit_map[t]};")
+        out += [f"  exhibits {t} -> {target};" for t, target in c["exhibits"].items()]
         out.append("}")
 
-    for name in sorted(m.facts):
-        fact = m.facts[name]
-        out.append(f"fact {name} = {fact.relator}({_args(fact.args)});")
+    for name, fact in sorted(view["facts"].items()):
+        out.append(f"fact {name} = {fact['relator']}({_args(fact['args'])});")
 
-    for name in sorted(m.situations):
-        s = m.situations[name]
-        if s.presentic:
-            head = f"situation {name} at {_time_point_ref(s.extent)}"
+    for name, s in sorted(view["situations"].items()):
+        extent = s["extent"]
+        if extent["kind"] == "boundary":
+            head = f"situation {name} at {_at(extent)}"
         else:
-            head = f"situation {name} during {s.extent.id}"
-        if s.founded_on is not None:
-            head += f" founded on {s.founded_on}"
-        if s.constituents or s.participants:
-            out.append(head + " {")
-            for fid in sorted(s.constituents):
-                out.append(f"  contains {fid};")
-            for entity in sorted(s.participants):
-                out.append(f"  participant {entity};")
-            out.append("}")
-        else:
-            out.append(head + ";")
+            head = f"situation {name} during {extent['chronoid']}"
+        if s["founded_on"] is not None:
+            head += f" founded on {s['founded_on']}"
+        members = [f"  contains {fid};" for fid in s["constituents"]]
+        members += [f"  participant {entity};" for entity in s["participants"]]
+        _block(out, head, members)
 
-    for name in sorted(m.functions):
-        fn = m.functions[name]
+    for name, fn in sorted(view["functions"].items()):
         head = f"function {name}"
-        if fn.kind != CONCEPTUAL:
-            head += f" {fn.kind}"
-        if fn.bearer is not None:
-            head += f" bearer {fn.bearer}"
+        if fn["kind"] != CONCEPTUAL:
+            head += f" {fn['kind']}"
+        if fn["bearer"] is not None:
+            head += f" bearer {fn['bearer']}"
         out.append(head + " {")
-        for label in sorted(fn.labels):
-            out.append(f'  label "{_escape(label)}";')
-        for keyword, concept in (("requires", fn.req), ("achieves", fn.goal)):
+        out += [f'  label "{_escape(label)}";' for label in fn["labels"]]
+        for keyword in ("requires", "achieves"):
+            concept = fn[keyword]
             out.append(f"  {keyword} {{")
-            patterns, constraints = concept_items(concept)
-            for pattern in patterns:
-                out.append(f"    fact {pattern.relator}({_args(pattern.args)});")
-            for pc in constraints:
-                out.append(f"    holds({pc.entity}, {pc.prop}, {fmt_value(pc.value)});")
+            out += [f"    fact {p['relator']}({_args(p['args'])});" for p in concept["facts"]]
+            out += [
+                f"    holds({c['entity']}, {c['property']}, {c['value']});"
+                for c in concept["holds"]
+            ]
             out.append("  }")
-        if fn.fitem:
+        if fn["fitem"]:
             out.append("  fitem {")
-            for prop, value in fn.fitem:
-                out.append(f"    {prop} = {fmt_value(value)};")
+            out += [f"    {prop} = {value};" for prop, value in fn["fitem"]]
             out.append("  }")
         out.append("}")
 
-    for x, p in sorted(m.exe_assertions):
-        out.append(f"exe({x}, {p});")
-    for keyword, instances in (
-        ("requirement-instance", m.requirement_instances),
-        ("goal-instance", m.goal_instances),
+    out += [f"exe({x}, {p});" for x, p in view["exe"]]
+    for keyword, key in (
+        ("requirement-instance", "requirement_instances"),
+        ("goal-instance", "goal_instances"),
     ):
-        for fn in sorted(instances):
-            for sit in sorted(instances[fn]):
-                out.append(f"{keyword}({fn}, {sit});")
+        for fn, sits in sorted(view[key].items()):
+            out += [f"{keyword}({fn}, {sit});" for sit in sits]
 
     return "\n".join(out) + "\n"
 
