@@ -1201,6 +1201,8 @@ def parse_file(path) -> Model:
 def fmt_value(value):
     """A value or argument as the canonical view holds it: rationals as
     ``p/q``, anything else unchanged."""
+    if isinstance(value, str):  # the common case, and cheaper to test than the Fraction ABC
+        return value
     return coord_str(value) if isinstance(value, Fraction) else value
 
 
