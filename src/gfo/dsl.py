@@ -1331,12 +1331,9 @@ def _args(values) -> str:
     return ", ".join(map(str, values))
 
 
-def _block(out: list, head: str, lines: list) -> None:
+def _block(head: str, lines: list) -> list:
     """``head;`` when ``lines`` is empty, else ``head {``, the lines, ``}``."""
-    if lines:
-        out += [head + " {", *lines, "}"]
-    else:
-        out.append(head + ";")
+    return [head + " {", *lines, "}"] if lines else [head + ";"]
 
 
 def _at(extent: dict) -> str:
@@ -1370,7 +1367,7 @@ def serialize(m: Model) -> str:
         if not pres["material"]:
             head += " immaterial"
         valuation = sorted(pres["valuation"].items())
-        _block(out, head, [f"  {prop} = {value};" for prop, value in valuation])
+        out += _block(head, [f"  {prop} = {value};" for prop, value in valuation])
 
     for name, p in sorted(view["processes"].items()):
         out.append(f"process {name} extent {p['extent']} {{")
@@ -1402,7 +1399,7 @@ def serialize(m: Model) -> str:
             head += f" founded on {s['founded_on']}"
         members = [f"  contains {fid};" for fid in s["constituents"]]
         members += [f"  participant {entity};" for entity in s["participants"]]
-        _block(out, head, members)
+        out += _block(head, members)
 
     for name, fn in sorted(view["functions"].items()):
         head = f"function {name}"
