@@ -107,7 +107,7 @@ def _load(path: str, output_format: str) -> Model | None:
         return parse_file(path)
     except ParseError as exc:
         _emit_diagnostics(exc, output_format)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # missing, unreadable, or not UTF-8
         print(f"gfo: cannot read {path}: {exc}", file=sys.stderr)
     return None
 

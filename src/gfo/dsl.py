@@ -25,8 +25,12 @@ from __future__ import annotations
 
 import gc
 import re
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cached_property
+from itertools import compress, count, islice, repeat
 from typing import NamedTuple
 
 from .chrono import Chronoid, Time, TimeBoundary, coord_str, inner_boundary, no_duration
@@ -149,33 +153,45 @@ BAD = "bad"
 # text and the midpoint of two of them print and parse under any setting
 MAX_LITERAL_DIGITS = 300
 
-# Whitespace and comments are a skip prefix of every match.  The last two
+# Whitespace and comments are a skip prefix of every match, and the one group
+# is the token: ``findall`` returns the token texts alone.  The last two
 # alternatives match wherever the others do not, so the greedy prefix never
 # backtracks and never hands a blank or a ``//`` to the catch-all.  A bad run
 # goes on over every character at which no blank, comment or token starts.
+# The end of input is the one empty token; a second empty match may follow it.
+_SKIPPED = re.compile(r"(?:[ \t\r\n]+|//[^\n]*)*")
 _LEXEME = re.compile(
-    r"""(?:[ \t\r\n]+|//[^\n]*)*
-    (?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*)
-      |(?P<number>-?[0-9]+(?:[./][0-9]+)?)
-      |(?P<punct>->|[=;,(){}\[\]@:])
-      |(?P<string>"(?P<body>(?:[^"\\\n]+|\\[\s\S]?)*)(?P<closed>")?)
-      |(?P<eof>\Z)
-      |(?P<bad>.(?:(?![ \t\r\n]|//|->|-?[0-9]|[A-Za-z_"=;,(){}\[\]@:]).)*))""",
+    _SKIPPED.pattern
+    + r"""([A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*
+    |-?[0-9]+(?:[./][0-9]+)?
+    |->|[=;,(){}\[\]@:]
+    |"(?:[^"\\\n]+|\\[\s\S]?)*"?
+    |\Z
+    |.(?:(?![ \t\r\n]|//|->|-?[0-9]|[A-Za-z_"=;,(){}\[\]@:]).)*)""",
     re.VERBOSE,
 )
 _ESCAPE = re.compile(r"\\([\s\S])")
 _ESCAPES = {"n": "\n", "t": "\t"}
+
+# a token's class follows from its first character, and from its second
+# after '-': '->', a negative number, or a bad run (docs/grammar.md)
+_KINDS = {
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", IDENT),
+    **dict.fromkeys([*"0123456789", *(f"-{digit}" for digit in "0123456789")], NUMBER),
+    **dict.fromkeys(["->", *"=;,(){}[]@:"], PUNCT),
+    '"': STRING,
+    "": EOF,
+}
+
+
+def _kind(text: str) -> str:
+    return _KINDS.get(text[:1]) or _KINDS.get(text[:2], BAD)
 
 
 class Token(NamedTuple):
     kind: str
     text: str
     value: object
-    line: int
-    column: int
-
-    def span(self, file: str) -> SourceSpan:
-        return SourceSpan(file, self.line, self.column, max(1, len(self.text)))
 
 
 def _rational(text: str) -> tuple:
@@ -198,46 +214,84 @@ def _overlong(text: str, count: str) -> str:
     return f"{text[:20]!r}... has {count}; a rational literal has at most {MAX_LITERAL_DIGITS}"
 
 
-def _tokenize(source: str, file: str, diagnostics: list) -> list:
-    tokens = []
-    append, token = tokens.append, tuple.__new__  # no Python frame per token
-    rationals: dict = {}  # number text -> _rational(text), for this source only
-    # matches arrive in order, so the line count only ever moves past the
-    # newlines between the last match and the next
-    line, line_start = 1, 0
-    newline = source.find("\n")  # the first newline not counted yet, or -1
-    for m in _LEXEME.finditer(source):
-        kind = m.lastgroup
-        text, start = m[kind], m.start(kind)
-        while -1 < newline < start:
-            line += 1
-            line_start = newline + 1
-            newline = source.find("\n", line_start)
-        column = start - line_start + 1
-        if kind == IDENT or kind == PUNCT:
-            append(token(Token, (kind, text, text, line, column)))
-            continue
-        value, error = text, None
-        if kind == NUMBER:
-            if text not in rationals:
-                rationals[text] = _rational(text)
-            value, error = rationals[text]
-        elif kind == STRING:
-            value = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), m["body"])
-            error = None if m["closed"] else "unterminated string literal"
-        elif kind == BAD:
-            shown = repr(text) if len(text) <= 20 else f"{text[:20]!r}..."
-            error = f"unexpected character{'s' if len(text) > 1 else ''} {shown}"
-        elif kind == EOF:
-            append(Token(EOF, "", None, line, column))
-            break  # a second, empty match at the end may follow this one
+def _lexeme(text: str, faults: dict):
+    """The ``(kind, text, value)`` of the token ``text``, None for a bad run; a
+    faulty text gets its diagnostic's ``(code, message, length)`` in ``faults``."""
+    kind = _kind(text)
+    value = text
+    if kind == NUMBER:
+        value, error = _rational(text)
         if error:
-            code = "bad-rational" if kind == NUMBER else "unexpected-token"
-            length = 1 if kind == STRING else len(text)
-            diagnostics.append(ParseDiagnostic(SourceSpan(file, line, column, length), code, error))
-        if kind != BAD:
-            append(token(Token, (kind, text, value, line, column)))
+            faults[text] = ("bad-rational", error, len(text))
+    elif kind == STRING:  # closed by a last '"' after an even run of backslashes
+        body = text[1:-1]
+        if len(text) < 2 or text[-1] != '"' or (len(body) - len(body.rstrip("\\"))) % 2:
+            body = text[1:]
+            faults[text] = ("unexpected-token", "unterminated string literal", 1)
+        value = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), body)
+    elif kind == BAD:
+        shown = repr(text) if len(text) <= 20 else f"{text[:20]!r}..."
+        error = f"unexpected character{'s' if len(text) > 1 else ''} {shown}"
+        faults[text] = ("unexpected-token", error, len(text))
+        return None
+    return kind, text, value
+
+
+def _tokenize(source: str, file: str, diagnostics: list) -> list:
+    texts = _LEXEME.findall(source)
+    del texts[texts.index("") :]  # the end of input and what follows it
+    faults: dict = {}  # text -> the diagnostic each of its occurrences gets
+    lexemes = {text: _lexeme(text, faults) for text in set(texts)}  # each text read once
+    # one new Token per occurrence, so that a token is its own position
+    tokens = list(map(tuple.__new__, repeat(Token), filter(None, map(lexemes.get, texts))))
+    tokens.append(Token(EOF, "", None))
+    if faults:  # walk the texts to the start of each faulty one
+        positions, end = _Positions(source, file, tokens), 0
+        for text in texts:
+            start = _SKIPPED.match(source, end).end()
+            end = start + len(text)
+            if text in faults:
+                code, message, length = faults[text]
+                diagnostics.append(ParseDiagnostic(positions.at(start, length), code, message))
     return tokens
+
+
+class _Positions:
+    """Where the tokens of one source stand, counted only when a diagnostic
+    asks: the first span finds every token's start offset in one pass, the
+    first position every newline in another, and a line is a bisect."""
+
+    def __init__(self, source: str, file: str, tokens: list):
+        self.source, self.file, self.tokens = source, file, tokens
+
+    @cached_property
+    def starts(self) -> array:
+        source, starts, matches = self.source, array("q"), _LEXEME.finditer(self.source)
+        while chunk := [m.start(1) for m in islice(matches, 4096)]:  # no list of every start
+            starts += array("q", chunk)
+        if starts[len(self.tokens) - 1] != len(source):  # the lexer dropped a bad run
+            starts = array("q", [s for s in starts if _kind(source[s : s + 2]) != BAD])
+        return starts
+
+    @cached_property
+    def newlines(self) -> array:
+        return array("q", map(re.Match.start, re.finditer("\n", self.source)))
+
+    def span(self, index: int, length: int = 0) -> SourceSpan:
+        """The span of ``tokens[index]``, or of ``length`` characters from its start."""
+        return self.at(self.starts[index], length or max(1, len(self.tokens[index].text)))
+
+    def at(self, offset: int, length: int) -> SourceSpan:
+        line = bisect_left(self.newlines, offset)  # the newlines before the offset
+        column = offset - (self.newlines[line - 1] + 1 if line else 0) + 1
+        return SourceSpan(self.file, line + 1, column, length)
+
+    def diagnostics(self, found: list) -> list:
+        """A diagnostic per ``(token, code, message)``, each token found by identity."""
+        index = dict.fromkeys([id(tok) for tok, _, _ in found])
+        for i in compress(count(), map(index.__contains__, map(id, self.tokens))):
+            index[id(self.tokens[i])] = i
+        return [ParseDiagnostic(self.span(index[id(tok)]), code, msg) for tok, code, msg in found]
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +399,9 @@ def _one_of(words) -> str:
 
 
 class _Parser:
-    def __init__(self, tokens: list, file: str, diagnostics: list):
+    def __init__(self, tokens: list, positions: _Positions, diagnostics: list):
         self.tokens = tokens
-        self.file = file
+        self.positions = positions
         self.diagnostics = diagnostics
         self.pos = 0
         # where the lexer reported a bad token; a syntax error found at one of
@@ -355,14 +409,6 @@ class _Parser:
         self.lexed = {(d.span.line, d.span.column) for d in diagnostics}
 
     # -- token helpers -------------------------------------------------------
-
-    def advance(self) -> Token:
-        """Consume the next token unless it is EOF.  Helpers that consume a
-        token of a known kind, never EOF, step ``pos`` past it themselves."""
-        tok = self.tokens[self.pos]
-        if tok.kind != EOF:
-            self.pos += 1
-        return tok
 
     def at_punct(self, text: str) -> bool:
         tok = self.tokens[self.pos]
@@ -375,7 +421,7 @@ class _Parser:
     def expected(self, what: str) -> _Syntax:
         """The error for finding the next token where ``what`` was expected."""
         tok = self.tokens[self.pos]
-        return _Syntax(tok.span(self.file), f"expected {what}, found {tok.text!r}")
+        return _Syntax(self.positions.span(self.pos), f"expected {what}, found {tok.text!r}")
 
     def accept_word(self, *words: str) -> str | None:
         """Consume and return one of ``words`` when it comes next."""
@@ -538,7 +584,7 @@ class _Parser:
             tok = self.tokens[self.pos]
             if tok.kind == EOF:
                 return
-            if depth > 0 and tok.column == 1 and tok.text in keywords:
+            if depth > 0 and tok.text in keywords and self.positions.span(self.pos).column == 1:
                 after = self.tokens[self.pos + 2 : self.pos + 3]  # '=' in `fact name =`
                 if tok.text != "fact" or (after and after[0].text == "="):
                     return
@@ -547,14 +593,14 @@ class _Parser:
                     depth += 1
                 elif tok.text == "}":
                     if depth <= 1:
-                        self.advance()
+                        self.pos += 1
                         self.end_block()
                         return
                     depth -= 1
                 elif tok.text == ";" and depth == 0:
-                    self.advance()
+                    self.pos += 1
                     return
-            self.advance()
+            self.pos += 1  # never past EOF, which ends the skip above
 
     # -- statements --------------------------------------------------------------
 
@@ -579,10 +625,12 @@ class _Parser:
             if handler is None and self.at_punct(";"):
                 # each ';' of a run ends an empty declaration: one error for the
                 # run, and nothing after it is skipped
+                first = self.pos
                 while self.at_punct(";"):
-                    last = self.advance()
-                length = last.column + 1 - tok.column if last.line == tok.line else 1
-                span = SourceSpan(self.file, tok.line, tok.column, length)
+                    self.pos += 1
+                head, last = self.positions.span(first), self.positions.span(self.pos - 1)
+                length = last.column + 1 - head.column if last.line == head.line else 1
+                span = self.positions.span(first, length)
                 self.report(_Syntax(span, "expected a declaration keyword, found ';'"))
                 continue
             self.pos += 1  # the keyword, or the token that should have been one
@@ -590,7 +638,7 @@ class _Parser:
             try:
                 if handler is None:
                     raise _Syntax(
-                        tok.span(self.file),
+                        self.positions.span(self.pos - 1),
                         f"expected a declaration keyword, found {tok.text!r}",
                     )
                 decls.append(handler())
@@ -755,17 +803,18 @@ class _Linker:
     diagnostic.  Any diagnostic discards the model.
     """
 
-    def __init__(self, decls: list, file: str, diagnostics: list):
+    def __init__(self, decls: list, positions: _Positions, diagnostics: list):
         self.decls = decls
-        self.file = file
+        self.positions = positions
         self.diagnostics = diagnostics
+        self.found: list = []  # (token, code, message), located at the end of link()
         self.prop_decls: dict = {}
         self.chron_decls: dict = {}
         self.entity_decls: dict = {}  # name -> first declaration of an individual
         self.fn_decls: dict = {}
 
     def diag(self, tok: Token, code: str, message: str) -> None:
-        self.diagnostics.append(ParseDiagnostic(tok.span(self.file), code, message))
+        self.found.append((tok, code, message))
 
     # -- namespace registration ------------------------------------------------
 
@@ -1160,7 +1209,8 @@ class _Linker:
         self.build_situations()
         self.build_functions()
         self.build_assertions()
-        if self.diagnostics:
+        if self.found:
+            self.diagnostics += self.positions.diagnostics(self.found)
             return None
         return Model(**{field.name: getattr(self, field.name) for field in fields(Model)})
 
@@ -1178,8 +1228,9 @@ def parse(source: str, file: str = "<input>") -> Model:
     gc.disable()  # a load makes no reference cycles: docs/semantics.md
     try:
         tokens = _tokenize(source, file, diagnostics)
-        decls = _Parser(tokens, file, diagnostics).parse()
-        model = None if diagnostics else _Linker(decls, file, diagnostics).link()
+        positions = _Positions(source, file, tokens)
+        decls = _Parser(tokens, positions, diagnostics).parse()
+        model = None if diagnostics else _Linker(decls, positions, diagnostics).link()
     finally:
         if collecting:
             gc.enable()
@@ -1450,23 +1501,19 @@ def parse_query(text: str, m: Model | None = None):
     the one for an empty ``during`` span are made only on a clean parse.
     """
     diagnostics: list = []
-    checks: list = []  # semantic diagnostics, reported only on a clean parse
+    checks: list = []  # (token, code, message) of semantic faults, reported only on a clean parse
     file = "<query>"
     tokens = _tokenize(text, file, diagnostics)
-    parser = _Parser(tokens, file, diagnostics)
+    positions = _Positions(text, file, tokens)
+    parser = _Parser(tokens, positions, diagnostics)
     prop = None
     try:
         if parser.keyword("holds", "fact") == "holds":
             subject, prop_name, value = parser.holds_args()
             time_ref = _parse_time_ref(parser, checks)
             if m is not None and prop_name.text not in m.property_defs:
-                checks.append(
-                    ParseDiagnostic(
-                        prop_name.span(file),
-                        "unknown-id",
-                        f"property {prop_name.text!r} is not declared",
-                    )
-                )
+                message = f"property {prop_name.text!r} is not declared"
+                checks.append((prop_name, "unknown-id", message))
             prop = HoldsProp(
                 subject=subject.text,
                 prop=prop_name.text,
@@ -1484,11 +1531,11 @@ def parse_query(text: str, m: Model | None = None):
         parser.end_block()
         tok = parser.tokens[parser.pos]
         if tok.kind != EOF:
-            raise _Syntax(tok.span(file), f"unexpected trailing input: {tok.text!r}")
+            raise _Syntax(positions.span(parser.pos), f"unexpected trailing input: {tok.text!r}")
     except _Syntax as err:
         parser.report(err)
     if diagnostics or checks:
-        raise ParseError(diagnostics or checks)
+        raise ParseError(diagnostics or positions.diagnostics(checks))
     return prop
 
 
@@ -1499,7 +1546,7 @@ def _parse_time_ref(parser: _Parser, checks: list):
     if parser.accept_word("during"):
         left, right = parser.interval("a coordinate")
         if message := no_duration(left.value, right.value):
-            checks.append(ParseDiagnostic(left.span(parser.file), "zero-duration", message))
+            checks.append((left, "zero-duration", message))
         return DuringSpan(left.value, right.value)
     return None
 

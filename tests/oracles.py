@@ -6,6 +6,8 @@ enumeration; nothing calls the checking or query layers it verifies.
 
 from __future__ import annotations
 
+import re
+
 from gfo.chrono import TimeBoundary
 from gfo.dsl import _ESCAPE, _ESCAPES, _LEXEME, ParseDiagnostic, SourceSpan, _rational
 from gfo.model import CATEGORICAL, Process
@@ -14,17 +16,31 @@ from gfo.truthmakers import AtTime, HoldsProp
 WILDCARD = "_"
 
 
+# the token classes of docs/grammar.md, "Lexical structure", in the order the
+# lexer tries them; a text that fits none of them is a bad run
+TOKEN_CLASSES = (
+    ("ident", re.compile(r"[A-Za-z_][A-Za-z0-9_]*(-[A-Za-z0-9_]+)*")),
+    ("number", re.compile(r"-?[0-9]+([./][0-9]+)?")),
+    ("punct", re.compile(r"->|[=;,(){}\[\]@:]")),
+    ("string", re.compile(r'"(?P<body>([^"\\\n]|\\[\s\S])*(\\\Z)?)(?P<closed>")?')),
+    ("eof", re.compile(r"")),
+)
+
+
 def tokens(source, file):
     """``(tokens, diagnostics)`` of the lexer on ``source``: each token as a
-    ``(kind, text, value, line, column)`` tuple, its line counted from the
-    newlines before it and its value computed afresh for every literal.
+    ``(kind, text, value, line, column)`` tuple, its class the first grammar
+    class its whole text fits, its line counted from the newlines before it
+    and its value computed afresh for every literal.
 
-    It shares the lexer's pattern and literal rules; what it re-derives is
-    every position and every value, one token at a time."""
+    It shares the lexer's pattern, which splits the source into token texts,
+    and its literal rules; what it re-derives is every class, position and
+    value, one token at a time."""
     out, diagnostics = [], []
     for m in _LEXEME.finditer(source):
-        kind = m.lastgroup
-        text, start = m[kind], m.start(kind)
+        text, start = m[1], m.start(1)
+        fits = ((kind, pattern.fullmatch(text)) for kind, pattern in TOKEN_CLASSES)
+        kind, fit = next(((kind, fit) for kind, fit in fits if fit), ("bad", None))
         line = source.count("\n", 0, start) + 1
         column = start - (source.rfind("\n", 0, start) + 1) + 1
         value, error, code, length = text, None, "unexpected-token", len(text)
@@ -32,8 +48,8 @@ def tokens(source, file):
             value, error = _rational(text)
             code = "bad-rational"
         elif kind == "string":
-            value = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), m["body"])
-            if m["closed"] is None:
+            value = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), fit["body"])
+            if fit["closed"] is None:
                 error, length = "unterminated string literal", 1
         elif kind == "bad":
             plural = "s" if len(text) > 1 else ""

@@ -225,6 +225,23 @@ def test_check_unreadable_file_exit_two():
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check"],
+        ["check", "--format", "json"],
+        ["dump"],
+        ["query", "--realizations", "f"],
+    ],
+)
+def test_a_file_that_is_not_utf8_exits_two_with_one_line(tmp_path, argv):
+    bad = tmp_path / "latin1.gfo"
+    bad.write_bytes(b"chronoid c = [0, 1];\xff")
+    code, out, err = run_cli(*argv[:1], str(bad), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"gfo: cannot read {bad}: ") and err.count("\n") == 1, err
+
+
 def test_check_multiple_inputs_fail_on_any_parse_error(tmp_path):
     bad = tmp_path / "bad.gfo"
     bad.write_text("presential x at nowhere@0;\n")

@@ -2,6 +2,7 @@ import gc
 import random
 import sys
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import given
@@ -15,14 +16,18 @@ from gfo.dsl import (
     DIAGNOSTIC_CODES,
     ParseError,
     Token,
+    _Positions,
     _tokenize,
     parse,
     parse_file,
     parse_query,
     serialize,
 )
-from helpers import corpus_files, split_statements
+from helpers import REPO, corpus_files, split_statements
 from test_golden import MUTATION_SEED, _mutate
+
+sys.path.insert(0, str(REPO / "perfbench"))
+import worlds  # noqa: E402
 
 MINIMAL = """
 chronoid c = [0,2];
@@ -334,8 +339,75 @@ def test_token_positions_agree_with_oracle_on_random_sources():
         diagnostics = []
         tokens = _tokenize(source, "lex.gfo", diagnostics)
         assert all(type(tok) is Token for tok in tokens), f"source #{i}"
+        spans = map(_Positions(source, "lex.gfo", tokens).span, range(len(tokens)))
+        found = [(*tok, s.line, s.column) for tok, s in zip(tokens, spans)]
         expected = oracles.tokens(source, "lex.gfo")
-        assert ([tuple(tok) for tok in tokens], diagnostics) == expected, f"source #{i}: {source!r}"
+        assert (found, diagnostics) == expected, f"source #{i}: {source!r}"
+
+
+def _flat_source(n: int) -> str:
+    """The benchmark's flat world of ``n`` presentials, about 3n declarations."""
+    return worlds._flat_world(random.Random(3), n)[0]
+
+
+def _with_line(source: str, line: int, text: str) -> str:
+    """``source`` with ``text`` inserted so that it starts line ``line``."""
+    lines = source.split("\n")
+    return "\n".join(lines[: line - 1] + [text] + lines[line - 1 :])
+
+
+def _found(source: str) -> list:
+    with pytest.raises(ParseError) as err:
+        parse(source)
+    return [(d.code, d.span.line, d.span.column, d.span.length) for d in err.value.diagnostics]
+
+
+def test_positions_hold_after_many_lines_and_dropped_tokens():
+    """One fault of each layer planted deep in a world of ~3000 declarations
+    is reported where it was planted, also after a bad run, which the lexer
+    drops from the token list and so shifts every later token's ordinal."""
+    world = _flat_source(1000)
+    last = world.count("\n") + 1
+    early = ("unexpected-token", 40, 3, 2)  # a bad run the parser never sees
+    cases = [
+        (1500, "  chronoid q = [0, 1]; #%", [("unexpected-token", 1500, 24, 2)]),
+        (1500, '  function q { label "open\n; }', [("unexpected-token", 1500, 22, 1)]),
+        (2999, "chronoid q = [0, 1/0];", [("bad-rational", 2999, 18, 3)]),
+        (2000, "   chronoid q = [0 1];", [("unexpected-token", 2000, 20, 1)]),
+    ]
+    for line, text, expected in cases:
+        assert _found(_with_line(world, line, text)) == expected, text
+    source = _with_line(_with_line(world, 2000, "   chronoid q = [0 1];"), 40, "  #%")
+    assert _found(source) == [early, ("unexpected-token", 2001, 20, 1)]
+    source = world + "presential q at nowhere@0;"
+    assert _found(source) == [("dangling-reference", last, 17, 7)]
+
+
+def test_a_clean_load_counts_no_positions(monkeypatch):
+    """Line and column are counted only for a diagnostic: no clean load
+    builds the position table, and a load with many diagnostics builds it
+    once, however many of them there are."""
+    builds = []
+    build = dsl._Positions.starts.func
+    counted = cached_property(lambda self: builds.append(1) or build(self))
+    counted.__set_name__(dsl._Positions, "starts")
+    monkeypatch.setattr(dsl._Positions, "starts", counted)
+    for path in corpus_files():
+        parse_file(path)
+    parse(_flat_source(3000))
+    parse_query("holds(blood, position, in_heart) during [0, 1]")
+    assert builds == []
+    faulty = [
+        "chronoid c = [0 1];\n" * 200,  # parser
+        "".join(f"presential p{i} at nowhere@0;\n" for i in range(200)),  # linker
+        "chronoid c = [0 1]; #\n" * 200,  # lexer and parser
+        "{" * 200,  # one open block
+        ";" * 200 + "\n" + ";" * 200,  # two runs of stray ';'
+    ]
+    for source in faulty:
+        builds.clear()
+        _found(source)
+        assert len(builds) <= 1, source[:40]
 
 
 def test_each_distinct_number_text_is_read_once_per_parse(monkeypatch):

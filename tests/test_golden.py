@@ -34,7 +34,7 @@ from pathlib import Path
 
 from genmodels import random_full_model, random_realization_model
 from gfo import cli
-from gfo.dsl import ParseError, _tokenize, parse, parse_file, parse_query, serialize
+from gfo.dsl import ParseError, _Positions, _tokenize, parse, parse_file, parse_query, serialize
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -323,10 +323,11 @@ def _lexer() -> list:
             continue  # positions after an escaped newline are pinned in test_dsl.py
         diagnostics = []
         tokens = _tokenize(source, "<input>", diagnostics)
+        spans = map(_Positions(source, "<input>", tokens).span, range(len(tokens)))
         out.append(
             [
                 source,
-                [[t.kind, t.text, str(t.value), t.line, t.column] for t in tokens],
+                [[t.kind, t.text, str(t.value), s.line, s.column] for t, s in zip(tokens, spans)],
                 [[d.code, d.span.line, d.span.column, d.span.length, d.message] for d in diagnostics],
             ]
         )
