@@ -12,8 +12,9 @@ represented symbolically by its endpoints.  Boundary entities are
 individuals, not numbers: two boundaries may coincide (occupy the same
 coordinate) without being the same entity.  Inner boundaries are interned
 per (chronoid, coordinate), so repeated queries return the same entity;
-the interning store is lock-protected and everything else is immutable,
-which makes all time values safe to share between concurrent tasks.
+an entry is only ever inserted under the chronoid's lock, so a lookup that
+finds one needs no lock, and everything else is immutable, which makes all
+time values safe to share between concurrent tasks.
 """
 
 from __future__ import annotations
@@ -156,8 +157,13 @@ def inner_boundary(ch: Chronoid, t: int | str | Fraction) -> TimeBoundary:
 
     Endpoints yield the chronoid's own left/right boundary entity; interior
     coordinates yield an inner boundary, interned so that repeated calls on
-    the same (chronoid, coordinate) return the same entity.
+    the same (chronoid, coordinate) return the same entity.  An entity already
+    interned is returned first, without the lock: entries are only ever
+    inserted under it, and a value equal to a coordinate hashes as it does.
     """
+    entity = ch._boundaries.get(t)
+    if entity is not None:
+        return entity
     if not isinstance(t, Fraction):
         t = coord(t)
     if not ch.contains(t):

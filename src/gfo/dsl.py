@@ -27,10 +27,11 @@ import gc
 import re
 from array import array
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, count, islice, repeat
+from itertools import islice
 from typing import NamedTuple
 
 from .chrono import Chronoid, Time, TimeBoundary, coord_str, inner_boundary, no_duration
@@ -215,8 +216,8 @@ def _overlong(text: str, count: str) -> str:
 
 
 def _lexeme(text: str, faults: dict):
-    """The ``(kind, text, value)`` of the token ``text``, None for a bad run; a
-    faulty text gets its diagnostic's ``(code, message, length)`` in ``faults``."""
+    """The token of the text ``text``, None for a bad run; a faulty text gets
+    its diagnostic's ``(code, message, length)`` in ``faults``."""
     kind = _kind(text)
     value = text
     if kind == NUMBER:
@@ -234,7 +235,7 @@ def _lexeme(text: str, faults: dict):
         error = f"unexpected character{'s' if len(text) > 1 else ''} {shown}"
         faults[text] = ("unexpected-token", error, len(text))
         return None
-    return kind, text, value
+    return Token(kind, text, value)
 
 
 def _tokenize(source: str, file: str, diagnostics: list) -> list:
@@ -242,8 +243,8 @@ def _tokenize(source: str, file: str, diagnostics: list) -> list:
     del texts[texts.index("") :]  # the end of input and what follows it
     faults: dict = {}  # text -> the diagnostic each of its occurrences gets
     lexemes = {text: _lexeme(text, faults) for text in set(texts)}  # each text read once
-    # one new Token per occurrence, so that a token is its own position
-    tokens = list(map(tuple.__new__, repeat(Token), filter(None, map(lexemes.get, texts))))
+    # every occurrence of a text shares its one Token: a position is an index
+    tokens = list(filter(None, map(lexemes.get, texts)))
     tokens.append(Token(EOF, "", None))
     if faults:  # walk the texts to the start of each faulty one
         positions, end = _Positions(source, file, tokens), 0
@@ -287,86 +288,84 @@ class _Positions:
         return SourceSpan(self.file, line + 1, column, length)
 
     def diagnostics(self, found: list) -> list:
-        """A diagnostic per ``(token, code, message)``, each token found by identity."""
-        index = dict.fromkeys([id(tok) for tok, _, _ in found])
-        for i in compress(count(), map(index.__contains__, map(id, self.tokens))):
-            index[id(self.tokens[i])] = i
-        return [ParseDiagnostic(self.span(index[id(tok)]), code, msg) for tok, code, msg in found]
+        """A diagnostic per ``(index, code, message)``, at the token of that index."""
+        return [ParseDiagnostic(self.span(i), code, msg) for i, code, msg in found]
 
 
 # ---------------------------------------------------------------------------
 # Raw declarations (first pass)
 # ---------------------------------------------------------------------------
 
-# Declarations keep the tokens they were parsed from: a name or reference is
-# its identifier token, a coordinate or value its literal token.  The linker
-# reads text and values off the tokens, and builds a SourceSpan from one only
-# when it reports a diagnostic there.
+# Declarations keep the indexes of the tokens they were parsed from: a name or
+# reference is its identifier's index, a coordinate or value its literal's.
+# Every occurrence of a text shares one Token, so the index is the position.
+# The linker reads text and values off ``tokens[index]``, and builds a
+# SourceSpan from an index only when it reports a diagnostic there.
 
 
 @dataclass
 class _Chronoid:
-    name: Token
-    left: Token
-    right: Token
+    name: int
+    left: int
+    right: int
 
 
 @dataclass
 class _Property:
-    name: Token
+    name: int
     domain_kind: str
     symbols: list
     support_kind: str
-    radius: Token | None
+    radius: int | None
 
 
 @dataclass
 class _Presential:
-    name: Token
-    chron: Token
-    t: Token
+    name: int
+    chron: int
+    t: int
     material: bool
     valuation: list  # (prop, value)
 
 
 @dataclass
 class _Process:
-    name: Token
-    chron: Token
+    name: int
+    chron: int
     boundaries: list  # (t, target)
     trajectories: list  # (prop, [(t, value)])
 
 
 @dataclass
 class _Continuant:
-    name: Token
-    chron: Token
+    name: int
+    chron: int
     material: bool
     exhibits: list  # (t, target)
 
 
 @dataclass
 class _Situation:
-    name: Token
-    chron: Token
-    t: Token | None  # None for a situoid, which spans the whole chronoid
-    founded: Token | None
+    name: int
+    chron: int
+    t: int | None  # None for a situoid, which spans the whole chronoid
+    founded: int | None
     contains: list
     participants: list
 
 
 @dataclass
 class _Fact:
-    name: Token
-    relator: Token
+    name: int
+    relator: int
     args: list
 
 
 @dataclass
 class _Function:
-    name: Token
+    name: int
     kind: str
-    bearer: Token | None
+    bearer: int | None
     labels: list
     req_items: list | None  # None when the block is missing
     goal_items: list | None
@@ -375,15 +374,15 @@ class _Function:
 
 @dataclass
 class _Exe:
-    x: Token
-    p: Token
+    x: int
+    p: int
 
 
 @dataclass
 class _Instance:
     which: str  # "requirement" | "goal"
-    fn: Token
-    sit: Token
+    fn: int
+    sit: int
 
 
 class _Syntax(Exception):
@@ -410,9 +409,10 @@ class _Parser:
 
     # -- token helpers -------------------------------------------------------
 
+    # punctuation is tested by its text alone: a token's class follows from its
+    # first character, so no other class has a punctuation text (docs/grammar.md)
     def at_punct(self, text: str) -> bool:
-        tok = self.tokens[self.pos]
-        return tok.text == text and tok.kind == PUNCT
+        return self.tokens[self.pos].text == text
 
     def report(self, err: _Syntax) -> None:
         if (err.span.line, err.span.column) not in self.lexed:
@@ -448,27 +448,26 @@ class _Parser:
         self.pos += 1
         return handler()
 
-    def take_punct(self, text: str) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.text != text or tok.kind != PUNCT:
+    def take_punct(self, text: str) -> None:
+        if self.tokens[self.pos].text != text:
             raise self.expected(repr(text))
         self.pos += 1
-        return tok
 
-    def take(self, kind: str, what: str) -> Token:
-        """Consume a token of ``kind``; any other token is an error naming ``what``."""
-        tok = self.tokens[self.pos]
-        if tok.kind != kind:
+    def take(self, kind: str, what: str) -> int:
+        """Consume a token of ``kind`` and return its index; any other token
+        is an error naming ``what``."""
+        pos = self.pos
+        if self.tokens[pos].kind != kind:
             raise self.expected(what)
-        self.pos += 1
-        return tok
+        self.pos = pos + 1
+        return pos
 
-    def take_value(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind not in (IDENT, NUMBER):
+    def take_value(self) -> int:
+        pos = self.pos
+        if self.tokens[pos].kind not in (IDENT, NUMBER):
             raise self.expected("a symbol or rational")
-        self.pos += 1
-        return tok
+        self.pos = pos + 1
+        return pos
 
     def end_simple(self) -> None:
         self.take_punct(";")
@@ -499,7 +498,7 @@ class _Parser:
         return out
 
     def assignment(self) -> tuple:
-        """``property = value ;`` as two tokens."""
+        """``property = value ;`` as two token indexes."""
         prop = self.take(IDENT, "a property name")
         self.take_punct("=")
         value = self.take_value()
@@ -507,24 +506,24 @@ class _Parser:
         return prop, value
 
     def sample(self, take_target) -> tuple:
-        """``rational -> target ;`` as two tokens."""
+        """``rational -> target ;`` as two token indexes."""
         t = self.take(NUMBER, "a coordinate")
         self.take_punct("->")
         target = take_target()
         self.end_simple()
         return t, target
 
-    def presential_ref(self) -> Token:
+    def presential_ref(self) -> int:
         return self.take(IDENT, "a presential name")
 
-    def member(self, what: str) -> Token:
-        """``id ;`` as the id token."""
-        tok = self.take(IDENT, what)
+    def member(self, what: str) -> int:
+        """``id ;`` as the id's token index."""
+        i = self.take(IDENT, what)
         self.end_simple()
-        return tok
+        return i
 
     def relator_args(self) -> tuple:
-        """``relator(value, ...)`` as the relator token and the value tokens."""
+        """``relator(value, ...)`` as the relator's and the values' token indexes."""
         relator = self.take(IDENT, "a relator name")
         self.take_punct("(")
         args = self.comma_list(self.take_value)
@@ -540,7 +539,7 @@ class _Parser:
         return out
 
     def holds_args(self) -> tuple:
-        """``(entity, property, value)`` after ``holds``, as three tokens."""
+        """``(entity, property, value)`` after ``holds``, as three token indexes."""
         self.take_punct("(")
         entity = self.take(IDENT, "an entity name")
         self.take_punct(",")
@@ -551,7 +550,7 @@ class _Parser:
         return entity, prop, value
 
     def pair(self, first: str, second: str) -> tuple:
-        """``(id, id) ;`` as two tokens."""
+        """``(id, id) ;`` as two token indexes."""
         self.take_punct("(")
         a = self.take(IDENT, first)
         self.take_punct(",")
@@ -561,7 +560,7 @@ class _Parser:
         return a, b
 
     def interval(self, what: str = "a rational literal") -> tuple:
-        """``[rational, rational]`` as two tokens."""
+        """``[rational, rational]`` as two token indexes."""
         self.take_punct("[")
         left = self.take(NUMBER, what)
         self.take_punct(",")
@@ -588,18 +587,17 @@ class _Parser:
                 after = self.tokens[self.pos + 2 : self.pos + 3]  # '=' in `fact name =`
                 if tok.text != "fact" or (after and after[0].text == "="):
                     return
-            if tok.kind == PUNCT:
-                if tok.text == "{":
-                    depth += 1
-                elif tok.text == "}":
-                    if depth <= 1:
-                        self.pos += 1
-                        self.end_block()
-                        return
-                    depth -= 1
-                elif tok.text == ";" and depth == 0:
+            if tok.text == "{":
+                depth += 1
+            elif tok.text == "}":
+                if depth <= 1:
                     self.pos += 1
+                    self.end_block()
                     return
+                depth -= 1
+            elif tok.text == ";" and depth == 0:
+                self.pos += 1
+                return
             self.pos += 1  # never past EOF, which ends the skip above
 
     # -- statements --------------------------------------------------------------
@@ -661,7 +659,7 @@ class _Parser:
         symbols = []
         if domain_kind == CATEGORICAL:
             self.take_punct("{")
-            symbols = [tok.text for tok in self.comma_list(lambda: self.take(IDENT, "a symbol"))]
+            symbols = self.comma_list(lambda: self.tokens[self.take(IDENT, "a symbol")].text)
             self.take_punct("}")
         support_kind = self.accept_word(ISOLATED, NON_ISOLATED, GLOBAL) or ISOLATED
         radius = None
@@ -762,9 +760,9 @@ class _Parser:
         )
 
     def label(self) -> str:
-        tok = self.take(STRING, "a string label")
+        label = self.tokens[self.take(STRING, "a string label")].value
         self.end_simple()
-        return tok.value
+        return label
 
     def concept(self) -> list:
         items = {"fact": self.concept_fact, "holds": self.concept_holds}
@@ -773,7 +771,8 @@ class _Parser:
     def concept_fact(self) -> FactPattern:
         relator, args = self.relator_args()
         self.end_simple()
-        return FactPattern(relator=relator.text, args=tuple(tok.value for tok in args))
+        tokens = self.tokens
+        return FactPattern(relator=tokens[relator].text, args=tuple(tokens[i].value for i in args))
 
     def concept_holds(self) -> tuple:
         entity, prop, value = self.holds_args()
@@ -805,103 +804,104 @@ class _Linker:
 
     def __init__(self, decls: list, positions: _Positions, diagnostics: list):
         self.decls = decls
+        self.tokens = positions.tokens
         self.positions = positions
         self.diagnostics = diagnostics
-        self.found: list = []  # (token, code, message), located at the end of link()
+        self.found: list = []  # (token index, code, message), located at the end of link()
+        # raw declaration class -> (name, declaration) pairs in source order; the
+        # name of an _Exe or _Instance, which declare no id, is None
+        self.groups: dict = defaultdict(list)
         self.prop_decls: dict = {}
         self.chron_decls: dict = {}
         self.entity_decls: dict = {}  # name -> first declaration of an individual
         self.fn_decls: dict = {}
 
-    def diag(self, tok: Token, code: str, message: str) -> None:
-        self.found.append((tok, code, message))
+    def diag(self, i: int, code: str, message: str) -> None:
+        self.found.append((i, code, message))
 
     # -- namespace registration ------------------------------------------------
 
     def register(self) -> None:
         tables = {_Property: self.prop_decls, _Chronoid: self.chron_decls, _Function: self.fn_decls}
         for decl in self.decls:
-            if isinstance(decl, (_Exe, _Instance)):
+            cls = type(decl)
+            name = None if cls is _Exe or cls is _Instance else self.tokens[decl.name].text
+            self.groups[cls].append((name, decl))
+            if name is None:
                 continue
-            name = decl.name.text
-            prior = tables.get(type(decl), self.entity_decls).setdefault(name, decl)
+            prior = tables.get(cls, self.entity_decls).setdefault(name, decl)
             if prior is decl:
                 continue
-            if type(prior) is type(decl):
-                self.diag(
-                    decl.name,
-                    "duplicate-id",
-                    f"{_noun(type(decl))} {name!r} is declared twice",
-                )
+            if type(prior) is cls:
+                self.diag(decl.name, "duplicate-id", f"{_noun(cls)} {name!r} is declared twice")
             else:
                 self.diag(
                     decl.name,
                     "kind-conflict",
                     f"{name!r} is already declared as a {_noun(type(prior))}, "
-                    f"cannot also be a {_noun(type(decl))}",
+                    f"cannot also be a {_noun(cls)}",
                 )
-
-    def decls_of(self, cls) -> list:
-        return [decl for decl in self.decls if isinstance(decl, cls)]
 
     # -- reference helpers -------------------------------------------------------
 
-    def resolve_entity(self, ref: Token, cls=None) -> bool:
-        declared = self.entity_decls.get(ref.text)
+    def resolve_entity(self, ref: int, cls=None) -> bool:
+        text = self.tokens[ref].text
+        declared = self.entity_decls.get(text)
         if declared is None:
-            self.diag(ref, "dangling-reference", f"{ref.text!r} is not declared")
+            self.diag(ref, "dangling-reference", f"{text!r} is not declared")
             return False
         if cls is not None and type(declared) is not cls:
             self.diag(
                 ref,
                 "kind-conflict",
-                f"{ref.text!r} is a {_noun(type(declared))}, but a {_noun(cls)} is required here",
+                f"{text!r} is a {_noun(type(declared))}, but a {_noun(cls)} is required here",
             )
             return False
         return True
 
-    def resolve_chronoid(self, ref: Token):
-        ch = self.chronoids.get(ref.text)
-        if ch is None and ref.text not in self.chron_decls:  # a rejected one was reported
-            self.diag(ref, "dangling-reference", f"chronoid {ref.text!r} is not declared")
+    def resolve_chronoid(self, ref: int):
+        text = self.tokens[ref].text
+        ch = self.chronoids.get(text)
+        if ch is None and text not in self.chron_decls:  # a rejected one was reported
+            self.diag(ref, "dangling-reference", f"chronoid {text!r} is not declared")
         return ch
 
-    def check_value(self, pdef: PropertyDef, tok: Token) -> bool:
-        if not pdef.domain.admits(tok.value):
+    def check_value(self, pdef: PropertyDef, i: int) -> bool:
+        value = self.tokens[i].value
+        if not pdef.domain.admits(value):
             self.diag(
-                tok,
+                i,
                 "bad-value",
-                f"{str(fmt_value(tok.value))!r} is not in the value domain of "
+                f"{str(fmt_value(value))!r} is not in the value domain of "
                 f"property {pdef.name!r}",
             )
             return False
         return True
 
-    def resolve_property(self, ref: Token):
-        pdef = self.property_defs.get(ref.text)
+    def resolve_property(self, ref: int):
+        text = self.tokens[ref].text
+        pdef = self.property_defs.get(text)
         if pdef is None:
-            self.diag(ref, "unknown-id", f"property {ref.text!r} is not declared")
+            self.diag(ref, "unknown-id", f"property {text!r} is not declared")
         return pdef
 
-    def resolve_value(self, prop: Token, value: Token) -> None:
+    def resolve_value(self, prop: int, value: int) -> None:
         """Resolve a property name, then check the value it is given."""
         pdef = self.resolve_property(prop)
         if pdef is not None:
             self.check_value(pdef, value)
 
-    def new_sample(self, tok: Token, ch, seen, what: str) -> bool:
-        """True when the coordinate ``tok`` lies in ``ch`` and is not in
-        ``seen`` yet; otherwise reports why not."""
-        t = tok.value
+    def new_sample(self, i: int, ch, seen, what: str):
+        """The coordinate of token ``i`` when it lies in ``ch`` and is not in
+        ``seen`` yet; otherwise reports why not and returns None."""
+        t = self.tokens[i].value
         if ch is not None and not ch.contains(t):
-            self.diag(tok, "out-of-extent", ch.outside(t))
-            return False
+            self.diag(i, "out-of-extent", ch.outside(t))
+            return None
         if t in seen:
-            self.diag(
-                tok, "duplicate-id", f"{what} at {coord_str(t)} is declared twice"
-            )
-            return False
-        return True
+            self.diag(i, "duplicate-id", f"{what} at {coord_str(t)} is declared twice")
+            return None
+        return t
 
     # -- stages --------------------------------------------------------------------
 
@@ -910,7 +910,7 @@ class _Linker:
         for name, decl in self.prop_decls.items():
             radius = None
             if decl.radius is not None:
-                radius = decl.radius.value
+                radius = self.tokens[decl.radius].value
                 if radius <= 0:
                     self.diag(
                         decl.radius,
@@ -927,25 +927,27 @@ class _Linker:
     def build_chronoids(self) -> None:
         self.chronoids = {}
         for name, decl in self.chron_decls.items():
+            left, right = self.tokens[decl.left].value, self.tokens[decl.right].value
             try:
-                self.chronoids[name] = Chronoid(name, decl.left.value, decl.right.value)
+                self.chronoids[name] = Chronoid(name, left, right)
             except ZeroOrNegativeDuration as err:
                 # left out: resolve_chronoid then gives no chronoid to check against
                 self.diag(decl.left, "zero-duration", str(err))
 
-    def _boundary_at(self, chron: Token, tok: Token):
+    def _boundary_at(self, chron: int, i: int):
         ch = self.resolve_chronoid(chron)
         if ch is None:
             return None
         try:
-            return inner_boundary(ch, tok.value)
+            return inner_boundary(ch, self.tokens[i].value)
         except OutOfExtent as err:
-            self.diag(tok, "out-of-extent", str(err))
+            self.diag(i, "out-of-extent", str(err))
             return None
 
     def build_presentials(self) -> None:
         self.presentials = {}
-        for decl in self.decls_of(_Presential):
+        tokens = self.tokens
+        for name, decl in self.groups[_Presential]:
             boundary = self._boundary_at(decl.chron, decl.t)
             # a rejected entry is left out: the duplicate check reads this map
             valuation = {}
@@ -953,26 +955,25 @@ class _Linker:
                 pdef = self.resolve_property(prop)
                 if pdef is None:
                     continue
+                text = tokens[prop].text
                 if pdef.support.kind != ISOLATED:
                     self.diag(
                         prop,
                         "kind-conflict",
-                        f"property {prop.text!r} has {pdef.support.kind} support and "
+                        f"property {text!r} has {pdef.support.kind} support and "
                         "cannot be valued at a single boundary",
                     )
                     continue
-                if prop.text in valuation:
+                if text in valuation:
                     self.diag(
-                        prop,
-                        "duplicate-id",
-                        f"property {prop.text!r} is valued twice on {decl.name.text!r}",
+                        prop, "duplicate-id", f"property {text!r} is valued twice on {name!r}"
                     )
                     continue
                 if self.check_value(pdef, value):
-                    valuation[prop.text] = value.value
+                    valuation[text] = tokens[value].value
             if boundary is not None:  # coordinate-mismatch reads pres.at
-                self.presentials[decl.name.text] = Presential(
-                    id=decl.name.text,
+                self.presentials[name] = Presential(
+                    id=name,
                     at=boundary,
                     valuation=valuation,
                     material=decl.material,
@@ -980,38 +981,42 @@ class _Linker:
 
     def _sample_map(self, decl, entries, ch, keyword: str) -> dict:
         # a rejected entry is left out: the duplicate check reads this map
+        tokens = self.tokens
         out: dict = {}
         sampled = set()  # every coordinate given: a rejected target is no missing endpoint
-        for t, target in entries:
-            if not self.new_sample(t, ch, out, keyword):
+        for i, target in entries:
+            t = self.new_sample(i, ch, out, keyword)
+            if t is None:
                 continue
-            sampled.add(t.value)
+            sampled.add(t)
             if not self.resolve_entity(target, _Presential):
                 continue
-            pres = self.presentials.get(target.text)
-            if pres is not None and pres.at.coordinate != t.value:
+            name = tokens[target].text
+            pres = self.presentials.get(name)
+            if pres is not None and pres.at.coordinate != t:
                 self.diag(
                     target,
                     "coordinate-mismatch",
-                    f"presential {target.text!r} is at {coord_str(pres.at.coordinate)}, "
-                    f"not at {coord_str(t.value)}",
+                    f"presential {name!r} is at {coord_str(pres.at.coordinate)}, "
+                    f"not at {coord_str(t)}",
                 )
                 continue
-            out[t.value] = target.text
+            out[t] = name
         if ch is not None:
             for endpoint in (ch.left, ch.right):
                 if endpoint not in sampled:
                     self.diag(
                         decl.name,
                         "missing-endpoint",
-                        f"{decl.name.text!r} has no {keyword} at the endpoint "
+                        f"{tokens[decl.name].text!r} has no {keyword} at the endpoint "
                         f"{coord_str(endpoint)}",
                     )
         return out
 
     def build_processes(self) -> None:
         self.processes = {}
-        for decl in self.decls_of(_Process):
+        tokens = self.tokens
+        for name, decl in self.groups[_Process]:
             ch = self.resolve_chronoid(decl.chron)
             # a rejected trajectory or sample is left out: the duplicate checks read these maps
             trajectories: dict = {}
@@ -1019,30 +1024,26 @@ class _Linker:
                 pdef = self.resolve_property(prop)
                 if pdef is None:
                     continue
+                text = tokens[prop].text
                 if pdef.support.kind == ISOLATED:
                     self.diag(
                         prop,
                         "kind-conflict",
-                        f"property {prop.text!r} has isolated support; its values live "
+                        f"property {text!r} has isolated support; its values live "
                         "on presentials, not trajectories",
                     )
                     continue
-                if prop.text in trajectories:
-                    self.diag(
-                        prop,
-                        "duplicate-id",
-                        f"trajectory for {prop.text!r} is declared twice",
-                    )
+                if text in trajectories:
+                    self.diag(prop, "duplicate-id", f"trajectory for {text!r} is declared twice")
                     continue
                 points: dict = {}
-                for t, value in samples:
-                    if not self.new_sample(t, ch, points, "trajectory sample"):
-                        continue
-                    if self.check_value(pdef, value):
-                        points[t.value] = value.value
-                trajectories[prop.text] = tuple(sorted(points.items()))
-            self.processes[decl.name.text] = Process(
-                id=decl.name.text,
+                for i, value in samples:
+                    t = self.new_sample(i, ch, points, "trajectory sample")
+                    if t is not None and self.check_value(pdef, value):
+                        points[t] = tokens[value].value
+                trajectories[text] = tuple(sorted(points.items()))
+            self.processes[name] = Process(
+                id=name,
                 extent=ch,
                 boundary_map=self._sample_map(decl, decl.boundaries, ch, "boundary"),
                 trajectories=trajectories,
@@ -1050,10 +1051,10 @@ class _Linker:
 
     def build_continuants(self) -> None:
         self.continuants = {}
-        for decl in self.decls_of(_Continuant):
+        for name, decl in self.groups[_Continuant]:
             ch = self.resolve_chronoid(decl.chron)
-            self.continuants[decl.name.text] = Continuant(
-                id=decl.name.text,
+            self.continuants[name] = Continuant(
+                id=name,
                 lifetime=ch,
                 exhibit_map=self._sample_map(decl, decl.exhibits, ch, "exhibits"),
                 material=decl.material,
@@ -1061,10 +1062,12 @@ class _Linker:
 
     def build_facts(self) -> None:
         self.facts = {}
-        for decl in self.decls_of(_Fact):
+        tokens = self.tokens
+        for name, decl in self.groups[_Fact]:
             entities = decl.args
+            relator = tokens[decl.relator].text
             literal = "literal arguments are only allowed in property facts"
-            pdef = self.property_defs.get(decl.relator.text)
+            pdef = self.property_defs.get(relator)
             if pdef is not None:
                 # property fact: (subject entity, literal value)
                 if len(decl.args) != 2:
@@ -1072,7 +1075,7 @@ class _Linker:
                         decl.relator,
                         "bad-value",
                         f"a property fact takes (subject, value); "
-                        f"{decl.relator.text!r} got {len(decl.args)} argument(s)",
+                        f"{relator!r} got {len(decl.args)} argument(s)",
                     )
                     entities = ()
                 else:
@@ -1080,20 +1083,21 @@ class _Linker:
                     literal = "the subject of a property fact must be an entity"
                     self.check_value(pdef, decl.args[1])
             for arg in entities:
-                if arg.kind == NUMBER:
+                if tokens[arg].kind == NUMBER:
                     self.diag(arg, "bad-value", literal)
                 else:
                     self.resolve_entity(arg)
-            self.facts[decl.name.text] = Fact(
-                id=decl.name.text,
-                relator=decl.relator.text,
-                args=tuple([arg.value for arg in decl.args]),
+            self.facts[name] = Fact(
+                id=name,
+                relator=relator,
+                args=tuple([tokens[arg].value for arg in decl.args]),
             )
 
     def build_situations(self) -> None:
         self.situations = {}
+        tokens = self.tokens
         used_facts = set()  # orphan-fact reads only the facts a situation really contains
-        for decl in self.decls_of(_Situation):
+        for name, decl in self.groups[_Situation]:
             if decl.t is None:
                 extent = self.resolve_chronoid(decl.chron)
             else:
@@ -1102,32 +1106,33 @@ class _Linker:
                 self.resolve_entity(decl.founded, _Process)
             for fact in decl.contains:
                 if self.resolve_entity(fact, _Fact):
-                    used_facts.add(fact.text)
+                    used_facts.add(tokens[fact].text)
             for entity in decl.participants:
                 self.resolve_entity(entity)
-            self.situations[decl.name.text] = Situation(
-                id=decl.name.text,
+            self.situations[name] = Situation(
+                id=name,
                 extent=extent,
-                constituents=frozenset([fact.text for fact in decl.contains]),
-                participants=frozenset([entity.text for entity in decl.participants]),
-                founded_on=None if decl.founded is None else decl.founded.text,
+                constituents=frozenset([tokens[fact].text for fact in decl.contains]),
+                participants=frozenset([tokens[entity].text for entity in decl.participants]),
+                founded_on=None if decl.founded is None else tokens[decl.founded].text,
             )
         # facts are properties of processes only through situations; a fact
         # contained in no situation has nothing to be founded on
-        for decl in self.decls_of(_Fact):
-            if decl.name.text not in used_facts:
+        for name, decl in self.groups[_Fact]:
+            if name not in used_facts:
                 self.diag(
                     decl.name,
                     "orphan-fact",
-                    f"fact {decl.name.text!r} is not a constituent of any situation",
+                    f"fact {name!r} is not a constituent of any situation",
                 )
 
-    def _concept(self, fn: Token, which: str, items: list | None):
+    def _concept(self, fn: int, which: str, items: list | None):
+        tokens = self.tokens
         if not items:
             self.diag(
                 fn,
                 "empty-concept",
-                f"function {fn.text!r} needs a non-empty '"
+                f"function {tokens[fn].text!r} needs a non-empty '"
                 + ("requires" if which == "req" else "achieves")
                 + "' block",
             )
@@ -1142,16 +1147,17 @@ class _Linker:
             self.resolve_entity(entity)
             self.resolve_value(prop, value)
             constraints.add(
-                PropertyConstraint(entity=entity.text, prop=prop.text, value=value.value)
+                PropertyConstraint(tokens[entity].text, tokens[prop].text, tokens[value].value)
             )
         return SituationConcept(
             required_facts=frozenset(patterns),
             required_props=frozenset(constraints),
-            name=f"{fn.text}.{which}",
+            name=f"{tokens[fn].text}.{which}",
         )
 
     def build_functions(self) -> None:
         self.functions = {}
+        tokens = self.tokens
         for name, decl in self.fn_decls.items():
             if decl.bearer is not None:
                 self.resolve_entity(decl.bearer)
@@ -1163,7 +1169,7 @@ class _Linker:
                 )
             for prop, value in decl.fitem:
                 self.resolve_value(prop, value)
-            fitem = [(prop.text, value.value) for prop, value in decl.fitem]
+            fitem = [(tokens[prop].text, tokens[value].value) for prop, value in decl.fitem]
             self.functions[name] = FunctionSpec(
                 id=name,
                 req=self._concept(decl.name, "req", decl.req_items),
@@ -1171,27 +1177,24 @@ class _Linker:
                 labels=frozenset(decl.labels),
                 fitem=tuple(sorted(fitem, key=lambda c: (c[0], str(c[1])))),
                 kind=decl.kind,
-                bearer=None if decl.bearer is None else decl.bearer.text,
+                bearer=None if decl.bearer is None else tokens[decl.bearer].text,
             )
 
     def build_assertions(self) -> None:
+        tokens = self.tokens
         exe = []
+        for _, decl in self.groups[_Exe]:
+            self.resolve_entity(decl.x)
+            self.resolve_entity(decl.p, _Process)
+            exe.append((tokens[decl.x].text, tokens[decl.p].text))
         instances: dict = {"requirement": {}, "goal": {}}
-        for decl in self.decls:
-            if isinstance(decl, _Exe):
-                self.resolve_entity(decl.x)
-                self.resolve_entity(decl.p, _Process)
-                exe.append((decl.x.text, decl.p.text))
-            elif isinstance(decl, _Instance):
-                if decl.fn.text not in self.fn_decls:
-                    self.diag(
-                        decl.fn,
-                        "unknown-id",
-                        f"function {decl.fn.text!r} is not declared",
-                    )
-                    continue  # one diagnostic per cause: the situation is not resolved
-                self.resolve_entity(decl.sit, _Situation)
-                instances[decl.which].setdefault(decl.fn.text, []).append(decl.sit.text)
+        for _, decl in self.groups[_Instance]:
+            fn = tokens[decl.fn].text
+            if fn not in self.fn_decls:
+                self.diag(decl.fn, "unknown-id", f"function {fn!r} is not declared")
+                continue  # one diagnostic per cause: the situation is not resolved
+            self.resolve_entity(decl.sit, _Situation)
+            instances[decl.which].setdefault(fn, []).append(tokens[decl.sit].text)
         self.exe_assertions = frozenset(exe)
         self.requirement_instances = {
             fn: frozenset(sits) for fn, sits in instances["requirement"].items()
@@ -1501,7 +1504,7 @@ def parse_query(text: str, m: Model | None = None):
     the one for an empty ``during`` span are made only on a clean parse.
     """
     diagnostics: list = []
-    checks: list = []  # (token, code, message) of semantic faults, reported only on a clean parse
+    checks: list = []  # (index, code, message) of semantic faults, reported only on a clean parse
     file = "<query>"
     tokens = _tokenize(text, file, diagnostics)
     positions = _Positions(text, file, tokens)
@@ -1511,21 +1514,21 @@ def parse_query(text: str, m: Model | None = None):
         if parser.keyword("holds", "fact") == "holds":
             subject, prop_name, value = parser.holds_args()
             time_ref = _parse_time_ref(parser, checks)
-            if m is not None and prop_name.text not in m.property_defs:
-                message = f"property {prop_name.text!r} is not declared"
-                checks.append((prop_name, "unknown-id", message))
+            name = tokens[prop_name].text
+            if m is not None and name not in m.property_defs:
+                checks.append((prop_name, "unknown-id", f"property {name!r} is not declared"))
             prop = HoldsProp(
-                subject=subject.text,
-                prop=prop_name.text,
-                value=value.value,
+                subject=tokens[subject].text,
+                prop=name,
+                value=tokens[value].value,
                 time_ref=time_ref,
             )
         else:
             relator, args = parser.relator_args()
             time_ref = _parse_time_ref(parser, checks)
             prop = FactProp(
-                relator=relator.text,
-                patterns=tuple(tok.value for tok in args),
+                relator=tokens[relator].text,
+                patterns=tuple(tokens[i].value for i in args),
                 time_ref=time_ref,
             )
         parser.end_block()
@@ -1541,13 +1544,13 @@ def parse_query(text: str, m: Model | None = None):
 
 def _parse_time_ref(parser: _Parser, checks: list):
     if parser.accept_word("at"):
-        t = parser.take(NUMBER, "a coordinate")
-        return AtTime(t.value)
+        return AtTime(parser.tokens[parser.take(NUMBER, "a coordinate")].value)
     if parser.accept_word("during"):
-        left, right = parser.interval("a coordinate")
-        if message := no_duration(left.value, right.value):
-            checks.append((left, "zero-duration", message))
-        return DuringSpan(left.value, right.value)
+        i, j = parser.interval("a coordinate")
+        left, right = parser.tokens[i].value, parser.tokens[j].value
+        if message := no_duration(left, right):
+            checks.append((i, "zero-duration", message))
+        return DuringSpan(left, right)
     return None
 
 

@@ -61,7 +61,7 @@ def test_inner_boundary_interning_and_kinds():
     ch = make_chronoid(0, 10)
     mid = inner_boundary(ch, 5)
     assert mid.kind == INNER
-    assert inner_boundary(ch, 5) is mid
+    assert inner_boundary(ch, 5) is mid and inner_boundary(ch, "5") is mid
     assert inner_boundary(ch, 0) is left_boundary(ch)
     with pytest.raises(OutOfExtent):
         inner_boundary(ch, 11)

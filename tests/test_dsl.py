@@ -374,6 +374,21 @@ def test_positions_hold_after_many_lines_and_dropped_tokens():
         (1500, '  function q { label "open\n; }', [("unexpected-token", 1500, 22, 1)]),
         (2999, "chronoid q = [0, 1/0];", [("bad-rational", 2999, 18, 3)]),
         (2000, "   chronoid q = [0 1];", [("unexpected-token", 2000, 20, 1)]),
+        # a repeated text shares one token, so each occurrence is found by its own index
+        (
+            2500,
+            "presential twice at span0@1 { color = red; color = blue; }",
+            [("duplicate-id", 2500, 44, 5)],
+        ),
+        (
+            2600,
+            "fact twin = alike(ghost, ghost);",
+            [
+                ("orphan-fact", 2600, 6, 4),
+                ("dangling-reference", 2600, 19, 5),
+                ("dangling-reference", 2600, 26, 5),
+            ],
+        ),
     ]
     for line, text, expected in cases:
         assert _found(_with_line(world, line, text)) == expected, text
@@ -381,6 +396,16 @@ def test_positions_hold_after_many_lines_and_dropped_tokens():
     assert _found(source) == [early, ("unexpected-token", 2001, 20, 1)]
     source = world + "presential q at nowhere@0;"
     assert _found(source) == [("dangling-reference", last, 17, 7)]
+
+
+def test_a_load_makes_one_token_per_distinct_text():
+    """Every occurrence of a text shares one token, whose position is its
+    index in the list, so a load builds no token per occurrence."""
+    sources = [path.read_text(encoding="utf-8") for path in corpus_files()]
+    for source in [*sources, _flat_source(1000)]:
+        tokens = _tokenize(source, "<input>", [])
+        assert len({id(tok) for tok in tokens}) == len({tok.text for tok in tokens})
+        assert len(tokens) > 2 * len({tok.text for tok in tokens})  # texts repeat
 
 
 def test_a_clean_load_counts_no_positions(monkeypatch):
