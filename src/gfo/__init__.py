@@ -6,148 +6,30 @@ Worlds of processes, presentials and continuants are declared in the
 and queried for function realizations and truth-makers.
 """
 
-from . import errors
-from .checker import (
-    IntegrationWitness,
-    Violation,
-    check_disjointness,
-    check_integration,
-    check_presential_dependence,
-    complete_integration,
-    derive_process,
-    detect_continuant_changes,
-    detect_process_changes,
-)
-from .chrono import (
-    Chronoid,
-    TimeBoundary,
-    coincides,
-    coord,
-    coord_str,
-    inner_boundary,
-    left_boundary,
-    make_chronoid,
-    meets,
-    right_boundary,
-    temporal_part_chronoid,
-)
-from .dsl import (
-    ParseDiagnostic,
-    ParseError,
-    SourceSpan,
-    parse,
-    parse_file,
-    parse_query,
-    serialize,
-)
-from .functions import (
-    FactPattern,
-    FunctionSpec,
-    PropertyConstraint,
-    RealizationRecord,
-    SituationConcept,
-    check_fitem,
-    executes,
-    is_actual_realization,
-    is_actual_realizer,
-    is_universal_realization,
-    satisfies_concept,
-)
-from .model import (
-    Continuant,
-    Fact,
-    Kind,
-    Model,
-    Presential,
-    Process,
-    PropertyDef,
-    Situation,
-    Support,
-    ValueDomain,
-    classify,
-    process_boundary,
-    process_temporal_part,
-    snapshot,
-)
-from .truthmakers import (
-    AtTime,
-    DuringSpan,
-    FactProp,
-    HoldsProp,
-    SupportClass,
-    TruthMakerTriple,
-    classify_property_support,
-    find_truthmakers,
-    functional_property,
-    has_propositional_property,
-    satisfies,
-)
+from . import checker, chrono, dsl, errors, functions, model, truthmakers
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "errors",
-    "Chronoid",
-    "TimeBoundary",
-    "coord",
-    "coord_str",
-    "make_chronoid",
-    "inner_boundary",
-    "left_boundary",
-    "right_boundary",
-    "coincides",
-    "meets",
-    "temporal_part_chronoid",
-    "Model",
-    "Presential",
-    "Process",
-    "Continuant",
-    "Fact",
-    "Situation",
-    "PropertyDef",
-    "ValueDomain",
-    "Support",
-    "Kind",
-    "classify",
-    "process_boundary",
-    "snapshot",
-    "process_temporal_part",
-    "Violation",
-    "IntegrationWitness",
-    "check_disjointness",
-    "check_integration",
-    "derive_process",
-    "complete_integration",
-    "check_presential_dependence",
-    "detect_continuant_changes",
-    "detect_process_changes",
-    "FactPattern",
-    "PropertyConstraint",
-    "SituationConcept",
-    "FunctionSpec",
-    "RealizationRecord",
-    "satisfies_concept",
-    "is_actual_realization",
-    "is_universal_realization",
-    "executes",
-    "is_actual_realizer",
-    "check_fitem",
-    "AtTime",
-    "DuringSpan",
-    "FactProp",
-    "HoldsProp",
-    "TruthMakerTriple",
-    "SupportClass",
-    "satisfies",
-    "find_truthmakers",
-    "has_propositional_property",
-    "classify_property_support",
-    "functional_property",
-    "parse",
-    "parse_file",
-    "serialize",
-    "parse_query",
-    "ParseError",
-    "ParseDiagnostic",
-    "SourceSpan",
-]
+# the package's public names, each named once under the module defining it
+_EXPORTS = (
+    (chrono, "Chronoid TimeBoundary coord coord_str make_chronoid inner_boundary left_boundary"
+             " right_boundary coincides meets temporal_part_chronoid"),
+    (model, "Model Presential Process Continuant Fact Situation PropertyDef ValueDomain Support"
+            " Kind classify process_boundary snapshot process_temporal_part"),
+    (checker, "Violation IntegrationWitness check_disjointness check_integration derive_process"
+              " complete_integration check_presential_dependence detect_continuant_changes"
+              " detect_process_changes"),
+    (functions, "FactPattern PropertyConstraint SituationConcept FunctionSpec RealizationRecord"
+                " satisfies_concept is_actual_realization is_universal_realization executes"
+                " is_actual_realizer check_fitem"),
+    (truthmakers, "AtTime DuringSpan FactProp HoldsProp TruthMakerTriple SupportClass satisfies"
+                  " find_truthmakers has_propositional_property classify_property_support"
+                  " functional_property"),
+    (dsl, "parse parse_file serialize parse_query ParseError ParseDiagnostic SourceSpan"),
+)
+
+__all__ = ["errors"]
+for _module, _names in _EXPORTS:
+    __all__ += _names.split()
+    globals().update((name, getattr(_module, name)) for name in _names.split())
+del _module, _names

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import pairwise
+from itertools import combinations, pairwise
 
 from .chrono import coord, coord_str
 from .errors import MalformedContinuant, UnknownProperty
@@ -97,27 +97,31 @@ def sort_violations(violations) -> list[Violation]:
 def check_disjointness(m: Model) -> list[Violation]:
     """One violation per id declared under more than one individual kind."""
     # guard for hand-built stores only (docs/semantics.md, store invariants)
+    stores = [store for _, store in m._kind_stores()]
+    shared = set().union(*(a.keys() & b.keys() for a, b in combinations(stores, 2)))
     out = []
-    seen = set()
-    for _, store in m._kind_stores():
-        for entity_id in store:
-            if entity_id in seen:
-                continue
-            seen.add(entity_id)
-            kinds = m.kinds_of(entity_id)
-            if len(kinds) > 1:
-                names = " and ".join(k.value for k in kinds)
-                out.append(
-                    Violation(
-                        axiom=DISJOINTNESS,
-                        subjects=(entity_id,),
-                        message=f"{entity_id!r} is declared as {names}",
-                    )
-                )
+    for entity_id in shared:
+        names = " and ".join(k.value for k in m.kinds_of(entity_id))
+        out.append(
+            Violation(
+                axiom=DISJOINTNESS,
+                subjects=(entity_id,),
+                message=f"{entity_id!r} is declared as {names}",
+            )
+        )
     return sort_violations(out)
 
 
 # -- object-process integration ----------------------------------------------
+
+
+def _presential_tokens(m: Model) -> dict:
+    """Presential id -> its valuation-mode token (coordinate, valuation
+    items); read through ``m.index``, so each token is built once per model."""
+    return {
+        pid: (pres.at.coordinate, frozenset(pres.valuation.items()))
+        for pid, pres in m.presentials.items()
+    }
 
 
 def _sample_tokens(m: Model, samples: dict, mode: str, times=None) -> dict:
@@ -127,15 +131,12 @@ def _sample_tokens(m: Model, samples: dict, mode: str, times=None) -> dict:
     the integration mode; identity mode returns ``samples`` itself."""
     if mode == IDENTITY:
         return samples
-    tokens = {}
+    tokens, out = m.index(_presential_tokens), {}
     for t in samples if times is None else times:
-        pres = m.presentials.get(samples[t])
         # guard for hand-built stores only (docs/semantics.md, store invariants):
         # an undeclared presential gets a fresh object, which equals nothing
-        tokens[t] = (
-            object() if pres is None else (pres.at.coordinate, frozenset(pres.valuation.items()))
-        )
-    return tokens
+        out[t] = tokens.get(samples[t]) or object()
+    return out
 
 
 def _integration_mismatches(
@@ -180,6 +181,16 @@ def _integration_index(m: Model, mode: str) -> dict:
     return index
 
 
+def _sample_lookup(m: Model, mode: str) -> dict:
+    """(coordinate, sample token) -> the processes with that boundary
+    sample; read through ``m.index``, built on the first miss."""
+    lookup = {}
+    for p in m.processes.values():
+        for item in _sample_tokens(m, p.boundary_map, mode).items():
+            lookup.setdefault(item, []).append(p)
+    return lookup
+
+
 def _mismatch_count(m: Model, c: Continuant, exhibited: dict, p: Process, mode: str) -> int:
     """len(_integration_mismatches(m, c, p, mode)) from the continuant's
     tokens, without building them: [extent differs] + |E| + |B| - |shared
@@ -194,6 +205,12 @@ def _mismatch_count(m: Model, c: Continuant, exhibited: dict, p: Process, mode: 
     )
 
 
+def _closest(m: Model, c: Continuant, exhibited: dict, processes, mode: str) -> tuple:
+    """(fewest mismatches, smallest id of a process with that many) among
+    ``processes``."""
+    return min((_mismatch_count(m, c, exhibited, p, mode), p.id) for p in processes)
+
+
 def check_integration(m: Model, c: Continuant, mode: str = IDENTITY):
     """Verify the integration axiom for one material continuant.
 
@@ -203,6 +220,11 @@ def check_integration(m: Model, c: Continuant, mode: str = IDENTITY):
     equal valuation under ``mode='valuation'``).  Otherwise returns the
     violation list of the closest candidate, or a single no-process
     violation when the model declares no process at all.
+
+    The closest candidate is searched among the processes that share a
+    (time, token) pair with the continuant first.  A process sharing none
+    has at least |E| mismatches (E the continuant's exhibit map), so their
+    best is final when it is below |E|; otherwise every process is scored.
     """
     if not m.processes:
         return [
@@ -216,10 +238,12 @@ def check_integration(m: Model, c: Continuant, mode: str = IDENTITY):
     pid = m.index(_integration_index, mode).get(_integration_key(c.lifetime, exhibited))
     if pid is not None:
         return IntegrationWitness(c.id, pid, tuple(sorted(c.exhibit_map)))
-    closest = min(
-        m.processes.values(), key=lambda p: (_mismatch_count(m, c, exhibited, p, mode), p.id)
-    )
-    return sort_violations(_integration_mismatches(m, c, closest, mode))
+    lookup = m.index(_sample_lookup, mode)
+    near = {p.id: p for item in exhibited.items() for p in lookup.get(item, ())}
+    score, pid = _closest(m, c, exhibited, near.values(), mode) if near else (len(exhibited), None)
+    if score >= len(exhibited):  # the worst case: a process sharing nothing may tie
+        score, pid = _closest(m, c, exhibited, m.processes.values(), mode)
+    return sort_violations(_integration_mismatches(m, c, m.processes[pid], mode))
 
 
 def derive_process(m: Model, c: Continuant) -> Process:
@@ -250,20 +274,27 @@ def complete_integration(m: Model, mode: str = IDENTITY):
     Returns (augmented model, ids of derived processes).  Every process is
     derived against ``m`` and the lot is added in one copy; their ids cannot
     collide, since stripping ``-proc`` or ``-proc-<n>`` gives back the
-    continuant id.
+    continuant id.  The copy adopts ``m``'s integration index, extended by
+    the derived keys, and its presential tokens, so checking it rebuilds
+    neither.
     """
-    keys = set(m.index(_integration_index, mode))
+    index = dict(m.index(_integration_index, mode))
     derived = []
     for cid in sorted(m.continuants):
         c = m.continuants[cid]
         if not c.material:
             continue
         key = _integration_key(c.lifetime, _sample_tokens(m, c.exhibit_map, mode))
-        if key not in keys:
+        if key not in index:
             # a later continuant with the same key is witnessed by this process
-            keys.add(key)
             derived.append(derive_process(m, c))
-    completed = m.with_process(*derived) if derived else m
+            index[key] = derived[-1].id
+    if not derived:
+        return m, []
+    completed = m.with_process(*derived)
+    completed.adopt_index(index, _integration_index, mode)
+    if mode == VALUATION:  # the presentials are m's own
+        completed.adopt_index(m.index(_presential_tokens), _presential_tokens)
     return completed, [p.id for p in derived]
 
 
@@ -303,14 +334,15 @@ def detect_continuant_changes(m: Model, c: Continuant) -> list[tuple]:
     cannot change, so t1 < t2 always.
     """
     out = []
-    keys = sorted(c.exhibit_map)
-    for t1, t2 in pairwise(keys):
-        v1 = sample_valuation(m, c.exhibit_map, t1) or {}
+    t1 = v1 = None  # the previous sample and its valuation
+    for t2 in sorted(c.exhibit_map):
         v2 = sample_valuation(m, c.exhibit_map, t2) or {}
-        for prop in sorted(set(v1) | set(v2)):
-            a, b = v1.get(prop), v2.get(prop)
-            if a != b:
-                out.append((t1, t2, prop, a, b))
+        if v1 is not None and v1 != v2:
+            for prop in sorted(v1.keys() | v2.keys()):
+                a, b = v1.get(prop), v2.get(prop)
+                if a != b:
+                    out.append((t1, t2, prop, a, b))
+        t1, v1 = t2, v2
     return out
 
 

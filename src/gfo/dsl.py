@@ -31,7 +31,7 @@ from collections import defaultdict
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
+from itertools import compress
 from typing import NamedTuple
 
 from .chrono import Chronoid, Time, TimeBoundary, coord_str, inner_boundary, no_duration
@@ -158,7 +158,9 @@ MAX_LITERAL_DIGITS = 300
 # is the token: ``findall`` returns the token texts alone.  The last two
 # alternatives match wherever the others do not, so the greedy prefix never
 # backtracks and never hands a blank or a ``//`` to the catch-all.  A bad run
-# goes on over every character at which no blank, comment or token starts.
+# goes on over every character at which no blank, comment or token starts: a
+# stretch of characters no blank or token begins with, a '/' not followed by
+# '/', a '-' followed by neither '>' nor a digit.
 # The end of input is the one empty token; a second empty match may follow it.
 _SKIPPED = re.compile(r"(?:[ \t\r\n]+|//[^\n]*)*")
 _LEXEME = re.compile(
@@ -168,7 +170,7 @@ _LEXEME = re.compile(
     |->|[=;,(){}\[\]@:]
     |"(?:[^"\\\n]+|\\[\s\S]?)*"?
     |\Z
-    |.(?:(?![ \t\r\n]|//|->|-?[0-9]|[A-Za-z_"=;,(){}\[\]@:]).)*)""",
+    |.(?:[^ \t\r\n0-9A-Za-z_"=;,(){}\[\]@:/-]+|/(?!/)|-(?![0-9>]))*)""",
     re.VERBOSE,
 )
 _ESCAPE = re.compile(r"\\([\s\S])")
@@ -183,10 +185,6 @@ _KINDS = {
     '"': STRING,
     "": EOF,
 }
-
-
-def _kind(text: str) -> str:
-    return _KINDS.get(text[:1]) or _KINDS.get(text[:2], BAD)
 
 
 class Token(NamedTuple):
@@ -218,7 +216,7 @@ def _overlong(text: str, count: str) -> str:
 def _lexeme(text: str, faults: dict):
     """The token of the text ``text``, None for a bad run; a faulty text gets
     its diagnostic's ``(code, message, length)`` in ``faults``."""
-    kind = _kind(text)
+    kind = _KINDS.get(text[:1]) or _KINDS.get(text[:2], BAD)
     value = text
     if kind == NUMBER:
         value, error = _rational(text)
@@ -246,33 +244,54 @@ def _tokenize(source: str, file: str, diagnostics: list) -> list:
     # every occurrence of a text shares its one Token: a position is an index
     tokens = list(filter(None, map(lexemes.get, texts)))
     tokens.append(Token(EOF, "", None))
-    if faults:  # walk the texts to the start of each faulty one
-        positions, end = _Positions(source, file, tokens), 0
-        for text in texts:
-            start = _SKIPPED.match(source, end).end()
-            end = start + len(text)
+    if faults:  # walk to each faulty text; the tokens keep the walk for later diagnostics
+        positions, starts = _Positions(source, file, tokens), _starts(source, texts)
+        for text, start in zip(texts, starts):
             if text in faults:
                 code, message, length = faults[text]
                 diagnostics.append(ParseDiagnostic(positions.at(start, length), code, message))
+        tokens = _Located(tokens)
+        tokens.starts = array("q", compress(starts, [*map(lexemes.get, texts), True]))
+        tokens.newlines = positions.newlines
     return tokens
+
+
+def _starts(source: str, texts: list) -> array:
+    """The start offset of each of ``texts``, the lexer's texts of ``source``
+    in order, then of the end of input."""
+    starts, end = array("q"), 0
+    for text in texts:
+        start = source.find(text, end)
+        # the next text, unless a comment comes first or the text starts one
+        if text[:1] == "/" or source[end:start].strip(" \t\r\n"):
+            start = _SKIPPED.match(source, end).end()
+        starts.append(start)
+        end = start + len(text)
+    starts.append(len(source))
+    return starts
+
+
+class _Located(list):
+    """The tokens of a source with lexical faults, which the lexer may have
+    dropped bad runs from, with what its walk to the faults found: the start
+    offset of each token and of each newline."""
+
+    __slots__ = ("starts", "newlines")
 
 
 class _Positions:
     """Where the tokens of one source stand, counted only when a diagnostic
-    asks: the first span finds every token's start offset in one pass, the
-    first position every newline in another, and a line is a bisect."""
+    asks: the first span walks the token texts to every start offset, the
+    first position finds every newline, and a line is a bisect."""
 
     def __init__(self, source: str, file: str, tokens: list):
         self.source, self.file, self.tokens = source, file, tokens
+        if isinstance(tokens, _Located):  # the lexer found both already
+            self.starts, self.newlines = tokens.starts, tokens.newlines
 
     @cached_property
     def starts(self) -> array:
-        source, starts, matches = self.source, array("q"), _LEXEME.finditer(self.source)
-        while chunk := [m.start(1) for m in islice(matches, 4096)]:  # no list of every start
-            starts += array("q", chunk)
-        if starts[len(self.tokens) - 1] != len(source):  # the lexer dropped a bad run
-            starts = array("q", [s for s in starts if _kind(source[s : s + 2]) != BAD])
-        return starts
+        return _starts(self.source, [tok.text for tok in self.tokens[:-1]])
 
     @cached_property
     def newlines(self) -> array:
@@ -300,89 +319,89 @@ class _Positions:
 # reference is its identifier's index, a coordinate or value its literal's.
 # Every occurrence of a text shares one Token, so the index is the position.
 # The linker reads text and values off ``tokens[index]``, and builds a
-# SourceSpan from an index only when it reports a diagnostic there.
+# SourceSpan from an index only when it reports a diagnostic there.  Lists
+# hold (prop, value) pairs for a valuation or fitem, (t, target) pairs for
+# boundaries and exhibits, (prop, [(t, value)]) for trajectories.  A missing
+# radius, bearer or ``founded on``, a situoid's t (it spans the whole
+# chronoid) and the items of a missing requires or achieves block are None.
+# Each assignment below sets at most three fields: more would build a tuple.
 
 
-@dataclass
 class _Chronoid:
-    name: int
-    left: int
-    right: int
+    __slots__ = ("name", "left", "right")
+
+    def __init__(self, name, left, right):
+        self.name, self.left, self.right = name, left, right
 
 
-@dataclass
 class _Property:
-    name: int
-    domain_kind: str
-    symbols: list
-    support_kind: str
-    radius: int | None
+    __slots__ = ("name", "domain_kind", "symbols", "support_kind", "radius")
+
+    def __init__(self, name, domain_kind, symbols, support_kind, radius):
+        self.name, self.domain_kind, self.symbols = name, domain_kind, symbols
+        self.support_kind, self.radius = support_kind, radius
 
 
-@dataclass
 class _Presential:
-    name: int
-    chron: int
-    t: int
-    material: bool
-    valuation: list  # (prop, value)
+    __slots__ = ("name", "chron", "t", "material", "valuation")
+
+    def __init__(self, name, chron, t, material, valuation):
+        self.name, self.chron, self.t = name, chron, t
+        self.material, self.valuation = material, valuation
 
 
-@dataclass
 class _Process:
-    name: int
-    chron: int
-    boundaries: list  # (t, target)
-    trajectories: list  # (prop, [(t, value)])
+    __slots__ = ("name", "chron", "boundaries", "trajectories")
+
+    def __init__(self, name, chron, boundaries, trajectories):
+        self.name, self.chron = name, chron
+        self.boundaries, self.trajectories = boundaries, trajectories
 
 
-@dataclass
 class _Continuant:
-    name: int
-    chron: int
-    material: bool
-    exhibits: list  # (t, target)
+    __slots__ = ("name", "chron", "material", "exhibits")
+
+    def __init__(self, name, chron, material, exhibits):
+        self.name, self.chron = name, chron
+        self.material, self.exhibits = material, exhibits
 
 
-@dataclass
 class _Situation:
-    name: int
-    chron: int
-    t: int | None  # None for a situoid, which spans the whole chronoid
-    founded: int | None
-    contains: list
-    participants: list
+    __slots__ = ("name", "chron", "t", "founded", "contains", "participants")
+
+    def __init__(self, name, chron, t, founded, contains, participants):
+        self.name, self.chron, self.t = name, chron, t
+        self.founded, self.contains, self.participants = founded, contains, participants
 
 
-@dataclass
 class _Fact:
-    name: int
-    relator: int
-    args: list
+    __slots__ = ("name", "relator", "args")
+
+    def __init__(self, name, relator, args):
+        self.name, self.relator, self.args = name, relator, args
 
 
-@dataclass
 class _Function:
-    name: int
-    kind: str
-    bearer: int | None
-    labels: list
-    req_items: list | None  # None when the block is missing
-    goal_items: list | None
-    fitem: list  # (prop, value)
+    __slots__ = ("name", "kind", "bearer", "labels", "req_items", "goal_items", "fitem")
+
+    def __init__(self, name, kind, bearer, labels, req_items, goal_items, fitem):
+        self.name, self.kind, self.bearer = name, kind, bearer
+        self.labels, self.req_items, self.goal_items = labels, req_items, goal_items
+        self.fitem = fitem
 
 
-@dataclass
 class _Exe:
-    x: int
-    p: int
+    __slots__ = ("x", "p")
+
+    def __init__(self, x, p):
+        self.x, self.p = x, p
 
 
-@dataclass
 class _Instance:
-    which: str  # "requirement" | "goal"
-    fn: int
-    sit: int
+    __slots__ = ("which", "fn", "sit")  # which: "requirement" or "goal"
+
+    def __init__(self, which, fn, sit):
+        self.which, self.fn, self.sit = which, fn, sit
 
 
 class _Syntax(Exception):

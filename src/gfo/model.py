@@ -205,6 +205,13 @@ class Model:
             self._indexes[key] = build(self, *args)
         return self._indexes[key]
 
+    def adopt_index(self, lookup, build, *args) -> None:
+        """Keep ``lookup`` as this store's ``index(build, *args)`` unless that
+        is built already: for a copy whose maker derives the lookup from the
+        original's more cheaply than ``build`` would.  The maker vouches that
+        it equals ``build(self, *args)``."""
+        self._indexes.setdefault((build, *args), lookup)
+
     # -- persistence-free updates (copies; the store itself never mutates) --
 
     def with_process(self, *processes: Process) -> "Model":

@@ -85,6 +85,43 @@ def mutate_one_snapshot(m: Model, c: Continuant, rng: random.Random):
     return m.with_presential(fresh).with_continuant(mutated), mutated, t
 
 
+def all_miss_model(rng: random.Random, n: int) -> Model:
+    """n continuant/process pairs in which every process misses its
+    continuant by one boundary: the process of ``c<i>`` has shuffled id
+    ``q<j>`` and a stray presential ``z<i>`` in place of one exhibited
+    presential.  Every presential has its own value of ``v``, so in both
+    integration modes each continuant's closest candidate is its own
+    process, with one mismatch at the swapped sample.  Pair i has 3 + i % 5
+    samples, so at n a multiple of 5 the stores grow in proportion to n."""
+    v = PropertyDef("v", ValueDomain(NUMERIC))
+    values = iter(rng.sample(range(1, 20 * n * 9), n * 9))
+    order = list(range(n))
+    rng.shuffle(order)
+    chronoids, presentials, processes, continuants = {}, {}, {}, {}
+    for i in range(n):
+        left = Fraction(rng.randint(0, 20))
+        length = 2 + i % 5
+        inner = rng.sample(range(1, 4 * length), 1 + i % 5)
+        times = sorted({left, left + length, *(left + Fraction(q, 4) for q in inner)})
+        ch = Chronoid(f"k{i:04d}", left, left + length)
+        chronoids[ch.id] = ch
+        emap = {}
+        for j, t in enumerate(times):
+            pres = Presential(f"x{i:04d}_{j}", inner_boundary(ch, t), {"v": Fraction(next(values))})
+            presentials[pres.id] = pres
+            emap[t] = pres.id
+        t = rng.choice(times)
+        stray = Presential(f"z{i:04d}", inner_boundary(ch, t), {"v": Fraction(next(values))})
+        presentials[stray.id] = stray
+        continuants[f"c{i:04d}"] = Continuant(f"c{i:04d}", ch, emap)
+        pid = f"q{order[i]:04d}"
+        processes[pid] = Process(pid, ch, {**emap, t: stray.id})
+    return Model(
+        chronoids=chronoids, presentials=presentials, processes=processes,
+        continuants=continuants, property_defs={"v": v},
+    )
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive integration family (the oracle-equivalence bed)
 #

@@ -65,6 +65,29 @@ def tokens(source, file):
     return out, diagnostics
 
 
+# the five individual kinds, in the order a disjointness message names them
+KIND_STORES = (
+    ("continuant", "continuants"),
+    ("presential", "presentials"),
+    ("process", "processes"),
+    ("situation", "situations"),
+    ("fact", "facts"),
+)
+
+
+def disjointness_violations(m):
+    """``(id, message)`` for every id declared under more than one
+    individual kind, in id order, found by testing every id of every store
+    against every store."""
+    ids = {eid for _, store in KIND_STORES for eid in getattr(m, store)}
+    out = []
+    for eid in sorted(ids):
+        kinds = [kind for kind, store in KIND_STORES if eid in list(getattr(m, store))]
+        if len(kinds) > 1:
+            out.append((eid, f"{eid!r} is declared as {' and '.join(kinds)}"))
+    return out
+
+
 def integration_candidates(m, c, identity=True):
     """Ids of processes that integrate continuant ``c``, by scanning every
     (process, sample) pair."""

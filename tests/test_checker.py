@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 from dataclasses import replace
@@ -6,8 +7,15 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from genmodels import mutate_one_snapshot, random_full_model, random_integration_model
+from genmodels import (
+    all_miss_model,
+    mutate_one_snapshot,
+    random_full_model,
+    random_integration_model,
+)
+from gfo import checker, cli
 from gfo.checker import (
+    DISJOINTNESS,
     IDENTITY,
     INTEGRATION,
     INTEGRATION_NO_PROCESS,
@@ -30,10 +38,12 @@ from gfo.model import (
     CATEGORICAL,
     NUMERIC,
     Continuant,
+    Fact,
     Model,
     Presential,
     Process,
     PropertyDef,
+    Situation,
     Support,
     ValueDomain,
 )
@@ -67,6 +77,44 @@ def test_disjointness_flags_double_declaration():
     assert len(violations) == 1
     assert violations[0].axiom == "disjointness"
     assert violations[0].subjects == ("x",)
+
+
+def _stand_in(store: str, entity_id: str):
+    """An individual of the kind ``store`` holds, named ``entity_id``."""
+    ch = Chronoid("e", Fraction(0), Fraction(1))
+    return {
+        "continuants": lambda: Continuant(entity_id, ch, {}),
+        "presentials": lambda: Presential(entity_id, inner_boundary(ch, 0), {}),
+        "processes": lambda: Process(entity_id, ch, {}),
+        "situations": lambda: Situation(entity_id, ch),
+        "facts": lambda: Fact(entity_id, "r", ()),
+    }[store]()
+
+
+def test_disjointness_agrees_with_oracle_on_planted_random_stores():
+    """Random stores built in code, with 0-4 of their ids declared again
+    under one or two more kinds: the violations, their order and their
+    messages are the brute-force oracle's."""
+    rng = random.Random(20261023)
+    stores = [store for _, store in oracles.KIND_STORES]
+    planted = {2: 0, 3: 0}
+    for _ in range(200):
+        m = random_full_model(rng)
+        ids = sorted({eid for store in stores for eid in getattr(m, store)})
+        changes = {store: dict(getattr(m, store)) for store in stores}
+        for eid in rng.sample(ids, min(len(ids), rng.randint(0, 4))):
+            free = [store for store in stores if eid not in changes[store]]
+            for store in rng.sample(free, rng.randint(1, 2)):
+                changes[store][eid] = _stand_in(store, eid)
+        m = replace(m, **changes)
+        violations = check_disjointness(m)
+        expected = oracles.disjointness_violations(m)
+        assert [(v.axiom, v.subjects, v.message) for v in violations] == [
+            (DISJOINTNESS, (eid,), message) for eid, message in expected
+        ]
+        for _, message in expected:
+            planted[message.count(" and ") + 1] += 1
+    assert planted[2] > 100 and planted[3] > 50, planted
 
 
 def test_integration_witness_on_consistent_corpus(heart):
@@ -156,6 +204,146 @@ def test_integration_agrees_with_oracles_on_random_worlds(mode):
                 assert len(result) == count
                 violations += 1
     assert witnesses > 100 and violations > 100  # both paths were exercised
+
+
+@pytest.mark.parametrize("mode", [IDENTITY, VALUATION])
+def test_integration_misses_are_decided_by_the_bound_or_by_the_full_scan(monkeypatch, mode):
+    """On the worlds of the oracle differential, every continuant without a
+    witness is decided one of two ways: by one scan of the processes that
+    share a (time, token) pair with it, whose best score is below |E|, or
+    by a last scan of every process.  Both ways occur."""
+    scans = []
+    closest = checker._closest
+
+    def counted(m, c, exhibited, processes, mode):
+        processes = list(processes)
+        result = closest(m, c, exhibited, processes, mode)
+        scans.append((len(processes), result[0]))
+        return result
+
+    monkeypatch.setattr(checker, "_closest", counted)
+    bound = fallback = 0
+    for m in _differential_worlds(20261020, 200):
+        for cid in sorted(m.continuants):
+            c = m.continuants[cid]
+            scans.clear()
+            if not c.material or isinstance(check_integration(m, c, mode), IntegrationWitness):
+                continue
+            if len(scans) == 1 and scans[0][1] < len(c.exhibit_map):
+                bound += 1
+            elif scans:
+                assert scans[-1][0] == len(m.processes) and scans[-1][1] >= len(c.exhibit_map)
+                fallback += 1
+    assert bound > 0 and fallback > 0, (bound, fallback)
+
+
+class _Touched(dict):
+    """A store that adds the entries read from it to ``counter[0]``: one per
+    lookup, every entry per walk."""
+
+    def __init__(self, entries, counter):
+        super().__init__(entries)
+        self.counter = counter
+
+    def __contains__(self, key):
+        self.counter[0] += 1
+        return super().__contains__(key)
+
+    def get(self, key, default=None):
+        self.counter[0] += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.counter[0] += 1
+        return super().__getitem__(key)
+
+    def __iter__(self):
+        self.counter[0] += len(self)
+        return super().__iter__()
+
+    def keys(self):
+        self.counter[0] += len(self)
+        return super().keys()
+
+    def items(self):
+        self.counter[0] += len(self)
+        return super().items()
+
+    def values(self):
+        self.counter[0] += len(self)
+        return super().values()
+
+
+def _touches(m: Model, check) -> int:
+    """Store entries ``check(m)`` reads."""
+    counter = [0]
+    stores = ("presentials", "processes", "continuants", "situations", "facts")
+    check(replace(m, **{name: _Touched(getattr(m, name), counter) for name in stores}))
+    return counter[0]
+
+
+def _every_continuant(check):
+    return lambda m: [check(m, c) for c in m.continuants.values()]
+
+
+@pytest.mark.parametrize(
+    "check", [check_disjointness, _every_continuant(detect_continuant_changes)]
+)
+def test_disjointness_and_change_detection_read_each_store_entry_a_few_times(check):
+    """On the all-miss family the store entries read grow at most 4x (plus
+    8) when the world grows 4x: disjointness intersects key sets, change
+    detection looks up one valuation per sample.  A scan of a store per id
+    or per sample would grow 16x."""
+    small, large = (_touches(all_miss_model(random.Random(3), n), check) for n in (50, 200))
+    assert 0 < small and large <= 4 * small + 8, (small, large)
+
+
+@pytest.mark.parametrize("mode", [IDENTITY, VALUATION])
+def test_an_all_miss_world_scores_each_continuant_against_its_own_process(monkeypatch, mode):
+    """Every process of the all-miss family misses its continuant at one
+    sample and shares no (time, token) pair with any other, so the bound
+    decides every continuant after one exact score: at most n scores for n
+    continuants, where scanning every candidate would make n**2."""
+    scores = []
+    original = checker._mismatch_count
+    monkeypatch.setattr(
+        checker, "_mismatch_count", lambda *args: scores.append(args[3].id) or original(*args)
+    )
+    n = 200
+    m = all_miss_model(random.Random(3), n)
+    own = {}
+    for c in m.continuants.values():
+        result = check_integration(m, c, mode)
+        own[c.id] = {v.subjects for v in result}
+        assert len(result) == 1
+    assert len(scores) <= n
+    closest = {cid: oracles.integration_closest(m, c, mode == IDENTITY)[0]
+               for cid, c in m.continuants.items()}
+    assert own == {cid: {(cid, pid)} for cid, pid in closest.items()}
+
+
+@pytest.mark.parametrize("mode", [IDENTITY, VALUATION])
+def test_check_complete_builds_the_integration_lookups_once(tmp_path, monkeypatch, capsys, mode):
+    """Completion hands its extended integration index and its presential
+    tokens to the completed store, so the check that follows rebuilds
+    neither; the index it hands over equals a rebuild."""
+    built = []
+    for name in ("_integration_index", "_presential_tokens"):
+        original = getattr(checker, name)
+        monkeypatch.setattr(
+            checker, name, lambda m, *args, name=name, f=original: built.append(name) or f(m, *args)
+        )
+    path = tmp_path / "complete.gfo"
+    path.write_text(worlds._pair_world(random.Random(5), 60, complete=True)[0])
+    cli.main(["check", str(path), "--complete", f"--integration={mode}", "--format", "json"])
+    assert json.loads(capsys.readouterr().out)["files"][0]["derived_processes"]
+    tokens = ["_presential_tokens"] if mode == VALUATION else []
+    assert sorted(built) == ["_integration_index", *tokens]
+    m = parse_file(path)
+    completed, derived = complete_integration(m, mode)
+    adopted = completed.index(checker._integration_index, mode)
+    assert derived and adopted == checker._integration_index(completed, mode)
+    assert adopted is not m.index(checker._integration_index, mode)
 
 
 def test_completion_lets_a_derived_process_witness_a_later_continuant():

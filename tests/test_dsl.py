@@ -435,6 +435,29 @@ def test_a_clean_load_counts_no_positions(monkeypatch):
         assert len(builds) <= 1, source[:40]
 
 
+class _CountedPattern:
+    """A compiled pattern that counts the searches made with it."""
+
+    def __init__(self, pattern):
+        self.pattern, self.searches = pattern, 0
+
+    def __getattr__(self, name):
+        self.searches += name in ("findall", "finditer", "match", "search", "fullmatch")
+        return getattr(self.pattern, name)
+
+
+def test_a_bad_run_and_a_syntax_error_after_it_are_located_by_one_lex(monkeypatch):
+    """The lexer's walk to its faults also locates the tokens it keeps, and
+    the parser's diagnostics reuse it: a long bad run followed by a syntax
+    error is lexed once, and both are located where they stand."""
+    lexeme = _CountedPattern(dsl._LEXEME)
+    monkeypatch.setattr(dsl, "_LEXEME", lexeme)
+    source = "chronoid c = [0, 1];\n" + "\u00e9-/\u00e9 " * 2000 + "\nchronoid d = [0 1];"
+    runs = [("unexpected-token", 2, 1 + 5 * i, 4) for i in range(2000)]
+    assert _found(source) == [*runs, ("unexpected-token", 3, 17, 1)]
+    assert lexeme.searches == 1
+
+
 def test_each_distinct_number_text_is_read_once_per_parse(monkeypatch):
     lines = ["chronoid c = [0, 4];", "property v : numeric nonisolated(1/2);"]
     for i in range(200):
