@@ -124,19 +124,25 @@ def _presential_tokens(m: Model) -> dict:
     }
 
 
-def _sample_tokens(m: Model, samples: dict, mode: str, times=None) -> dict:
-    """What "the same presential" compares at each sample (at each of
-    ``times`` when given): the presential id in identity mode, its
-    (coordinate, valuation) in valuation mode.  The one place that reads
-    the integration mode; identity mode returns ``samples`` itself."""
+def _sample_tokens(m: Model, mode: str):
+    """What "the same presential" compares at each sample, as a function of
+    a sample map (read at each of ``times`` when given): the presential id
+    in identity mode, so the map itself, and its (coordinate, valuation) in
+    valuation mode.  The one place that reads the integration mode; a
+    caller converting many maps reads the token table once."""
     if mode == IDENTITY:
-        return samples
-    tokens, out = m.index(_presential_tokens), {}
-    for t in samples if times is None else times:
-        # guard for hand-built stores only (docs/semantics.md, store invariants):
-        # an undeclared presential gets a fresh object, which equals nothing
-        out[t] = tokens.get(samples[t]) or object()
-    return out
+        return lambda samples, times=None: samples
+    table = m.index(_presential_tokens)
+
+    def tokens(samples: dict, times=None) -> dict:
+        out = {}
+        for t in samples if times is None else times:
+            # guard for hand-built stores only (docs/semantics.md, store invariants):
+            # an undeclared presential gets a fresh object, which equals nothing
+            out[t] = table.get(samples[t]) or object()
+        return out
+
+    return tokens
 
 
 def _integration_mismatches(
@@ -151,8 +157,8 @@ def _integration_mismatches(
             f"lifetime [{coord_str(c.lifetime.left)}, {coord_str(c.lifetime.right)}] "
             f"differs from extent [{coord_str(p.extent.left)}, {coord_str(p.extent.right)}]",
         ))
-    exhibited = _sample_tokens(m, c.exhibit_map, mode)
-    bounded = _sample_tokens(m, p.boundary_map, mode)
+    tokens_of = _sample_tokens(m, mode)
+    exhibited, bounded = tokens_of(c.exhibit_map), tokens_of(p.boundary_map)
     for t in exhibited.keys() | bounded.keys():
         if t not in bounded:
             found.append((t, f"no process boundary at {coord_str(t)}"))
@@ -175,30 +181,31 @@ def _integration_key(extent, tokens: dict):
 def _integration_index(m: Model, mode: str) -> dict:
     """Integration key -> smallest id of a process with that key; read
     through ``m.index``, which builds it once per model and mode."""
-    index = {}
+    index, tokens_of = {}, _sample_tokens(m, mode)
     for pid, p in sorted(m.processes.items()):
-        index.setdefault(_integration_key(p.extent, _sample_tokens(m, p.boundary_map, mode)), pid)
+        index.setdefault(_integration_key(p.extent, tokens_of(p.boundary_map)), pid)
     return index
 
 
 def _sample_lookup(m: Model, mode: str) -> dict:
     """(coordinate, sample token) -> the processes with that boundary
     sample; read through ``m.index``, built on the first miss."""
-    lookup = {}
+    lookup, tokens_of = {}, _sample_tokens(m, mode)
     for p in m.processes.values():
-        for item in _sample_tokens(m, p.boundary_map, mode).items():
+        for item in tokens_of(p.boundary_map).items():
             lookup.setdefault(item, []).append(p)
     return lookup
 
 
-def _mismatch_count(m: Model, c: Continuant, exhibited: dict, p: Process, mode: str) -> int:
+def _mismatch_count(tokens_of, c: Continuant, exhibited: dict, p: Process) -> int:
     """len(_integration_mismatches(m, c, p, mode)) from the continuant's
-    tokens, without building them: [extent differs] + |E| + |B| - |shared
-    times| - |shared (time, token) pairs|.  Only shared samples can match,
-    so only they need a token."""
+    tokens and ``tokens_of = _sample_tokens(m, mode)``, without building
+    them: [extent differs] + |E| + |B| - |shared times| - |shared (time,
+    token) pairs|.  Only shared samples can match, so only they need a
+    token."""
     b = p.boundary_map
     shared = exhibited.keys() & b.keys()
-    bounded = _sample_tokens(m, b, mode, shared)
+    bounded = tokens_of(b, shared)
     return (
         (not c.lifetime.same_extent(p.extent)) + len(exhibited) + len(b) - len(shared)
         - len(exhibited.items() & bounded.items())
@@ -207,8 +214,9 @@ def _mismatch_count(m: Model, c: Continuant, exhibited: dict, p: Process, mode: 
 
 def _closest(m: Model, c: Continuant, exhibited: dict, processes, mode: str) -> tuple:
     """(fewest mismatches, smallest id of a process with that many) among
-    ``processes``."""
-    return min((_mismatch_count(m, c, exhibited, p, mode), p.id) for p in processes)
+    ``processes``; the token table is read once for all of them."""
+    tokens_of = _sample_tokens(m, mode)
+    return min((_mismatch_count(tokens_of, c, exhibited, p), p.id) for p in processes)
 
 
 def check_integration(m: Model, c: Continuant, mode: str = IDENTITY):
@@ -234,7 +242,7 @@ def check_integration(m: Model, c: Continuant, mode: str = IDENTITY):
                 message=f"no declared process integrates continuant {c.id!r}",
             )
         ]
-    exhibited = _sample_tokens(m, c.exhibit_map, mode)
+    exhibited = _sample_tokens(m, mode)(c.exhibit_map)
     pid = m.index(_integration_index, mode).get(_integration_key(c.lifetime, exhibited))
     if pid is not None:
         return IntegrationWitness(c.id, pid, tuple(sorted(c.exhibit_map)))
@@ -278,13 +286,13 @@ def complete_integration(m: Model, mode: str = IDENTITY):
     the derived keys, and its presential tokens, so checking it rebuilds
     neither.
     """
-    index = dict(m.index(_integration_index, mode))
+    index, tokens_of = dict(m.index(_integration_index, mode)), _sample_tokens(m, mode)
     derived = []
     for cid in sorted(m.continuants):
         c = m.continuants[cid]
         if not c.material:
             continue
-        key = _integration_key(c.lifetime, _sample_tokens(m, c.exhibit_map, mode))
+        key = _integration_key(c.lifetime, tokens_of(c.exhibit_map))
         if key not in index:
             # a later continuant with the same key is witnessed by this process
             derived.append(derive_process(m, c))

@@ -32,7 +32,6 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
-from typing import NamedTuple
 
 from .chrono import Chronoid, Time, TimeBoundary, coord_str, inner_boundary, no_duration
 from .errors import GfoError, OutOfExtent, ZeroOrNegativeDuration
@@ -154,20 +153,22 @@ BAD = "bad"
 # text and the midpoint of two of them print and parse under any setting
 MAX_LITERAL_DIGITS = 300
 
-# Whitespace and comments are a skip prefix of every match, and the one group
-# is the token: ``findall`` returns the token texts alone.  The last two
-# alternatives match wherever the others do not, so the greedy prefix never
-# backtracks and never hands a blank or a ``//`` to the catch-all.  A bad run
-# goes on over every character at which no blank, comment or token starts: a
-# stretch of characters no blank or token begins with, a '/' not followed by
-# '/', a '-' followed by neither '>' nor a digit.
+# Whitespace and comments are a skip prefix of every match (blanks, then
+# comments each with the blanks after it), and the one group is the token:
+# ``findall`` returns the token texts alone.  First characters tell the token
+# classes apart (docs/grammar.md), so punctuation, the most frequent, comes
+# first.  The last two alternatives match wherever the others do not, so the
+# greedy prefix never backtracks and never hands a blank or a ``//`` to the
+# catch-all.  A bad run goes on over every character at which no blank,
+# comment or token starts: a stretch of characters no blank or token begins
+# with, a '/' not followed by '/', a '-' followed by neither '>' nor a digit.
 # The end of input is the one empty token; a second empty match may follow it.
-_SKIPPED = re.compile(r"(?:[ \t\r\n]+|//[^\n]*)*")
+_SKIPPED = re.compile(r"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*")
 _LEXEME = re.compile(
     _SKIPPED.pattern
-    + r"""([A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*
-    |-?[0-9]+(?:[./][0-9]+)?
-    |->|[=;,(){}\[\]@:]
+    + r"""([=;,(){}\[\]@:]
+    |[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*
+    |-?[0-9]+(?:[./][0-9]+)?|->
     |"(?:[^"\\\n]+|\\[\s\S]?)*"?
     |\Z
     |.(?:[^ \t\r\n0-9A-Za-z_"=;,(){}\[\]@:/-]+|/(?!/)|-(?![0-9>]))*)""",
@@ -187,10 +188,16 @@ _KINDS = {
 }
 
 
-class Token(NamedTuple):
-    kind: str
-    text: str
-    value: object
+class Token:
+    """A token's class, text and value; it iterates as ``(kind, text, value)``."""
+
+    __slots__ = ("kind", "text", "value")
+
+    def __init__(self, kind: str, text: str, value):
+        self.kind, self.text, self.value = kind, text, value
+
+    def __iter__(self):
+        return iter((self.kind, self.text, self.value))
 
 
 def _rational(text: str) -> tuple:
@@ -199,8 +206,9 @@ def _rational(text: str) -> tuple:
     digits = 0 if short else sum(c.isdigit() for c in text)
     if digits > MAX_LITERAL_DIGITS:
         return Time(0), _overlong(text, f"{digits} digits")
-    try:
-        value = Time(text)
+    try:  # an integer or p/q is built from its int parts, a decimal from its text
+        p, _, q = text.partition("/")
+        value = Time(text) if "." in text else Time(int(p), int(q or 1))
     except ZeroDivisionError:
         return Time(0), f"{text!r} is not a valid rational literal"
     digits = 0 if short else sum(c.isdigit() for c in coord_str(value))
@@ -516,27 +524,42 @@ class _Parser:
         self.end_block()
         return out
 
+    # An entry of fixed length is tested whole first, reading each token only
+    # after the one before it proved no EOF; the per-token calls that make any
+    # diagnostic run only when the test fails.
     def assignment(self) -> tuple:
         """``property = value ;`` as two token indexes."""
+        tokens, i = self.tokens, self.pos
+        if (tokens[i].kind == IDENT and tokens[i + 1].text == "="
+                and tokens[i + 2].kind in (IDENT, NUMBER) and tokens[i + 3].text == ";"):
+            self.pos = i + 4
+            return i, i + 2
         prop = self.take(IDENT, "a property name")
         self.take_punct("=")
         value = self.take_value()
         self.end_simple()
         return prop, value
 
-    def sample(self, take_target) -> tuple:
-        """``rational -> target ;`` as two token indexes."""
+    def sample(self, kinds=(IDENT,)) -> tuple:
+        """``rational -> target ;`` as two token indexes; the target is a
+        presential name, or any value when ``kinds`` holds NUMBER."""
+        tokens, i = self.tokens, self.pos
+        if (tokens[i].kind == NUMBER and tokens[i + 1].text == "->"
+                and tokens[i + 2].kind in kinds and tokens[i + 3].text == ";"):
+            self.pos = i + 4
+            return i, i + 2
         t = self.take(NUMBER, "a coordinate")
         self.take_punct("->")
-        target = take_target()
+        target = self.take_value() if NUMBER in kinds else self.take(IDENT, "a presential name")
         self.end_simple()
         return t, target
 
-    def presential_ref(self) -> int:
-        return self.take(IDENT, "a presential name")
-
     def member(self, what: str) -> int:
         """``id ;`` as the id's token index."""
+        tokens, i = self.tokens, self.pos
+        if tokens[i].kind == IDENT and tokens[i + 1].text == ";":
+            self.pos = i + 2
+            return i
         i = self.take(IDENT, what)
         self.end_simple()
         return i
@@ -710,7 +733,7 @@ class _Parser:
         boundaries = []
         trajectories = []
         items = {
-            "boundary": lambda: boundaries.append(self.sample(self.presential_ref)),
+            "boundary": lambda: boundaries.append(self.sample()),
             "trajectory": lambda: trajectories.append(self.trajectory()),
         }
         self.body(lambda: self.dispatch(items))
@@ -718,7 +741,7 @@ class _Parser:
 
     def trajectory(self) -> tuple:
         prop = self.take(IDENT, "a property name")
-        samples = self.block(lambda: self.sample(self.take_value))
+        samples = self.block(lambda: self.sample((IDENT, NUMBER)))
         return prop, samples
 
     def continuant(self) -> _Continuant:
@@ -726,7 +749,7 @@ class _Parser:
         self.keyword("lifetime")
         chron = self.take(IDENT, "a chronoid name")
         material = not self.accept_word("immaterial")
-        items = {"exhibits": lambda: self.sample(self.presential_ref)}
+        items = {"exhibits": lambda: self.sample()}
         exhibits = self.body(lambda: self.dispatch(items))
         return _Continuant(name, chron, material, exhibits)
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Union
 
 from .chrono import Chronoid, TimeBoundary, coord, coord_str, temporal_part_chronoid
 from .errors import (
@@ -30,7 +29,7 @@ from .errors import (
 )
 
 # a property value: a categorical symbol or an exact numeric
-Value = Union[str, Fraction]
+Value = str | Fraction
 
 CATEGORICAL = "categorical"
 NUMERIC = "numeric"
@@ -129,7 +128,7 @@ class Situation:
     (over a chronoid), optionally founded on a process."""
 
     id: str
-    extent: Union[Chronoid, TimeBoundary]
+    extent: Chronoid | TimeBoundary
     constituents: frozenset = frozenset()  # fact ids
     participants: frozenset = frozenset()  # entity ids
     founded_on: str | None = None

@@ -7,48 +7,97 @@ enumeration; nothing calls the checking or query layers it verifies.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 
 from gfo.chrono import TimeBoundary
-from gfo.dsl import _ESCAPE, _ESCAPES, _LEXEME, ParseDiagnostic, SourceSpan, _rational
+from gfo.dsl import ParseDiagnostic, SourceSpan
 from gfo.model import CATEGORICAL, Process
 from gfo.truthmakers import AtTime, HoldsProp
 
 WILDCARD = "_"
 
 
-# the token classes of docs/grammar.md, "Lexical structure", in the order the
-# lexer tries them; a text that fits none of them is a bad run
+# the token classes of docs/grammar.md, "Lexical structure", in the order of
+# its table; where none of them matches, a bad run starts
 TOKEN_CLASSES = (
     ("ident", re.compile(r"[A-Za-z_][A-Za-z0-9_]*(-[A-Za-z0-9_]+)*")),
     ("number", re.compile(r"-?[0-9]+([./][0-9]+)?")),
     ("punct", re.compile(r"->|[=;,(){}\[\]@:]")),
     ("string", re.compile(r'"(?P<body>([^"\\\n]|\\[\s\S])*(\\\Z)?)(?P<closed>")?')),
-    ("eof", re.compile(r"")),
 )
+BLANKS = " \t\r\n"
+LITERAL_DIGITS = 300  # docs/grammar.md: a literal holds at most 300 digits
+LIMIT = f"a rational literal has at most {LITERAL_DIGITS}"
+ESCAPES = {"n": "\n", "t": "\t"}
+
+
+def _skip(source, at):
+    """The offset after the blanks and ``//`` comments from ``at`` on."""
+    while True:
+        while at < len(source) and source[at] in BLANKS:
+            at += 1
+        if not source.startswith("//", at):
+            return at
+        end = source.find("\n", at)
+        at = len(source) if end < 0 else end
+
+
+def _token_at(source, at):
+    """``(kind, match)`` of the first class that matches at ``at``, or None."""
+    for kind, pattern in TOKEN_CLASSES:
+        fit = pattern.match(source, at)
+        if fit:
+            return kind, fit
+    return None
+
+
+def _literal(text):
+    """A rational literal's value and the reason it is bad, or None."""
+    digits = sum(c.isdigit() for c in text)
+    if digits > LITERAL_DIGITS:
+        return 0, f"{text[:20]!r}... has {digits} digits; {LIMIT}"
+    try:
+        value = Fraction(text)
+    except ZeroDivisionError:
+        return 0, f"{text!r} is not a valid rational literal"
+    digits = sum(c.isdigit() for c in str(value))  # the literal's canonical p/q text
+    if digits > LITERAL_DIGITS:
+        return 0, f"{text[:20]!r}... has {digits} digits as p/q; {LIMIT}"
+    return value, None
 
 
 def tokens(source, file):
     """``(tokens, diagnostics)`` of the lexer on ``source``: each token as a
-    ``(kind, text, value, line, column)`` tuple, its class the first grammar
-    class its whole text fits, its line counted from the newlines before it
-    and its value computed afresh for every literal.
+    ``(kind, text, value, line, column)`` tuple, its line counted from the
+    newlines before it and its value computed afresh for every literal.
 
-    It shares the lexer's pattern, which splits the source into token texts,
-    and its literal rules; what it re-derives is every class, position and
-    value, one token at a time."""
-    out, diagnostics = [], []
-    for m in _LEXEME.finditer(source):
-        text, start = m[1], m.start(1)
-        fits = ((kind, pattern.fullmatch(text)) for kind, pattern in TOKEN_CLASSES)
-        kind, fit = next(((kind, fit) for kind, fit in fits if fit), ("bad", None))
+    It splits the source by docs/grammar.md alone: at each offset it skips
+    blanks and comments, then takes the first class of the table that
+    matches there; where none does, a bad run goes on up to the next blank,
+    comment or token start."""
+    out, diagnostics, at = [], [], 0
+    while True:
+        start = _skip(source, at)
+        found = _token_at(source, start) if start < len(source) else ("eof", None)
+        if found is None:
+            at = start + 1
+            while at < len(source) and not (
+                source[at] in BLANKS or source.startswith("//", at) or _token_at(source, at)
+            ):
+                at += 1
+            kind, text = "bad", source[start:at]
+        else:
+            kind, fit = found
+            at = fit.end() if fit else start
+            text = source[start:at]
         line = source.count("\n", 0, start) + 1
         column = start - (source.rfind("\n", 0, start) + 1) + 1
         value, error, code, length = text, None, "unexpected-token", len(text)
         if kind == "number":
-            value, error = _rational(text)
+            value, error = _literal(text)
             code = "bad-rational"
         elif kind == "string":
-            value = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), fit["body"])
+            value = re.sub(r"\\([\s\S])", lambda e: ESCAPES.get(e[1], e[1]), fit["body"])
             if fit["closed"] is None:
                 error, length = "unterminated string literal", 1
         elif kind == "bad":
@@ -61,8 +110,7 @@ def tokens(source, file):
         if kind != "bad":
             out.append((kind, text, value, line, column))
         if kind == "eof":
-            break
-    return out, diagnostics
+            return out, diagnostics
 
 
 # the five individual kinds, in the order a disjointness message names them

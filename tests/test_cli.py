@@ -508,3 +508,12 @@ def test_a_closed_stdout_ends_quietly_with_the_verdict(tmp_path, argv, loads, ve
         err = proc.stderr.read()
         code = proc.wait(timeout=120)
     assert (code, err) == (verdict, b"")
+
+
+def test_importing_the_cli_loads_no_typing():
+    """``typing`` costs a few milliseconds of every fresh start and gfo uses
+    none of it.  ``-S`` keeps the interpreter's own ``site`` imports out."""
+    probe = "import sys; import gfo.cli; print('typing' in sys.modules)"
+    code = f"import sys; sys.path.insert(0, {str(REPO / 'src')!r}); {probe}"
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")

@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 import sys
 from fractions import Fraction
 from functools import cached_property
@@ -710,3 +711,104 @@ def test_loading_makes_no_reference_cycles():
         if was:
             gc.enable()
     assert 0 < failed < len(sources)  # both the model and the diagnostic paths ran
+
+
+# the fillers of the single-token-edit sweep: every punctuation, every keyword,
+# one token of each other form, and "" for deleting the token
+EDIT_FILLERS = (
+    "->", "=", ";", ",", "(", ")", "{", "}", "[", "]", "@", ":",
+    "chronoid", "property", "presential", "process", "continuant", "situation", "fact",
+    "function", "exe", "requirement-instance", "goal-instance", "categorical", "numeric",
+    "isolated", "nonisolated", "global", "at", "immaterial", "extent", "boundary",
+    "trajectory", "lifetime", "exhibits", "during", "founded", "on", "contains",
+    "participant", "conceptual", "universal", "individual", "bearer", "label", "requires",
+    "achieves", "fitem", "holds",
+    "name", "7", "3/4", "0.25", "-2", "1/0", "9" * 301, '"label"', '"open', "#", "",
+)
+
+
+class _PerTokenParser(dsl._Parser):
+    """The parser with its fixed-length entries read one token at a time,
+    without the whole-entry test of ``assignment``, ``sample`` and ``member``."""
+
+    def assignment(self) -> tuple:
+        prop = self.take(dsl.IDENT, "a property name")
+        self.take_punct("=")
+        value = self.take_value()
+        self.end_simple()
+        return prop, value
+
+    def sample(self, kinds=(dsl.IDENT,)) -> tuple:
+        t = self.take(dsl.NUMBER, "a coordinate")
+        self.take_punct("->")
+        if dsl.NUMBER in kinds:
+            target = self.take_value()
+        else:
+            target = self.take(dsl.IDENT, "a presential name")
+        self.end_simple()
+        return t, target
+
+    def member(self, what: str) -> int:
+        i = self.take(dsl.IDENT, what)
+        self.end_simple()
+        return i
+
+
+def _raw(decls: list) -> list:
+    return [(type(d).__name__, *(getattr(d, name) for name in d.__slots__)) for d in decls]
+
+
+class _ComparedParser(dsl._Parser):
+    """The parser, which on every parse also runs the per-token parser on
+    the same tokens: both must give the same raw declarations and the same
+    diagnostics."""
+
+    def parse(self) -> list:
+        lexed = list(self.diagnostics)
+        decls = super().parse()
+        other = _PerTokenParser(self.tokens, self.positions, lexed)
+        assert (_raw(decls), self.diagnostics) == (_raw(other.parse()), other.diagnostics)
+        return decls
+
+
+def single_token_edits(path) -> int:
+    """Replace each token of the file at ``path`` by each filler in turn.
+    Every edit loads to a model or to a ParseError, and to nothing else;
+    every diagnostic lies inside the edited source, and every model is a
+    ``serialize`` fixed point.  Under ``_ComparedParser``, as the test and
+    the CI run use it, every first pass also agrees with the per-token
+    parser's.  Returns the number of edits."""
+    source = path.read_text(encoding="utf-8")
+    tokens = _tokenize(source, path.name, [])
+    edits = 0
+    for tok, start in zip(tokens[:-1], _Positions(source, path.name, tokens).starts):
+        for filler in EDIT_FILLERS:
+            edited = f"{source[:start]} {filler} {source[start + len(tok.text):]}"
+            where = f"{path.name}: {tok.text!r} at {start} -> {filler!r}"
+            edits += 1
+            try:
+                text = serialize(parse(edited, file="edit.gfo"))
+            except ParseError as err:
+                # the offset each line starts at, then one past the end of input
+                starts = [0, *(m.end() for m in re.finditer("\n", edited)), len(edited) + 1]
+                for d in err.diagnostics:
+                    line, column, length = d.span.line, d.span.column, d.span.length
+                    assert 1 <= line < len(starts) and column >= 1, (where, str(d))
+                    offset = starts[line - 1] + column - 1
+                    assert offset < starts[line], (where, str(d))
+                    assert offset + length <= len(edited) + 1, (where, str(d))
+                continue
+            assert serialize(parse(text)) == text, where
+    return edits
+
+
+def test_single_token_edits_of_a_small_file_raise_only_parse_errors(monkeypatch):
+    """The sweep over one small file; CI runs it over the whole corpus."""
+    monkeypatch.setattr(dsl, "_Parser", _ComparedParser)
+    assert single_token_edits(REPO / "corpus" / "cat_crossing.gfo") > 6000
+
+
+if __name__ == "__main__":  # the sweep over every corpus file
+    dsl._Parser = _ComparedParser
+    for path in corpus_files():
+        print(f"{path.name}: {single_token_edits(path)} edits", flush=True)
