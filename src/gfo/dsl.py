@@ -320,11 +320,12 @@ class _Positions:
 
 
 # ---------------------------------------------------------------------------
-# Raw declarations (first pass)
+# Records (first pass)
 # ---------------------------------------------------------------------------
 
-# Declarations keep the indexes of the tokens they were parsed from: a name or
-# reference is its identifier's index, a coordinate or value its literal's.
+# The parser keeps one record per declaration, a tuple of its keyword and
+# the indexes of the tokens it was parsed from: a name or reference is its
+# identifier's index, a coordinate or value its literal's.
 # Every occurrence of a text shares one Token, so the index is the position.
 # The linker reads text and values off ``tokens[index]``, and builds a
 # SourceSpan from an index only when it reports a diagnostic there.  Lists
@@ -332,84 +333,20 @@ class _Positions:
 # boundaries and exhibits, (prop, [(t, value)]) for trajectories.  A missing
 # radius, bearer or ``founded on``, a situoid's t (it spans the whole
 # chronoid) and the items of a missing requires or achieves block are None.
-# Each assignment below sets at most three fields: more would build a tuple.
-
-
-class _Chronoid:
-    __slots__ = ("name", "left", "right")
-
-    def __init__(self, name, left, right):
-        self.name, self.left, self.right = name, left, right
-
-
-class _Property:
-    __slots__ = ("name", "domain_kind", "symbols", "support_kind", "radius")
-
-    def __init__(self, name, domain_kind, symbols, support_kind, radius):
-        self.name, self.domain_kind, self.symbols = name, domain_kind, symbols
-        self.support_kind, self.radius = support_kind, radius
-
-
-class _Presential:
-    __slots__ = ("name", "chron", "t", "material", "valuation")
-
-    def __init__(self, name, chron, t, material, valuation):
-        self.name, self.chron, self.t = name, chron, t
-        self.material, self.valuation = material, valuation
-
-
-class _Process:
-    __slots__ = ("name", "chron", "boundaries", "trajectories")
-
-    def __init__(self, name, chron, boundaries, trajectories):
-        self.name, self.chron = name, chron
-        self.boundaries, self.trajectories = boundaries, trajectories
-
-
-class _Continuant:
-    __slots__ = ("name", "chron", "material", "exhibits")
-
-    def __init__(self, name, chron, material, exhibits):
-        self.name, self.chron = name, chron
-        self.material, self.exhibits = material, exhibits
-
-
-class _Situation:
-    __slots__ = ("name", "chron", "t", "founded", "contains", "participants")
-
-    def __init__(self, name, chron, t, founded, contains, participants):
-        self.name, self.chron, self.t = name, chron, t
-        self.founded, self.contains, self.participants = founded, contains, participants
-
-
-class _Fact:
-    __slots__ = ("name", "relator", "args")
-
-    def __init__(self, name, relator, args):
-        self.name, self.relator, self.args = name, relator, args
-
-
-class _Function:
-    __slots__ = ("name", "kind", "bearer", "labels", "req_items", "goal_items", "fitem")
-
-    def __init__(self, name, kind, bearer, labels, req_items, goal_items, fitem):
-        self.name, self.kind, self.bearer = name, kind, bearer
-        self.labels, self.req_items, self.goal_items = labels, req_items, goal_items
-        self.fitem = fitem
-
-
-class _Exe:
-    __slots__ = ("x", "p")
-
-    def __init__(self, x, p):
-        self.x, self.p = x, p
-
-
-class _Instance:
-    __slots__ = ("which", "fn", "sit")  # which: "requirement" or "goal"
-
-    def __init__(self, which, fn, sit):
-        self.which, self.fn, self.sit = which, fn, sit
+# Kinds, symbols, labels and ``material`` are values, not indexes:
+#
+#   ("chronoid", name, left, right)
+#   ("property", name, domain kind, [symbol], support kind, radius)
+#   ("presential", name, chronoid, t, material, valuation)
+#   ("process", name, chronoid, boundaries, trajectories)
+#   ("continuant", name, chronoid, material, exhibits)
+#   ("situation", name, chronoid, t, founded on, [contained fact], [participant])
+#   ("fact", name, relator, [arg])
+#   ("function", name, kind, bearer, [label], requires items, achieves items, fitem)
+#   ("exe", executor, process)
+#   ("requirement-instance" or "goal-instance", function, situation)
+#
+# A concept's items are FactPatterns and (entity, prop, value) triples.
 
 
 class _Syntax(Exception):
@@ -655,9 +592,9 @@ class _Parser:
             "situation": self.situation,
             "fact": self.fact,
             "function": self.function,
-            "exe": lambda: _Exe(*self.pair("an executor entity", "a process name")),
-            "requirement-instance": lambda: self.instance("requirement"),
-            "goal-instance": lambda: self.instance("goal"),
+            "exe": lambda: self.pair("an executor entity", "a process name"),
+            "requirement-instance": lambda: self.pair("a function name", "a situation name"),
+            "goal-instance": lambda: self.pair("a function name", "a situation name"),
         }
         while self.tokens[self.pos].kind != EOF:
             tok = self.tokens[self.pos]
@@ -681,20 +618,20 @@ class _Parser:
                         self.positions.span(self.pos - 1),
                         f"expected a declaration keyword, found {tok.text!r}",
                     )
-                decls.append(handler())
+                decls.append((tok.text, *handler()))
             except _Syntax as err:
                 self.report(err)
                 self.sync(start, table)
         return decls
 
-    def chronoid(self) -> _Chronoid:
+    def chronoid(self) -> tuple:
         name = self.take(IDENT, "a chronoid name")
         self.take_punct("=")
         left, right = self.interval()
         self.end_simple()
-        return _Chronoid(name, left, right)
+        return name, left, right
 
-    def property(self) -> _Property:
+    def property(self) -> tuple:
         name = self.take(IDENT, "a property name")
         self.take_punct(":")
         domain_kind = self.keyword(CATEGORICAL, NUMERIC)
@@ -710,7 +647,7 @@ class _Parser:
             radius = self.take(NUMBER, "a window radius")
             self.take_punct(")")
         self.end_simple()
-        return _Property(name, domain_kind, symbols, support_kind, radius)
+        return name, domain_kind, symbols, support_kind, radius
 
     def _time_point(self):
         chron = self.take(IDENT, "a chronoid name")
@@ -718,15 +655,15 @@ class _Parser:
         t = self.take(NUMBER, "a coordinate")
         return chron, t
 
-    def presential(self) -> _Presential:
+    def presential(self) -> tuple:
         name = self.take(IDENT, "a presential name")
         self.keyword("at")
         chron, t = self._time_point()
         material = not self.accept_word("immaterial")
         valuation = self.body(self.assignment)
-        return _Presential(name, chron, t, material, valuation)
+        return name, chron, t, material, valuation
 
-    def process(self) -> _Process:
+    def process(self) -> tuple:
         name = self.take(IDENT, "a process name")
         self.keyword("extent")
         chron = self.take(IDENT, "a chronoid name")
@@ -737,23 +674,23 @@ class _Parser:
             "trajectory": lambda: trajectories.append(self.trajectory()),
         }
         self.body(lambda: self.dispatch(items))
-        return _Process(name, chron, boundaries, trajectories)
+        return name, chron, boundaries, trajectories
 
     def trajectory(self) -> tuple:
         prop = self.take(IDENT, "a property name")
         samples = self.block(lambda: self.sample((IDENT, NUMBER)))
         return prop, samples
 
-    def continuant(self) -> _Continuant:
+    def continuant(self) -> tuple:
         name = self.take(IDENT, "a continuant name")
         self.keyword("lifetime")
         chron = self.take(IDENT, "a chronoid name")
         material = not self.accept_word("immaterial")
         items = {"exhibits": lambda: self.sample()}
         exhibits = self.body(lambda: self.dispatch(items))
-        return _Continuant(name, chron, material, exhibits)
+        return name, chron, material, exhibits
 
-    def situation(self) -> _Situation:
+    def situation(self) -> tuple:
         name = self.take(IDENT, "a situation name")
         t = None
         if self.keyword("at", "during") == "at":
@@ -771,23 +708,24 @@ class _Parser:
             "participant": lambda: participants.append(self.member("an entity name")),
         }
         self.body(lambda: self.dispatch(items))
-        return _Situation(name, chron, t, founded, contains, participants)
+        return name, chron, t, founded, contains, participants
 
-    def fact(self) -> _Fact:
+    def fact(self) -> tuple:
         name = self.take(IDENT, "a fact name")
         self.take_punct("=")
         relator, args = self.relator_args()
         self.end_simple()
-        return _Fact(name, relator, args)
+        return name, relator, args
 
-    def function(self) -> _Function:
+    def function(self) -> tuple:
         name = self.take(IDENT, "a function name")
         kind = self.accept_word(*FUNCTION_KINDS) or CONCEPTUAL
         bearer = None
         if self.accept_word("bearer"):
             bearer = self.take(IDENT, "a bearer entity")
         labels = []
-        concepts = {}  # "requires"/"achieves" -> items of the last such block
+        # "requires"/"achieves" -> items of the last such block, None without one
+        concepts = dict.fromkeys(("requires", "achieves"))
         fitem = []
         parts = {
             "label": lambda: labels.append(self.label()),
@@ -797,9 +735,7 @@ class _Parser:
         }
         self.block(lambda: self.dispatch(parts))
         self.end_block()
-        return _Function(
-            name, kind, bearer, labels, concepts.get("requires"), concepts.get("achieves"), fitem
-        )
+        return name, kind, bearer, labels, *concepts.values(), fitem
 
     def label(self) -> str:
         label = self.tokens[self.take(STRING, "a string label")].value
@@ -821,22 +757,14 @@ class _Parser:
         self.end_simple()
         return entity, prop, value
 
-    def instance(self, which: str) -> _Instance:
-        return _Instance(which, *self.pair("a function name", "a situation name"))
-
 
 # ---------------------------------------------------------------------------
 # Linker (second pass)
 # ---------------------------------------------------------------------------
 
 
-def _noun(cls) -> str:
-    """What a diagnostic calls a raw declaration class: ``_Process`` is a process."""
-    return cls.__name__[1:].lower()
-
-
 class _Linker:
-    """The second pass: resolves raw declarations into the model's stores.
+    """The second pass: resolves the parser's records into the model's stores.
 
     Each stage reports every fault it finds and then builds each declaration
     from its tokens as written.  It leaves a value out only where a later
@@ -850,12 +778,10 @@ class _Linker:
         self.positions = positions
         self.diagnostics = diagnostics
         self.found: list = []  # (token index, code, message), located at the end of link()
-        # raw declaration class -> (name, declaration) pairs in source order; the
-        # name of an _Exe or _Instance, which declare no id, is None
-        self.groups: dict = defaultdict(list)
+        self.groups: dict = defaultdict(list)  # keyword -> its records in source order
         self.prop_decls: dict = {}
         self.chron_decls: dict = {}
-        self.entity_decls: dict = {}  # name -> first declaration of an individual
+        self.entity_decls: dict = {}  # name -> first record of an individual
         self.fn_decls: dict = {}
 
     def diag(self, i: int, code: str, message: str) -> None:
@@ -864,39 +790,41 @@ class _Linker:
     # -- namespace registration ------------------------------------------------
 
     def register(self) -> None:
-        tables = {_Property: self.prop_decls, _Chronoid: self.chron_decls, _Function: self.fn_decls}
-        for decl in self.decls:
-            cls = type(decl)
-            name = None if cls is _Exe or cls is _Instance else self.tokens[decl.name].text
-            self.groups[cls].append((name, decl))
-            if name is None:
+        # keyword -> its name table; an exe or instance record declares no id
+        tables = dict.fromkeys(["exe", "requirement-instance", "goal-instance"])
+        tables.update(property=self.prop_decls, chronoid=self.chron_decls, function=self.fn_decls)
+        for record in self.decls:
+            kind, name_at = record[0], record[1]
+            self.groups[kind].append(record)
+            table = tables.get(kind, self.entity_decls)
+            if table is None:
                 continue
-            prior = tables.get(cls, self.entity_decls).setdefault(name, decl)
-            if prior is decl:
+            name = self.tokens[name_at].text
+            prior = table.setdefault(name, record)
+            if prior is record:
                 continue
-            if type(prior) is cls:
-                self.diag(decl.name, "duplicate-id", f"{_noun(cls)} {name!r} is declared twice")
+            if prior[0] == kind:
+                self.diag(name_at, "duplicate-id", f"{kind} {name!r} is declared twice")
             else:
                 self.diag(
-                    decl.name,
+                    name_at,
                     "kind-conflict",
-                    f"{name!r} is already declared as a {_noun(type(prior))}, "
-                    f"cannot also be a {_noun(cls)}",
+                    f"{name!r} is already declared as a {prior[0]}, cannot also be a {kind}",
                 )
 
     # -- reference helpers -------------------------------------------------------
 
-    def resolve_entity(self, ref: int, cls=None) -> bool:
+    def resolve_entity(self, ref: int, kind: str | None = None) -> bool:
         text = self.tokens[ref].text
         declared = self.entity_decls.get(text)
         if declared is None:
             self.diag(ref, "dangling-reference", f"{text!r} is not declared")
             return False
-        if cls is not None and type(declared) is not cls:
+        if kind is not None and declared[0] != kind:
             self.diag(
                 ref,
                 "kind-conflict",
-                f"{text!r} is a {_noun(type(declared))}, but a {_noun(cls)} is required here",
+                f"{text!r} is a {declared[0]}, but a {kind} is required here",
             )
             return False
         return True
@@ -949,32 +877,33 @@ class _Linker:
 
     def build_properties(self) -> None:
         self.property_defs = {}
-        for name, decl in self.prop_decls.items():
+        for name, (_, _, domain_kind, symbols, support_kind, radius_at) in self.prop_decls.items():
             radius = None
-            if decl.radius is not None:
-                radius = self.tokens[decl.radius].value
+            if radius_at is not None:
+                radius = self.tokens[radius_at].value
                 if radius <= 0:
                     self.diag(
-                        decl.radius,
+                        radius_at,
                         "bad-value",
                         "window radius must be strictly positive",
                     )
-            domain = ValueDomain(decl.domain_kind, frozenset(decl.symbols))
+            domain = ValueDomain(domain_kind, frozenset(symbols))
             self.property_defs[name] = PropertyDef(
                 name=name,
                 domain=domain,
-                support=Support(decl.support_kind, radius),
+                support=Support(support_kind, radius),
             )
 
     def build_chronoids(self) -> None:
         self.chronoids = {}
-        for name, decl in self.chron_decls.items():
-            left, right = self.tokens[decl.left].value, self.tokens[decl.right].value
+        for name, (_, _, left, right) in self.chron_decls.items():
             try:
-                self.chronoids[name] = Chronoid(name, left, right)
+                self.chronoids[name] = Chronoid(
+                    name, self.tokens[left].value, self.tokens[right].value
+                )
             except ZeroOrNegativeDuration as err:
                 # left out: resolve_chronoid then gives no chronoid to check against
-                self.diag(decl.left, "zero-duration", str(err))
+                self.diag(left, "zero-duration", str(err))
 
     def _boundary_at(self, chron: int, i: int):
         ch = self.resolve_chronoid(chron)
@@ -989,11 +918,12 @@ class _Linker:
     def build_presentials(self) -> None:
         self.presentials = {}
         tokens = self.tokens
-        for name, decl in self.groups[_Presential]:
-            boundary = self._boundary_at(decl.chron, decl.t)
+        for _, name_at, chron, t, material, assigned in self.groups["presential"]:
+            name = tokens[name_at].text
+            boundary = self._boundary_at(chron, t)
             # a rejected entry is left out: the duplicate check reads this map
             valuation = {}
-            for prop, value in decl.valuation:
+            for prop, value in assigned:
                 pdef = self.resolve_property(prop)
                 if pdef is None:
                     continue
@@ -1018,10 +948,10 @@ class _Linker:
                     id=name,
                     at=boundary,
                     valuation=valuation,
-                    material=decl.material,
+                    material=material,
                 )
 
-    def _sample_map(self, decl, entries, ch, keyword: str) -> dict:
+    def _sample_map(self, name_at: int, entries, ch, keyword: str) -> dict:
         # a rejected entry is left out: the duplicate check reads this map
         tokens = self.tokens
         out: dict = {}
@@ -1031,7 +961,7 @@ class _Linker:
             if t is None:
                 continue
             sampled.add(t)
-            if not self.resolve_entity(target, _Presential):
+            if not self.resolve_entity(target, "presential"):
                 continue
             name = tokens[target].text
             pres = self.presentials.get(name)
@@ -1048,9 +978,9 @@ class _Linker:
             for endpoint in (ch.left, ch.right):
                 if endpoint not in sampled:
                     self.diag(
-                        decl.name,
+                        name_at,
                         "missing-endpoint",
-                        f"{tokens[decl.name].text!r} has no {keyword} at the endpoint "
+                        f"{tokens[name_at].text!r} has no {keyword} at the endpoint "
                         f"{coord_str(endpoint)}",
                     )
         return out
@@ -1058,11 +988,12 @@ class _Linker:
     def build_processes(self) -> None:
         self.processes = {}
         tokens = self.tokens
-        for name, decl in self.groups[_Process]:
-            ch = self.resolve_chronoid(decl.chron)
+        for _, name_at, chron, boundaries, paths in self.groups["process"]:
+            name = tokens[name_at].text
+            ch = self.resolve_chronoid(chron)
             # a rejected trajectory or sample is left out: the duplicate checks read these maps
             trajectories: dict = {}
-            for prop, samples in decl.trajectories:
+            for prop, samples in paths:
                 pdef = self.resolve_property(prop)
                 if pdef is None:
                     continue
@@ -1087,43 +1018,45 @@ class _Linker:
             self.processes[name] = Process(
                 id=name,
                 extent=ch,
-                boundary_map=self._sample_map(decl, decl.boundaries, ch, "boundary"),
+                boundary_map=self._sample_map(name_at, boundaries, ch, "boundary"),
                 trajectories=trajectories,
             )
 
     def build_continuants(self) -> None:
         self.continuants = {}
-        for name, decl in self.groups[_Continuant]:
-            ch = self.resolve_chronoid(decl.chron)
+        for _, name_at, chron, material, exhibits in self.groups["continuant"]:
+            name = self.tokens[name_at].text
+            ch = self.resolve_chronoid(chron)
             self.continuants[name] = Continuant(
                 id=name,
                 lifetime=ch,
-                exhibit_map=self._sample_map(decl, decl.exhibits, ch, "exhibits"),
-                material=decl.material,
+                exhibit_map=self._sample_map(name_at, exhibits, ch, "exhibits"),
+                material=material,
             )
 
     def build_facts(self) -> None:
         self.facts = {}
         tokens = self.tokens
-        for name, decl in self.groups[_Fact]:
-            entities = decl.args
-            relator = tokens[decl.relator].text
+        for _, name_at, relator_at, args in self.groups["fact"]:
+            name = tokens[name_at].text
+            entities = args
+            relator = tokens[relator_at].text
             literal = "literal arguments are only allowed in property facts"
             pdef = self.property_defs.get(relator)
             if pdef is not None:
                 # property fact: (subject entity, literal value)
-                if len(decl.args) != 2:
+                if len(args) != 2:
                     self.diag(
-                        decl.relator,
+                        relator_at,
                         "bad-value",
                         f"a property fact takes (subject, value); "
-                        f"{relator!r} got {len(decl.args)} argument(s)",
+                        f"{relator!r} got {len(args)} argument(s)",
                     )
                     entities = ()
                 else:
-                    entities = decl.args[:1]
+                    entities = args[:1]
                     literal = "the subject of a property fact must be an entity"
-                    self.check_value(pdef, decl.args[1])
+                    self.check_value(pdef, args[1])
             for arg in entities:
                 if tokens[arg].kind == NUMBER:
                     self.diag(arg, "bad-value", literal)
@@ -1132,38 +1065,40 @@ class _Linker:
             self.facts[name] = Fact(
                 id=name,
                 relator=relator,
-                args=tuple([tokens[arg].value for arg in decl.args]),
+                args=tuple([tokens[arg].value for arg in args]),
             )
 
     def build_situations(self) -> None:
         self.situations = {}
         tokens = self.tokens
         used_facts = set()  # orphan-fact reads only the facts a situation really contains
-        for name, decl in self.groups[_Situation]:
-            if decl.t is None:
-                extent = self.resolve_chronoid(decl.chron)
+        for _, name_at, chron, t, founded, contains, participants in self.groups["situation"]:
+            name = tokens[name_at].text
+            if t is None:
+                extent = self.resolve_chronoid(chron)
             else:
-                extent = self._boundary_at(decl.chron, decl.t)
-            if decl.founded is not None:
-                self.resolve_entity(decl.founded, _Process)
-            for fact in decl.contains:
-                if self.resolve_entity(fact, _Fact):
+                extent = self._boundary_at(chron, t)
+            if founded is not None:
+                self.resolve_entity(founded, "process")
+            for fact in contains:
+                if self.resolve_entity(fact, "fact"):
                     used_facts.add(tokens[fact].text)
-            for entity in decl.participants:
+            for entity in participants:
                 self.resolve_entity(entity)
             self.situations[name] = Situation(
                 id=name,
                 extent=extent,
-                constituents=frozenset([tokens[fact].text for fact in decl.contains]),
-                participants=frozenset([tokens[entity].text for entity in decl.participants]),
-                founded_on=None if decl.founded is None else tokens[decl.founded].text,
+                constituents=frozenset([tokens[fact].text for fact in contains]),
+                participants=frozenset([tokens[entity].text for entity in participants]),
+                founded_on=None if founded is None else tokens[founded].text,
             )
         # facts are properties of processes only through situations; a fact
         # contained in no situation has nothing to be founded on
-        for name, decl in self.groups[_Fact]:
+        for _, name_at, _, _ in self.groups["fact"]:
+            name = tokens[name_at].text
             if name not in used_facts:
                 self.diag(
-                    decl.name,
+                    name_at,
                     "orphan-fact",
                     f"fact {name!r} is not a constituent of any situation",
                 )
@@ -1200,48 +1135,48 @@ class _Linker:
     def build_functions(self) -> None:
         self.functions = {}
         tokens = self.tokens
-        for name, decl in self.fn_decls.items():
-            if decl.bearer is not None:
-                self.resolve_entity(decl.bearer)
-            elif decl.kind == INDIVIDUAL:
+        for name, (_, name_at, kind, bearer, labels, req, goal, assigned) in self.fn_decls.items():
+            if bearer is not None:
+                self.resolve_entity(bearer)
+            elif kind == INDIVIDUAL:
                 self.diag(
-                    decl.name,
+                    name_at,
                     "dangling-reference",
                     f"individual function {name!r} must name a bearer",
                 )
-            for prop, value in decl.fitem:
+            for prop, value in assigned:
                 self.resolve_value(prop, value)
-            fitem = [(tokens[prop].text, tokens[value].value) for prop, value in decl.fitem]
+            fitem = [(tokens[prop].text, tokens[value].value) for prop, value in assigned]
             self.functions[name] = FunctionSpec(
                 id=name,
-                req=self._concept(decl.name, "req", decl.req_items),
-                goal=self._concept(decl.name, "goal", decl.goal_items),
-                labels=frozenset(decl.labels),
+                req=self._concept(name_at, "req", req),
+                goal=self._concept(name_at, "goal", goal),
+                labels=frozenset(labels),
                 fitem=tuple(sorted(fitem, key=lambda c: (c[0], str(c[1])))),
-                kind=decl.kind,
-                bearer=None if decl.bearer is None else tokens[decl.bearer].text,
+                kind=kind,
+                bearer=None if bearer is None else tokens[bearer].text,
             )
 
     def build_assertions(self) -> None:
         tokens = self.tokens
         exe = []
-        for _, decl in self.groups[_Exe]:
-            self.resolve_entity(decl.x)
-            self.resolve_entity(decl.p, _Process)
-            exe.append((tokens[decl.x].text, tokens[decl.p].text))
-        instances: dict = {"requirement": {}, "goal": {}}
-        for _, decl in self.groups[_Instance]:
-            fn = tokens[decl.fn].text
-            if fn not in self.fn_decls:
-                self.diag(decl.fn, "unknown-id", f"function {fn!r} is not declared")
-                continue  # one diagnostic per cause: the situation is not resolved
-            self.resolve_entity(decl.sit, _Situation)
-            instances[decl.which].setdefault(fn, []).append(tokens[decl.sit].text)
+        for _, x, p in self.groups["exe"]:
+            self.resolve_entity(x)
+            self.resolve_entity(p, "process")
+            exe.append((tokens[x].text, tokens[p].text))
+        instances: dict = {"requirement-instance": {}, "goal-instance": {}}
+        for keyword, found in instances.items():
+            for _, fn_at, sit in self.groups[keyword]:
+                fn = tokens[fn_at].text
+                if fn not in self.fn_decls:
+                    self.diag(fn_at, "unknown-id", f"function {fn!r} is not declared")
+                    continue  # one diagnostic per cause: the situation is not resolved
+                self.resolve_entity(sit, "situation")
+                found.setdefault(fn, []).append(tokens[sit].text)
         self.exe_assertions = frozenset(exe)
-        self.requirement_instances = {
-            fn: frozenset(sits) for fn, sits in instances["requirement"].items()
-        }
-        self.goal_instances = {fn: frozenset(sits) for fn, sits in instances["goal"].items()}
+        self.requirement_instances, self.goal_instances = (
+            {fn: frozenset(sits) for fn, sits in found.items()} for found in instances.values()
+        )
 
     def link(self) -> Model | None:
         self.register()

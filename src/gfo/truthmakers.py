@@ -171,9 +171,9 @@ def classify_property_support(prop_name: str, p: str, m: Model) -> SupportClass:
     """Three-level temporal classification of a process property."""
     pdef = m.property_defs.get(prop_name)
     if pdef is None:
-        raise UnknownProperty(prop_name)
+        raise UnknownProperty(f"property {prop_name!r} is not declared")
     if p not in m.processes:
-        raise UnknownEntity(p)
+        raise UnknownEntity(f"process {p!r} is not declared")
     return _SUPPORT_CLASS[pdef.support.kind]
 
 

@@ -222,6 +222,29 @@ def complete_sequentially(m, mode):
     return m, derived
 
 
+def presential_dependence_violations(m):
+    """``(subjects, at, message)`` for every material presential that is a
+    boundary of no process, in id order, found by scanning every process's
+    boundary map for each presential."""
+    out = []
+    for pid in sorted(m.presentials):
+        pres = m.presentials[pid]
+        bounded = any(pid in p.boundary_map.values() for p in m.processes.values())
+        if pres.material and not bounded:
+            message = f"material presential {pid!r} is not a boundary of any process"
+            out.append(((pid,), pres.at.coordinate, message))
+    return out
+
+
+# the answer of `gfo query --classify` for each declared support: the
+# three-way table of docs/semantics.md, "Truth-makers"
+SUPPORT_CLASSES = {
+    "isolated": "presenticIsolated",
+    "nonisolated": "presenticNonIsolated",
+    "global": "global",
+}
+
+
 def _time_ok(situation, time_ref) -> bool:
     if time_ref is None:
         return True

@@ -19,6 +19,7 @@ from gfo.checker import (
     IDENTITY,
     INTEGRATION,
     INTEGRATION_NO_PROCESS,
+    PRESENTIAL_DEPENDENCE,
     VALUATION,
     IntegrationWitness,
     Violation,
@@ -486,6 +487,28 @@ def test_presential_dependence_ignores_immaterial():
     ghost = Presential("ghost", inner_boundary(ch, 0), {}, material=False)
     m = Model(chronoids={"e": ch}, presentials={"ghost": ghost})
     assert check_presential_dependence(m) == []
+
+
+def test_presential_dependence_agrees_with_oracle_on_random_worlds():
+    """200 random worlds and their completions in both modes: the violations,
+    their subjects, times and messages are the brute-force oracle's.  Many
+    immaterial presentials bound no process, so a check that ignores
+    ``material`` would report them too."""
+    rng = random.Random(20261021)
+    violations = unbound_immaterial = 0
+    for _ in range(200):
+        m = random_full_model(rng)
+        bounds = {pid for p in m.processes.values() for pid in p.boundary_map.values()}
+        unbound_immaterial += sum(
+            not pres.material and pid not in bounds for pid, pres in m.presentials.items()
+        )
+        for world in (m, complete_integration(m)[0], complete_integration(m, VALUATION)[0]):
+            got = check_presential_dependence(world)
+            assert {v.axiom for v in got} <= {PRESENTIAL_DEPENDENCE}
+            expected = oracles.presential_dependence_violations(world)
+            assert [(v.subjects, v.at, v.message) for v in got] == expected
+            violations += len(got)
+    assert violations > 1000 and unbound_immaterial > 50, (violations, unbound_immaterial)
 
 
 def _ball_like(values_by_t):

@@ -9,9 +9,11 @@ from dataclasses import replace
 import pytest
 from jsonschema import validate
 
+import oracles
 import test_golden as golden
+from genmodels import random_full_model
 from gfo import checker, cli
-from gfo.dsl import ParseError, parse, parse_file
+from gfo.dsl import ParseError, parse, parse_file, serialize
 from helpers import CORPUS, REPO, SCHEMA, corpus_files, run_cli
 
 
@@ -378,6 +380,34 @@ def test_query_unknown_function_exit_two():
     )
     assert code == 2
     assert "f_nothing" in err
+
+
+def test_query_classify_names_what_is_not_declared(capsys):
+    for pair, missing in (
+        (("nosuch", "ball_proc"), "property 'nosuch'"),
+        (("velocity", "nosuch"), "process 'nosuch'"),
+    ):
+        assert cli.main(["query", str(CORPUS / "ball.gfo"), "--classify", *pair]) == 2
+        assert capsys.readouterr() == ("", f"gfo: {missing} is not declared\n")
+
+
+def test_query_classify_follows_the_support_table(tmp_path, capsys):
+    """On 200 random worlds, every (property, process) pair is classified as
+    the three-way table of docs/semantics.md says for the property's support."""
+    rng = random.Random(20261021)
+    path = tmp_path / "world.gfo"
+    seen = set()
+    for _ in range(200):
+        m = random_full_model(rng)
+        path.write_text(serialize(m), encoding="utf-8")
+        for prop, pdef in sorted(m.property_defs.items()):
+            for pid in sorted(m.processes):
+                assert cli.main(["query", str(path), "--classify", prop, pid]) == 0
+                support = oracles.SUPPORT_CLASSES[pdef.support.kind]
+                answer = {"property": prop, "process": pid, "support": support}
+                assert json.loads(capsys.readouterr().out) == answer
+                seen.add(support)
+    assert seen == set(oracles.SUPPORT_CLASSES.values())
 
 
 def test_dump_is_deterministic():

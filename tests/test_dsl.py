@@ -725,6 +725,11 @@ EDIT_FILLERS = (
     "achieves", "fitem", "holds",
     "name", "7", "3/4", "0.25", "-2", "1/0", "9" * 301, '"label"', '"open', "#", "",
 )
+# the twelve punctuations EDIT_FILLERS begins with, one token of each other
+# class and deletion: the fillers of the tier-1 sweep of EVERY_KIND
+FEW_FILLERS = (*EDIT_FILLERS[:12], "name", "7", '"label"', "#", "")
+# a small clean source with every declaration keyword and optional part
+EVERY_KIND = REPO / "tests" / "every_kind.gfo"
 
 
 class _PerTokenParser(dsl._Parser):
@@ -754,25 +759,21 @@ class _PerTokenParser(dsl._Parser):
         return i
 
 
-def _raw(decls: list) -> list:
-    return [(type(d).__name__, *(getattr(d, name) for name in d.__slots__)) for d in decls]
-
-
 class _ComparedParser(dsl._Parser):
     """The parser, which on every parse also runs the per-token parser on
-    the same tokens: both must give the same raw declarations and the same
+    the same tokens: both must give the same records and the same
     diagnostics."""
 
     def parse(self) -> list:
         lexed = list(self.diagnostics)
         decls = super().parse()
         other = _PerTokenParser(self.tokens, self.positions, lexed)
-        assert (_raw(decls), self.diagnostics) == (_raw(other.parse()), other.diagnostics)
+        assert (decls, self.diagnostics) == (other.parse(), other.diagnostics)
         return decls
 
 
-def single_token_edits(path) -> int:
-    """Replace each token of the file at ``path`` by each filler in turn.
+def single_token_edits(path, fillers=EDIT_FILLERS) -> int:
+    """Replace each token of the file at ``path`` by each of ``fillers`` in turn.
     Every edit loads to a model or to a ParseError, and to nothing else;
     every diagnostic lies inside the edited source, and every model is a
     ``serialize`` fixed point.  Under ``_ComparedParser``, as the test and
@@ -782,7 +783,7 @@ def single_token_edits(path) -> int:
     tokens = _tokenize(source, path.name, [])
     edits = 0
     for tok, start in zip(tokens[:-1], _Positions(source, path.name, tokens).starts):
-        for filler in EDIT_FILLERS:
+        for filler in fillers:
             edited = f"{source[:start]} {filler} {source[start + len(tok.text):]}"
             where = f"{path.name}: {tok.text!r} at {start} -> {filler!r}"
             edits += 1
@@ -808,7 +809,18 @@ def test_single_token_edits_of_a_small_file_raise_only_parse_errors(monkeypatch)
     assert single_token_edits(REPO / "corpus" / "cat_crossing.gfo") > 6000
 
 
-if __name__ == "__main__":  # the sweep over every corpus file
+def test_single_token_edits_of_every_declaration_kind_raise_only_parse_errors(monkeypatch):
+    """The sweep over EVERY_KIND with FEW_FILLERS; CI runs it with all of them."""
+    monkeypatch.setattr(dsl, "_Parser", _ComparedParser)
+    parse_file(EVERY_KIND)  # the slice itself loads clean
+    texts = {tok.text for tok in _tokenize(EVERY_KIND.read_text(encoding="utf-8"), "", [])}
+    # the 11 declaration keywords EDIT_FILLERS lists after the punctuations, and the options
+    options = {"trajectory", "fitem", "holds", "founded", "label", "immaterial", "nonisolated"}
+    assert texts >= {*EDIT_FILLERS[12:23], *options, "global"}
+    assert single_token_edits(EVERY_KIND, FEW_FILLERS) > 3000
+
+
+if __name__ == "__main__":  # the sweep over every corpus file and EVERY_KIND
     dsl._Parser = _ComparedParser
-    for path in corpus_files():
+    for path in [*corpus_files(), EVERY_KIND]:
         print(f"{path.name}: {single_token_edits(path)} edits", flush=True)
