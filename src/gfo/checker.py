@@ -39,6 +39,8 @@ VALUATION = "valuation"
 
 @dataclass(frozen=True)
 class Violation:
+    """One axiom broken by the subjects, at a coordinate when it has one."""
+
     axiom: str
     subjects: tuple
     message: str

@@ -11,10 +11,12 @@ A chronoid is a connected time interval of strictly positive duration,
 represented symbolically by its endpoints.  Boundary entities are
 individuals, not numbers: two boundaries may coincide (occupy the same
 coordinate) without being the same entity.  Inner boundaries are interned
-per (chronoid, coordinate), so repeated queries return the same entity;
-an entry is only ever inserted under the chronoid's lock, so a lookup that
-finds one needs no lock, and everything else is immutable, which makes all
-time values safe to share between concurrent tasks.
+per (chronoid, coordinate), so repeated queries return the same entity.  A
+lookup that finds one needs no lock.  A miss builds the boundary once and
+inserts it with ``setdefault`` under the chronoid's lock, the one place an
+entry is inserted, so of two racing misses both return the first entry.
+Everything else is immutable, which makes all time values safe to share
+between concurrent tasks.
 """
 
 from __future__ import annotations
@@ -166,22 +168,13 @@ def inner_boundary(ch: Chronoid, t: int | str | Fraction) -> TimeBoundary:
         return entity
     if not isinstance(t, Fraction):
         t = coord(t)
-    if not ch.contains(t):
+    left, right = ch.left, ch.right
+    if not left <= t <= right:
         raise OutOfExtent(ch.outside(t))
+    kind = LEFT if t == left else RIGHT if t == right else INNER
+    entity = TimeBoundary(f"{ch.id}@{coord_str(t)}", t, ch.id, kind)
     with ch._lock:
-        entity = ch._boundaries.get(t)
-        if entity is None:
-            if t == ch.left:
-                kind = LEFT
-            elif t == ch.right:
-                kind = RIGHT
-            else:
-                kind = INNER
-            entity = TimeBoundary(
-                id=f"{ch.id}@{coord_str(t)}", coordinate=t, owner=ch.id, kind=kind
-            )
-            ch._boundaries[t] = entity
-        return entity
+        return ch._boundaries.setdefault(t, entity)
 
 
 def left_boundary(ch: Chronoid) -> TimeBoundary:

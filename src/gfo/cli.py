@@ -8,6 +8,7 @@ byte-identical reports.  Set GFO_COLOR=1 for ANSI colors in human output.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -359,11 +360,17 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
-    if args.command == "check":
-        return run_check(args)
-    if args.command == "query":
-        return run_query(args)
-    return run_dump(args)
+    collecting = gc.isenabled()
+    gc.disable()  # a command makes no reference cycles: docs/semantics.md
+    try:
+        if args.command == "check":
+            return run_check(args)
+        if args.command == "query":
+            return run_query(args)
+        return run_dump(args)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import gc
 import re
+import sys
 from array import array
 from bisect import bisect_left
 from collections import defaultdict
@@ -100,6 +101,8 @@ class SourceSpan:
 
 @dataclass(frozen=True)
 class ParseDiagnostic:
+    """One fault found in a source: where it is, its code and its message."""
+
     span: SourceSpan
     code: str
     message: str
@@ -163,17 +166,21 @@ MAX_LITERAL_DIGITS = 300
 # comment or token starts: a stretch of characters no blank or token begins
 # with, a '/' not followed by '/', a '-' followed by neither '>' nor a digit.
 # The end of input is the one empty token; a second empty match may follow it.
-_SKIPPED = re.compile(r"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*")
-_LEXEME = re.compile(
-    _SKIPPED.pattern
-    + r"""([=;,(){}\[\]@:]
-    |[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*
-    |-?[0-9]+(?:[./][0-9]+)?|->
-    |"(?:[^"\\\n]+|\\[\s\S]?)*"?
+# No repeat ever gives text back, so each is written possessive (``*+``,
+# ``++``, ``?+``): a match keeps no state per repetition, and a string of
+# many escapes costs no more memory than its text.  Python 3.10's ``re`` has
+# no possessive repeats and gets the same pattern with plain ones, which
+# splits every source into the same texts (docs/grammar.md).
+_SKIPPED = r"[ \t\r\n]*+(?://[^\n]*+[ \t\r\n]*+)*+"
+_LEXEME = _SKIPPED + r"""([=;,(){}\[\]@:]
+    |[A-Za-z_][A-Za-z0-9_]*+(?:-[A-Za-z0-9_]++)*+
+    |-?[0-9]++(?:[./][0-9]++)?+|->
+    |"(?:[^"\\\n]++|\\[\s\S]?+)*+"?
     |\Z
-    |.(?:[^ \t\r\n0-9A-Za-z_"=;,(){}\[\]@:/-]+|/(?!/)|-(?![0-9>]))*)""",
-    re.VERBOSE,
-)
+    |.(?:[^ \t\r\n0-9A-Za-z_"=;,(){}\[\]@:/-]++|/(?!/)|-(?![0-9>]))*+)"""
+if sys.version_info < (3, 11):
+    _SKIPPED, _LEXEME = (re.sub(r"([*+?])\+", r"\1", p) for p in (_SKIPPED, _LEXEME))
+_SKIPPED, _LEXEME = re.compile(_SKIPPED), re.compile(_LEXEME, re.VERBOSE)
 _ESCAPE = re.compile(r"\\([\s\S])")
 _ESCAPES = {"n": "\n", "t": "\t"}
 
@@ -206,9 +213,9 @@ def _rational(text: str) -> tuple:
     digits = 0 if short else sum(c.isdigit() for c in text)
     if digits > MAX_LITERAL_DIGITS:
         return Time(0), _overlong(text, f"{digits} digits")
-    try:  # an integer or p/q is built from its int parts, a decimal from its text
+    try:  # p/q is built from its int parts, an integer from its int, a decimal from its text
         p, _, q = text.partition("/")
-        value = Time(text) if "." in text else Time(int(p), int(q or 1))
+        value = Time(text) if "." in text else Time(int(p), int(q)) if q else Time(int(p))
     except ZeroDivisionError:
         return Time(0), f"{text!r} is not a valid rational literal"
     digits = 0 if short else sum(c.isdigit() for c in coord_str(value))
@@ -402,16 +409,6 @@ class _Parser:
             raise self.expected(_one_of(words))
         return word
 
-    def dispatch(self, handlers: dict):
-        """Consume one keyword of ``handlers`` and run its handler; any other
-        token is an error naming every keyword."""
-        tok = self.tokens[self.pos]
-        handler = handlers.get(tok.text) if tok.kind == IDENT else None
-        if handler is None:
-            raise self.expected(_one_of(handlers))
-        self.pos += 1
-        return handler()
-
     def take_punct(self, text: str) -> None:
         if self.tokens[self.pos].text != text:
             raise self.expected(repr(text))
@@ -460,6 +457,25 @@ class _Parser:
         out = self.block(item)
         self.end_block()
         return out
+
+    def entries(self, words: tuple, body: bool = True):
+        """Consume ``{ entry* }`` and yield each entry's keyword, one of
+        ``words``, after consuming it; the caller reads the rest of the entry.
+        Any other token is an error naming every keyword.  A declaration's
+        ``body`` may instead be ``;``, and may have a ``;`` after its ``}``."""
+        if body and not self.at_punct("{"):
+            self.end_simple()
+            return
+        self.take_punct("{")
+        tokens = self.tokens
+        while (tok := tokens[self.pos]).text != "}":
+            if tok.kind != IDENT or tok.text not in words:
+                raise self.expected(_one_of(words))
+            self.pos += 1
+            yield tok.text
+        self.pos += 1
+        if body:
+            self.end_block()
 
     # An entry of fixed length is tested whole first, reading each token only
     # after the one before it proved no EOF; the per-token calls that make any
@@ -669,11 +685,11 @@ class _Parser:
         chron = self.take(IDENT, "a chronoid name")
         boundaries = []
         trajectories = []
-        items = {
-            "boundary": lambda: boundaries.append(self.sample()),
-            "trajectory": lambda: trajectories.append(self.trajectory()),
-        }
-        self.body(lambda: self.dispatch(items))
+        for word in self.entries(("boundary", "trajectory")):
+            if word == "boundary":
+                boundaries.append(self.sample())
+            else:
+                trajectories.append(self.trajectory())
         return name, chron, boundaries, trajectories
 
     def trajectory(self) -> tuple:
@@ -686,8 +702,7 @@ class _Parser:
         self.keyword("lifetime")
         chron = self.take(IDENT, "a chronoid name")
         material = not self.accept_word("immaterial")
-        items = {"exhibits": lambda: self.sample()}
-        exhibits = self.body(lambda: self.dispatch(items))
+        exhibits = [self.sample() for _ in self.entries(("exhibits",))]
         return name, chron, material, exhibits
 
     def situation(self) -> tuple:
@@ -703,11 +718,11 @@ class _Parser:
             founded = self.take(IDENT, "a process name")
         contains = []
         participants = []
-        items = {
-            "contains": lambda: contains.append(self.member("a fact name")),
-            "participant": lambda: participants.append(self.member("an entity name")),
-        }
-        self.body(lambda: self.dispatch(items))
+        for word in self.entries(("contains", "participant")):
+            if word == "contains":
+                contains.append(self.member("a fact name"))
+            else:
+                participants.append(self.member("an entity name"))
         return name, chron, t, founded, contains, participants
 
     def fact(self) -> tuple:
@@ -727,14 +742,14 @@ class _Parser:
         # "requires"/"achieves" -> items of the last such block, None without one
         concepts = dict.fromkeys(("requires", "achieves"))
         fitem = []
-        parts = {
-            "label": lambda: labels.append(self.label()),
-            "requires": lambda: concepts.update(requires=self.concept()),
-            "achieves": lambda: concepts.update(achieves=self.concept()),
-            "fitem": lambda: fitem.extend(self.block(self.assignment)),
-        }
-        self.block(lambda: self.dispatch(parts))
-        self.end_block()
+        for word in self.entries(("label", "requires", "achieves", "fitem"), body=False):
+            if word == "label":
+                labels.append(self.label())
+            elif word == "fitem":
+                fitem.extend(self.block(self.assignment))
+            else:
+                concepts[word] = self.concept()
+        self.end_block()  # a function has a block, never ';' alone
         return name, kind, bearer, labels, *concepts.values(), fitem
 
     def label(self) -> str:
@@ -743,8 +758,10 @@ class _Parser:
         return label
 
     def concept(self) -> list:
-        items = {"fact": self.concept_fact, "holds": self.concept_holds}
-        return self.block(lambda: self.dispatch(items))
+        return [
+            self.concept_fact() if word == "fact" else self.concept_holds()
+            for word in self.entries(("fact", "holds"), body=False)
+        ]
 
     def concept_fact(self) -> FactPattern:
         relator, args = self.relator_args()
@@ -769,7 +786,9 @@ class _Linker:
     Each stage reports every fault it finds and then builds each declaration
     from its tokens as written.  It leaves a value out only where a later
     check reads it, so that a rejected declaration drives no follow-on
-    diagnostic.  Any diagnostic discards the model.
+    diagnostic.  Any diagnostic discards the model.  Entities are built
+    with positional arguments, which a frozen dataclass binds faster than
+    keywords.
     """
 
     def __init__(self, decls: list, positions: _Positions, diagnostics: list):
@@ -906,9 +925,9 @@ class _Linker:
                 self.diag(left, "zero-duration", str(err))
 
     def _boundary_at(self, chron: int, i: int):
-        ch = self.resolve_chronoid(chron)
+        ch = self.chronoids.get(self.tokens[chron].text)
         if ch is None:
-            return None
+            return self.resolve_chronoid(chron)  # reports why, and is None
         try:
             return inner_boundary(ch, self.tokens[i].value)
         except OutOfExtent as err:
@@ -917,17 +936,23 @@ class _Linker:
 
     def build_presentials(self) -> None:
         self.presentials = {}
-        tokens = self.tokens
+        tokens, property_defs = self.tokens, self.property_defs
         for _, name_at, chron, t, material, assigned in self.groups["presential"]:
             name = tokens[name_at].text
             boundary = self._boundary_at(chron, t)
             # a rejected entry is left out: the duplicate check reads this map
             valuation = {}
             for prop, value in assigned:
+                # the clean path is tested in place; the calls below report a failure
+                text, v = tokens[prop].text, tokens[value].value
+                pdef = property_defs.get(text)
+                if (pdef is not None and pdef.support.kind == ISOLATED
+                        and text not in valuation and pdef.domain.admits(v)):
+                    valuation[text] = v
+                    continue
                 pdef = self.resolve_property(prop)
                 if pdef is None:
                     continue
-                text = tokens[prop].text
                 if pdef.support.kind != ISOLATED:
                     self.diag(
                         prop,
@@ -942,29 +967,30 @@ class _Linker:
                     )
                     continue
                 if self.check_value(pdef, value):
-                    valuation[text] = tokens[value].value
+                    valuation[text] = v
             if boundary is not None:  # coordinate-mismatch reads pres.at
-                self.presentials[name] = Presential(
-                    id=name,
-                    at=boundary,
-                    valuation=valuation,
-                    material=material,
-                )
+                self.presentials[name] = Presential(name, boundary, valuation, material)
 
     def _sample_map(self, name_at: int, entries, ch, keyword: str) -> dict:
         # a rejected entry is left out: the duplicate check reads this map
-        tokens = self.tokens
+        tokens, presentials, declared = self.tokens, self.presentials, self.entity_decls
         out: dict = {}
         sampled = set()  # every coordinate given: a rejected target is no missing endpoint
         for i, target in entries:
+            # the clean path is tested in place; the calls below report a failure
+            t, name = tokens[i].value, tokens[target].text
+            pres = presentials.get(name)
+            if (ch is not None and ch.left <= t <= ch.right and t not in out and pres is not None
+                    and pres.at.coordinate == t and declared[name][0] == "presential"):
+                sampled.add(t)
+                out[t] = name
+                continue
             t = self.new_sample(i, ch, out, keyword)
             if t is None:
                 continue
             sampled.add(t)
             if not self.resolve_entity(target, "presential"):
                 continue
-            name = tokens[target].text
-            pres = self.presentials.get(name)
             if pres is not None and pres.at.coordinate != t:
                 self.diag(
                     target,
@@ -1015,24 +1041,16 @@ class _Linker:
                     if t is not None and self.check_value(pdef, value):
                         points[t] = tokens[value].value
                 trajectories[text] = tuple(sorted(points.items()))
-            self.processes[name] = Process(
-                id=name,
-                extent=ch,
-                boundary_map=self._sample_map(name_at, boundaries, ch, "boundary"),
-                trajectories=trajectories,
-            )
+            boundary_map = self._sample_map(name_at, boundaries, ch, "boundary")
+            self.processes[name] = Process(name, ch, boundary_map, trajectories)
 
     def build_continuants(self) -> None:
         self.continuants = {}
         for _, name_at, chron, material, exhibits in self.groups["continuant"]:
             name = self.tokens[name_at].text
             ch = self.resolve_chronoid(chron)
-            self.continuants[name] = Continuant(
-                id=name,
-                lifetime=ch,
-                exhibit_map=self._sample_map(name_at, exhibits, ch, "exhibits"),
-                material=material,
-            )
+            exhibit_map = self._sample_map(name_at, exhibits, ch, "exhibits")
+            self.continuants[name] = Continuant(name, ch, exhibit_map, material)
 
     def build_facts(self) -> None:
         self.facts = {}
@@ -1062,11 +1080,7 @@ class _Linker:
                     self.diag(arg, "bad-value", literal)
                 else:
                     self.resolve_entity(arg)
-            self.facts[name] = Fact(
-                id=name,
-                relator=relator,
-                args=tuple([tokens[arg].value for arg in args]),
-            )
+            self.facts[name] = Fact(name, relator, tuple([tokens[arg].value for arg in args]))
 
     def build_situations(self) -> None:
         self.situations = {}
@@ -1086,11 +1100,9 @@ class _Linker:
             for entity in participants:
                 self.resolve_entity(entity)
             self.situations[name] = Situation(
-                id=name,
-                extent=extent,
-                constituents=frozenset([tokens[fact].text for fact in contains]),
-                participants=frozenset([tokens[entity].text for entity in participants]),
-                founded_on=None if founded is None else tokens[founded].text,
+                name, extent, frozenset([tokens[fact].text for fact in contains]),
+                frozenset([tokens[entity].text for entity in participants]),
+                None if founded is None else tokens[founded].text,
             )
         # facts are properties of processes only through situations; a fact
         # contained in no situation has nothing to be founded on

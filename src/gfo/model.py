@@ -41,6 +41,8 @@ GLOBAL = "global"
 
 @dataclass(frozen=True)
 class ValueDomain:
+    """The values a property takes: the symbols listed, or any rational."""
+
     kind: str  # CATEGORICAL or NUMERIC
     symbols: frozenset[str] = frozenset()
 
@@ -61,6 +63,8 @@ class Support:
 
 @dataclass(frozen=True)
 class PropertyDef:
+    """A declared property: its name, value domain and temporal support."""
+
     name: str
     domain: ValueDomain
     support: Support = Support(ISOLATED)

@@ -28,11 +28,15 @@ from .functions import FactPattern, FunctionSpec, is_actual_realization
 
 @dataclass(frozen=True)
 class AtTime:
+    """A proposition's time reference: the one coordinate."""
+
     coordinate: Fraction
 
 
 @dataclass(frozen=True)
 class DuringSpan:
+    """A proposition's time reference: the span [left, right]."""
+
     left: Fraction
     right: Fraction
 
@@ -65,6 +69,8 @@ Proposition = "FactProp | HoldsProp"
 
 @dataclass(frozen=True)
 class TruthMakerTriple:
+    """A process, a situation founded on it, and one of its constituent facts."""
+
     process: str
     situation: str
     fact: str
@@ -173,6 +179,8 @@ def classify_property_support(prop_name: str, p: str, m: Model) -> SupportClass:
     if pdef is None:
         raise UnknownProperty(f"property {prop_name!r} is not declared")
     if p not in m.processes:
+        if m.has_entity(p):
+            raise TypeError(f"{p!r} is not a process; only process properties are classified")
         raise UnknownEntity(f"process {p!r} is not declared")
     return _SUPPORT_CLASS[pdef.support.kind]
 

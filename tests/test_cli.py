@@ -104,6 +104,49 @@ def test_an_in_process_request_leaves_no_cyclic_garbage(argv):
             gc.enable()
 
 
+def test_no_command_makes_reference_cycles(tmp_path, capsys):
+    """``cli.main`` pauses the collector for the whole command, which is
+    sound only while no command, clean or failing, leaves cyclic garbage:
+    with the collector off, ``gc.collect()`` finds nothing after any of
+    these.  Only the argument parser's first build makes cycles, once."""
+    faulty = tmp_path / "faulty.gfo"
+    faulty.write_text("chronoid c = [0 1];\npresential p at nowhere@0;\n")
+    heart, ball = str(CORPUS / "heart.gfo"), str(CORPUS / "ball.gfo")
+    commands = [
+        ["query", heart, "--truthmakers", "holds(blood, position, in_heart) during [0, 1]"],
+        ["query", heart, "--realizers", "f_pump"],
+        ["query", heart, "--realizations", "f_pump"],
+        ["query", ball, "--changes", "ball"],
+        ["query", ball, "--changes", "ball_proc"],
+        ["query", ball, "--classify", "velocity", "ball_proc"],
+        ["check", str(tmp_path / "missing.gfo")],
+        ["check", str(faulty)],
+        ["dump", str(faulty)],
+        ["query", heart, "--truthmakers", "fact drinks(John"],
+        ["query", ball, "--classify", "velocity", "ball"],
+    ]
+    for path in map(str, corpus_files()):
+        commands += [
+            ["check", path],
+            ["check", path, "--format", "json"],
+            ["check", path, "--complete"],
+            ["check", path, "--complete", "--integration=valuation", "--format", "json"],
+            ["dump", path],
+        ]
+    cli.build_arg_parser()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for argv in commands:
+            cli.main(argv)
+            assert gc.collect() == 0, argv
+    finally:
+        if enabled:
+            gc.enable()
+    capsys.readouterr()
+
+
 class _Walked(dict):
     """A store dict that counts the walks over it."""
 
@@ -383,12 +426,14 @@ def test_query_unknown_function_exit_two():
 
 
 def test_query_classify_names_what_is_not_declared(capsys):
-    for pair, missing in (
-        (("nosuch", "ball_proc"), "property 'nosuch'"),
-        (("velocity", "nosuch"), "process 'nosuch'"),
+    for pair, message in (
+        (("nosuch", "ball_proc"), "property 'nosuch' is not declared"),
+        (("velocity", "nosuch"), "process 'nosuch' is not declared"),
+        # a declared entity of another kind is named as such, not as undeclared
+        (("velocity", "ball"), "'ball' is not a process; only process properties are classified"),
     ):
         assert cli.main(["query", str(CORPUS / "ball.gfo"), "--classify", *pair]) == 2
-        assert capsys.readouterr() == ("", f"gfo: {missing} is not declared\n")
+        assert capsys.readouterr() == ("", f"gfo: {message}\n")
 
 
 def test_query_classify_follows_the_support_table(tmp_path, capsys):

@@ -2,6 +2,7 @@ import gc
 import random
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 from functools import cached_property
 
@@ -10,9 +11,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from genmodels import random_full_model
-from gfo import dsl
-from gfo.chrono import Time, coord_str
+from genmodels import all_miss_model, random_full_model
+from gfo import chrono, dsl
+from gfo.chrono import Time, TimeBoundary, coord_str
 from gfo.dsl import (
     DIAGNOSTIC_CODES,
     ParseError,
@@ -472,6 +473,58 @@ def test_each_distinct_number_text_is_read_once_per_parse(monkeypatch):
     parse(source)
     assert len(numbers) > 20 * len(set(numbers))  # texts repeat heavily
     assert sorted(calls) == sorted(set(numbers))
+
+
+def test_a_long_string_of_escapes_lexes_in_bounded_memory():
+    """One string literal of 50,000 escapes is one token and one diagnostic.
+    Where ``re`` has possessive repeats (Python 3.11+), the lexer keeps no
+    state per escape, so the load's peak stays within 20 bytes a character;
+    with plain repeats it took about 106."""
+    source = 'chronoid c = [0, 1]; "' + "\\x" * 50_000 + '"'
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as err:
+            parse(source)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(d.code, d.span.column) for d in err.value.diagnostics] == [("unexpected-token", 22)]
+    if sys.version_info >= (3, 11):
+        assert peak < 20 * len(source)
+
+
+def _boundary_source(n: int) -> str:
+    """``all_miss_model`` at ``n`` (3 + i % 5 presentials at distinct
+    coordinates of chronoid i, and a stray sharing one of them) with two
+    presentic situations on each chronoid: at its left end, which a
+    presential declares too, and at 1/8 past it, which none does."""
+    m = all_miss_model(random.Random(11), n)
+    lines = [serialize(m)]
+    for ch in m.chronoids.values():
+        lines.append(f"situation s_{ch.id} at {ch.id}@{coord_str(ch.left)};")
+        lines.append(f"situation t_{ch.id} at {ch.id}@{coord_str(ch.left + Fraction(1, 8))};")
+    return "\n".join(lines)
+
+
+def test_a_load_builds_one_boundary_per_declared_coordinate(monkeypatch):
+    """Link guard: a load builds one ``TimeBoundary`` per distinct
+    (chronoid, coordinate) that its presentials and presentic situations
+    declare, however many declarations share it.  The family grows in
+    proportion from n to 4n, so the count grows at most 4x, plus 0."""
+    built = []
+    counted = lambda *args, **kwargs: built.append(1) or TimeBoundary(*args, **kwargs)  # noqa: E731
+    monkeypatch.setattr(chrono, "TimeBoundary", counted)
+    counts = []
+    for n in (25, 100):
+        source = _boundary_source(n)
+        built.clear()
+        m = parse(source)
+        at = [s.extent for s in m.situations.values() if s.presentic]
+        at += [p.at for p in m.presentials.values()]
+        declared = {(b.owner, b.coordinate) for b in at}
+        assert len(built) == len(declared) < len(at)  # declarations share coordinates
+        counts.append(len(built))
+    assert counts[1] <= 4 * counts[0]
 
 
 @given(st.fractions(min_value=-1000, max_value=1000, max_denominator=999))

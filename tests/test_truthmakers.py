@@ -153,6 +153,8 @@ def test_classify_property_support_three_examples():
         classify_property_support("nope", "ball_proc", ball)
     with pytest.raises(UnknownEntity):
         classify_property_support("color", "nope", ball)
+    with pytest.raises(TypeError, match="'ball' is not a process"):
+        classify_property_support("color", "ball", ball)  # a continuant
 
 
 def _realizing_model():
