@@ -19,7 +19,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import checker
 from .chrono import coord_str
-from .dsl import ParseError, fmt_value, model_to_json, parse_file, parse_query
+from .dsl import NUMBER, ParseError, _tokenize, fmt_value, model_to_json, parse_file, parse_query
 from .errors import GfoError
 from .functions import _executed, is_actual_realization, is_actual_realizer
 from .model import Model
@@ -304,13 +304,12 @@ def run_dump(args) -> int:
 
 
 def _tolerance(text: str) -> Fraction:
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a rational") from None
-    if value < 0:
+    tokens = _tokenize(text, "--tol", diagnostics := [])
+    if diagnostics or tokens[0].kind != NUMBER or tokens[0].text != text:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a rational")
+    if tokens[0].value < 0:
         raise argparse.ArgumentTypeError("tolerance must be non-negative")
-    return value
+    return tokens[0].value
 
 
 @cache  # built once per process: a parser is a web of reference cycles
@@ -336,7 +335,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     check.add_argument(
         "--tol", type=_tolerance, default=Fraction(0), metavar="R",
-        help="numeric discontinuity tolerance (exact rational)",
+        help="numeric discontinuity tolerance (a rational literal of the grammar)",
     )
     check.add_argument("--format", choices=[HUMAN, JSON], default=HUMAN)
 
@@ -350,7 +349,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     which.add_argument("--classify", nargs=2, metavar=("PROPERTY", "PROCESS"))
     query.add_argument(
         "--tol", type=_tolerance, default=Fraction(0), metavar="R",
-        help="numeric discontinuity tolerance for --changes on a process",
+        help="numeric discontinuity tolerance for --changes on a process (a rational literal)",
     )
 
     dump = sub.add_parser("dump", help="print the canonical JSON store")

@@ -225,7 +225,12 @@ def _rational(text: str) -> tuple:
 
 
 def _overlong(text: str, count: str) -> str:
-    return f"{text[:20]!r}... has {count}; a rational literal has at most {MAX_LITERAL_DIGITS}"
+    return f"{_shown(text)} has {count}; a rational literal has at most {MAX_LITERAL_DIGITS}"
+
+
+def _shown(text: str) -> str:
+    """A token's text as a diagnostic quotes it: at most 20 characters, then '...'."""
+    return repr(text) if len(text) <= 20 else f"{text[:20]!r}..."
 
 
 def _lexeme(text: str, faults: dict):
@@ -244,8 +249,7 @@ def _lexeme(text: str, faults: dict):
             faults[text] = ("unexpected-token", "unterminated string literal", 1)
         value = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), body)
     elif kind == BAD:
-        shown = repr(text) if len(text) <= 20 else f"{text[:20]!r}..."
-        error = f"unexpected character{'s' if len(text) > 1 else ''} {shown}"
+        error = f"unexpected character{'s' if len(text) > 1 else ''} {_shown(text)}"
         faults[text] = ("unexpected-token", error, len(text))
         return None
     return Token(kind, text, value)
@@ -391,8 +395,8 @@ class _Parser:
 
     def expected(self, what: str) -> _Syntax:
         """The error for finding the next token where ``what`` was expected."""
-        tok = self.tokens[self.pos]
-        return _Syntax(self.positions.span(self.pos), f"expected {what}, found {tok.text!r}")
+        found = _shown(self.tokens[self.pos].text)
+        return _Syntax(self.positions.span(self.pos), f"expected {what}, found {found}")
 
     def accept_word(self, *words: str) -> str | None:
         """Consume and return one of ``words`` when it comes next."""
@@ -440,38 +444,22 @@ class _Parser:
 
     # -- shared constructs -----------------------------------------------------
 
-    def block(self, item) -> list:
-        """``{ item* }``: what ``item`` parses for each entry."""
-        self.take_punct("{")
-        out = []
-        while not self.at_punct("}"):
-            out.append(item())
-        self.take_punct("}")
-        return out
-
-    def body(self, item) -> list:
-        """A declaration's end: ``;``, or a block with an optional ``;`` after it."""
-        if not self.at_punct("{"):
-            self.end_simple()
-            return []
-        out = self.block(item)
-        self.end_block()
-        return out
-
-    def entries(self, words: tuple, body: bool = True):
-        """Consume ``{ entry* }`` and yield each entry's keyword, one of
-        ``words``, after consuming it; the caller reads the rest of the entry.
-        Any other token is an error naming every keyword.  A declaration's
-        ``body`` may instead be ``;``, and may have a ``;`` after its ``}``."""
+    def entries(self, words: tuple = (), body: bool = True):
+        """Consume ``{ entry* }`` and yield once per entry; the caller reads
+        the entry.  With ``words``, each entry begins with one of them, which
+        is consumed and yielded; any other token is an error naming them all.
+        A declaration's ``body`` may instead be ``;``, and may have a ``;``
+        after its ``}``."""
         if body and not self.at_punct("{"):
             self.end_simple()
             return
         self.take_punct("{")
         tokens = self.tokens
         while (tok := tokens[self.pos]).text != "}":
-            if tok.kind != IDENT or tok.text not in words:
-                raise self.expected(_one_of(words))
-            self.pos += 1
+            if words:
+                if tok.kind != IDENT or tok.text not in words:
+                    raise self.expected(_one_of(words))
+                self.pos += 1
             yield tok.text
         self.pos += 1
         if body:
@@ -632,7 +620,7 @@ class _Parser:
                 if handler is None:
                     raise _Syntax(
                         self.positions.span(self.pos - 1),
-                        f"expected a declaration keyword, found {tok.text!r}",
+                        f"expected a declaration keyword, found {_shown(tok.text)}",
                     )
                 decls.append((tok.text, *handler()))
             except _Syntax as err:
@@ -676,7 +664,7 @@ class _Parser:
         self.keyword("at")
         chron, t = self._time_point()
         material = not self.accept_word("immaterial")
-        valuation = self.body(self.assignment)
+        valuation = [self.assignment() for _ in self.entries()]
         return name, chron, t, material, valuation
 
     def process(self) -> tuple:
@@ -694,7 +682,7 @@ class _Parser:
 
     def trajectory(self) -> tuple:
         prop = self.take(IDENT, "a property name")
-        samples = self.block(lambda: self.sample((IDENT, NUMBER)))
+        samples = [self.sample((IDENT, NUMBER)) for _ in self.entries(body=False)]
         return prop, samples
 
     def continuant(self) -> tuple:
@@ -746,7 +734,7 @@ class _Parser:
             if word == "label":
                 labels.append(self.label())
             elif word == "fitem":
-                fitem.extend(self.block(self.assignment))
+                fitem += [self.assignment() for _ in self.entries(body=False)]
             else:
                 concepts[word] = self.concept()
         self.end_block()  # a function has a block, never ';' alone
@@ -943,30 +931,25 @@ class _Linker:
             # a rejected entry is left out: the duplicate check reads this map
             valuation = {}
             for prop, value in assigned:
-                # the clean path is tested in place; the calls below report a failure
+                # each rule is tested in place; a failing one calls for its diagnostic
                 text, v = tokens[prop].text, tokens[value].value
                 pdef = property_defs.get(text)
-                if (pdef is not None and pdef.support.kind == ISOLATED
-                        and text not in valuation and pdef.domain.admits(v)):
-                    valuation[text] = v
-                    continue
-                pdef = self.resolve_property(prop)
                 if pdef is None:
-                    continue
-                if pdef.support.kind != ISOLATED:
+                    self.resolve_property(prop)
+                elif pdef.support.kind != ISOLATED:
                     self.diag(
                         prop,
                         "kind-conflict",
                         f"property {text!r} has {pdef.support.kind} support and "
                         "cannot be valued at a single boundary",
                     )
-                    continue
-                if text in valuation:
+                elif text in valuation:
                     self.diag(
                         prop, "duplicate-id", f"property {text!r} is valued twice on {name!r}"
                     )
-                    continue
-                if self.check_value(pdef, value):
+                elif not pdef.domain.admits(v):
+                    self.check_value(pdef, value)
+                else:
                     valuation[text] = v
             if boundary is not None:  # coordinate-mismatch reads pres.at
                 self.presentials[name] = Presential(name, boundary, valuation, material)
@@ -1292,11 +1275,7 @@ def model_to_json(m: Model) -> dict:
                 "domain": pdef.domain.kind,
                 "symbols": sorted(pdef.domain.symbols),
                 "support": pdef.support.kind,
-                "window_radius": (
-                    coord_str(pdef.support.window_radius)
-                    if pdef.support.window_radius is not None
-                    else None
-                ),
+                "window_radius": fmt_value(pdef.support.window_radius),
             }
             for name, pdef in m.property_defs.items()
         },
@@ -1523,7 +1502,8 @@ def parse_query(text: str, m: Model | None = None):
         parser.end_block()
         tok = parser.tokens[parser.pos]
         if tok.kind != EOF:
-            raise _Syntax(positions.span(parser.pos), f"unexpected trailing input: {tok.text!r}")
+            message = f"unexpected trailing input: {_shown(tok.text)}"
+            raise _Syntax(positions.span(parser.pos), message)
     except _Syntax as err:
         parser.report(err)
     if diagnostics or checks:

@@ -131,14 +131,14 @@ def satisfies(tm: TruthMakerTriple, prop, m: Model) -> bool:
 
     if not _extent_matches(s, prop.time_ref):
         return False
-    if isinstance(prop, HoldsProp) and prop.prop not in m.property_defs:
-        raise UnknownProperty(prop.prop)
-    return _fact_test(prop)(fact)
+    return _fact_test(prop, m)(fact)
 
 
-def _fact_test(prop):
-    """The predicate a constituent fact must pass to make ``prop`` true."""
+def _fact_test(prop, m: Model):
+    """The predicate a constituent fact of ``m`` must pass to make ``prop`` true."""
     if isinstance(prop, HoldsProp):
+        if prop.prop not in m.property_defs:
+            raise UnknownProperty(prop.prop)
         # holds names its subject and value exactly: '_' is no wildcard there
         args = (prop.subject, prop.value)
         return lambda fact: fact.relator == prop.prop and fact.args == args
@@ -148,9 +148,7 @@ def _fact_test(prop):
 def find_truthmakers(m: Model, prop) -> list[TruthMakerTriple]:
     """All triples in the model that make the proposition true, in
     canonical (process, situation, fact) order."""
-    if isinstance(prop, HoldsProp) and prop.prop not in m.property_defs:
-        raise UnknownProperty(prop.prop)
-    matches = _fact_test(prop)
+    matches = _fact_test(prop, m)
     out = []
     for sid in sorted(m.situations):
         s = m.situations[sid]

@@ -595,6 +595,8 @@ def test_process_changes_tolerance_absorbs_slope():
     m, p = _trajectory_process([(0, Fraction(0)), (1, Fraction(1))], "numeric")
     assert detect_process_changes(m, p, "w", tol=2) == []
     assert detect_process_changes(m, p, "w", tol=0) == [Fraction(1, 2)]
+    with pytest.raises(ValueError, match="non-negative"):
+        detect_process_changes(m, p, "w", tol=-1)
 
 
 def test_process_changes_unknown_property():
@@ -641,3 +643,8 @@ def test_violation_order_is_canonical(john):
 def test_violation_rejects_unregistered_axiom():
     with pytest.raises(ValueError):
         Violation(axiom="not-an-axiom", subjects=("x",), message="boom")
+
+
+def test_violation_needs_a_subject():
+    with pytest.raises(ValueError, match="at least one subject"):
+        Violation(axiom="integration", subjects=(), message="boom")

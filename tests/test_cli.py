@@ -425,6 +425,51 @@ def test_query_unknown_function_exit_two():
     assert "f_nothing" in err
 
 
+def test_query_names_an_undeclared_function_and_a_missing_file(tmp_path, capsys):
+    heart = str(CORPUS / "heart.gfo")
+    assert cli.main(["query", heart, "--realizations", "nosuch"]) == 2
+    assert capsys.readouterr() == ("", "gfo: function 'nosuch' is not declared\n")
+    missing = tmp_path / "missing.gfo"
+    assert cli.main(["query", str(missing), "--realizers", "f_pump"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"gfo: cannot read {missing}: "), err
+
+
+def test_check_asks_no_process_of_an_immaterial_continuant(tmp_path, capsys):
+    """Integration binds material continuants only: the same continuant
+    without a process is a violation when material and none when immaterial."""
+    hole = tmp_path / "hole.gfo"
+    for material, code in (("", 1), (" immaterial", 0)):
+        hole.write_text(
+            "chronoid life = [0, 1];\n"
+            "presential a at life@0 immaterial;\npresential b at life@1 immaterial;\n"
+            f"continuant hole lifetime life{material} {{ exhibits 0 -> a; exhibits 1 -> b; }}\n"
+        )
+        assert cli.main(["check", str(hole)]) == code
+        assert ("integration-no-process" in capsys.readouterr().out) == (code == 1)
+
+
+def test_tol_takes_the_grammars_rational_literal_and_nothing_else(capsys):
+    """``--tol`` reads a rational literal as the grammar does; any other
+    text, exponents and signs included, is a usage error: exit 2, no traceback."""
+    trajectories, heart = str(CORPUS / "trajectories.gfo"), str(CORPUS / "heart.gfo")
+    for tol in ("4", "8/2", "4.00"):
+        assert cli.main(["query", trajectories, "--changes", "pump_run", "--tol", tol]) == 0
+        assert json.loads(capsys.readouterr().out) == [
+            {"points": ["1", "5"], "property": "mode"},
+            {"points": [], "property": "pressure"},
+        ]
+    texts = ["abc", "1e-3", "1e10000000", "+1", "1/0", " 4", "4;", "9" * 301]
+    rejected = {tol: f"{tol!r} is not a rational" for tol in texts}
+    rejected["-1/2"] = "tolerance must be non-negative"
+    for tol, reason in rejected.items():
+        with pytest.raises(SystemExit) as exit:
+            cli.main(["check", f"--tol={tol}", heart])
+        out, err = capsys.readouterr()
+        assert (exit.value.code, out) == (2, "")
+        assert err.endswith(f"argument --tol: {reason}\n"), err
+
+
 def test_query_classify_names_what_is_not_declared(capsys):
     for pair, message in (
         (("nosuch", "ball_proc"), "property 'nosuch' is not declared"),

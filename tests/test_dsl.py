@@ -562,6 +562,25 @@ def test_a_run_of_unlexable_characters_gets_one_diagnostic():
     ]
 
 
+def test_a_diagnostic_quotes_at_most_20_characters_of_a_token():
+    x20, x30 = "x" * 20, "x" * 30
+    cases = (
+        (parse, f"{x30} c;", f"<input>:1:1: unexpected-token: expected a declaration keyword, found '{x20}'..."),
+        (parse, f"chronoid c {x30}", f"<input>:1:12: unexpected-token: expected '=', found '{x20}'..."),
+        (parse, f"chronoid c {x20}", f"<input>:1:12: unexpected-token: expected '=', found '{x20}'"),
+        (parse_query, f"holds(b, p, v) {x30}", f"<query>:1:16: unexpected-token: unexpected trailing input: '{x20}'..."),
+    )
+    for load, source, diagnostic in cases:
+        with pytest.raises(ParseError) as err:
+            load(source)
+        assert [str(d) for d in err.value.diagnostics] == [diagnostic]
+
+
+def test_a_diagnostic_code_must_be_registered():
+    with pytest.raises(ValueError, match="unregistered diagnostic code: 'no-such-code'"):
+        dsl.ParseDiagnostic(dsl.SourceSpan("<input>", 1, 1), "no-such-code", "boom")
+
+
 def test_a_bad_rational_coordinate_gets_no_extent_check():
     cases = (
         ("chronoid c = [1, 2];\npresential p at c@1/0;", "<input>:2:19: bad-rational: '1/0' is not a valid rational literal"),

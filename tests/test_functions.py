@@ -135,6 +135,8 @@ def test_universal_realization_cases(kettle):
     ok, diags = is_universal_realization({"mid"}, f, m2)
     assert not ok
     assert any("mid" in d and "not a realization" in d for d in diags)
+    with pytest.raises(UnknownEntity):
+        is_universal_realization({"heating_one", "nosuch"}, f, kettle)
 
 
 def test_universal_realization_vacuous():
@@ -152,6 +154,8 @@ def test_executes(heart):
     assert not executes("heart", "heart_proc", heart)
     with pytest.raises(UnknownEntity):
         executes("nobody", "blood-movement", heart)
+    with pytest.raises(UnknownEntity):
+        executes("heart", "nothing", heart)
 
 
 def test_actual_realizer(heart):
@@ -159,6 +163,8 @@ def test_actual_realizer(heart):
     assert is_actual_realizer("heart", f, heart)
     assert not is_actual_realizer("blood", f, heart)
     assert not is_actual_realizer("veins", f, heart)
+    with pytest.raises(UnknownEntity):
+        is_actual_realizer("nobody", f, heart)
 
 
 def test_realizer_law_by_brute_force(heart, kettle):

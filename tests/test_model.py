@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from gfo.model import (
     process_boundary,
     process_temporal_part,
     snapshot,
+    valuation_at,
 )
 from helpers import CORPUS
 
@@ -80,6 +82,20 @@ def test_snapshot_examples(heart):
         snapshot(heart.continuants["heart"], 5, heart)
     with pytest.raises(UnsampledTime):
         snapshot(heart.continuants["heart"], Fraction(1, 2), heart)
+
+
+def test_snapshot_of_a_sample_naming_no_declared_presential(heart):
+    # only constructible programmatically: the linker resolves every exhibit
+    c = heart.continuants["heart"]
+    ghost = replace(c, exhibit_map={**c.exhibit_map, Fraction(0): "ghost"})
+    with pytest.raises(UnknownEntity):
+        snapshot(ghost, 0, heart)
+
+
+def test_valuation_at_a_situation_is_none_and_at_an_unknown_id_an_error(heart):
+    assert valuation_at(heart, "s_req", Fraction(0)) is None
+    with pytest.raises(UnknownEntity):
+        valuation_at(heart, "nobody", Fraction(0))
 
 
 def test_snapshot_carries_the_valuation():

@@ -48,6 +48,20 @@ def test_satisfies_rejects_malformed_triples(drinking):
     unfounded = TruthMakerTriple("john_proc", "s_drink", "f_jb")
     with pytest.raises(MalformedTriple):
         satisfies(unfounded, FactProp("drinks", ("John", "beer")), drinking)
+    nowhere = TruthMakerTriple("drinking", "nosuch", "f_jb")
+    with pytest.raises(MalformedTriple, match="unknown situation"):
+        satisfies(nowhere, FactProp("drinks", ("John", "beer")), drinking)
+    # only constructible programmatically: the linker resolves every constituent
+    factless = replace(drinking, facts={})
+    tm = TruthMakerTriple("drinking", "s_drink", "f_jb")
+    with pytest.raises(MalformedTriple, match="unknown fact"):
+        satisfies(tm, FactProp("drinks", ("John", "beer")), factless)
+
+
+def test_satisfies_needs_the_property_of_a_holds_proposition(drinking):
+    tm = TruthMakerTriple("drinking", "s_drink", "f_jb")
+    with pytest.raises(UnknownProperty):
+        satisfies(tm, HoldsProp("John", "nosuch", "beer"), drinking)
 
 
 def test_satisfies_time_references(drinking):
