@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import gc
 import re
-import sys
 from array import array
 from bisect import bisect_left
 from collections import defaultdict
@@ -168,9 +167,7 @@ MAX_LITERAL_DIGITS = 300
 # The end of input is the one empty token; a second empty match may follow it.
 # No repeat ever gives text back, so each is written possessive (``*+``,
 # ``++``, ``?+``): a match keeps no state per repetition, and a string of
-# many escapes costs no more memory than its text.  Python 3.10's ``re`` has
-# no possessive repeats and gets the same pattern with plain ones, which
-# splits every source into the same texts (docs/grammar.md).
+# many escapes costs no more memory than its text.
 _SKIPPED = r"[ \t\r\n]*+(?://[^\n]*+[ \t\r\n]*+)*+"
 _LEXEME = _SKIPPED + r"""([=;,(){}\[\]@:]
     |[A-Za-z_][A-Za-z0-9_]*+(?:-[A-Za-z0-9_]++)*+
@@ -178,8 +175,6 @@ _LEXEME = _SKIPPED + r"""([=;,(){}\[\]@:]
     |"(?:[^"\\\n]++|\\[\s\S]?+)*+"?
     |\Z
     |.(?:[^ \t\r\n0-9A-Za-z_"=;,(){}\[\]@:/-]++|/(?!/)|-(?![0-9>]))*+)"""
-if sys.version_info < (3, 11):
-    _SKIPPED, _LEXEME = (re.sub(r"([*+?])\+", r"\1", p) for p in (_SKIPPED, _LEXEME))
 _SKIPPED, _LEXEME = re.compile(_SKIPPED), re.compile(_LEXEME, re.VERBOSE)
 _ESCAPE = re.compile(r"\\([\s\S])")
 _ESCAPES = {"n": "\n", "t": "\t"}
@@ -327,6 +322,10 @@ class _Positions:
 
     def diagnostics(self, found: list) -> list:
         """A diagnostic per ``(index, code, message)``, at the token of that index."""
+        last = max(i for i, _, _ in found)  # these end a load: walk only up to the last
+        self.starts = _starts(self.source, [tok.text for tok in self.tokens[: last + 1]])
+        head = self.source[: self.starts[last]]  # the newlines a line number counts
+        self.newlines = array("q", map(re.Match.start, re.finditer("\n", head)))
         return [ParseDiagnostic(self.span(i), code, msg) for i, code, msg in found]
 
 

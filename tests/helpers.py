@@ -1,4 +1,4 @@
-"""Shared test plumbing: corpus paths, CLI runner, statement splitter."""
+"""Shared test plumbing: corpus paths, CLI runner, statement splitter, line counter."""
 
 from __future__ import annotations
 
@@ -7,9 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import gfo
+
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "corpus"
 SCHEMA = REPO / "docs" / "check-report.schema.json"
+GFO = os.path.dirname(gfo.__file__)
 
 
 def corpus_files() -> list:
@@ -46,3 +49,22 @@ def split_statements(text: str) -> list:
             current = []
     assert not current, "unterminated trailing statement"
     return statements
+
+
+def lines_run(call) -> int:
+    """The lines of gfo's own modules that ``call()`` runs, each as often as
+    it runs (a loop's line once per pass): a deterministic count of its work,
+    in which a quadratic loop, comprehension or generator in gfo shows."""
+    count = [0]
+
+    def line(frame, event, arg):
+        count[0] += event == "line"
+        return line
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: line if frame.f_code.co_filename.startswith(GFO) else None)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return count[0]

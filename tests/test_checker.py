@@ -48,7 +48,7 @@ from gfo.model import (
     Support,
     ValueDomain,
 )
-from helpers import CORPUS, REPO
+from helpers import CORPUS, REPO, lines_run
 
 sys.path.insert(0, str(REPO / "perfbench"))
 import worlds  # noqa: E402
@@ -288,13 +288,15 @@ def _every_continuant(check):
 
 
 @pytest.mark.parametrize(
-    "check", [check_disjointness, _every_continuant(detect_continuant_changes)]
+    "check",
+    [check_disjointness, _every_continuant(detect_continuant_changes), check_presential_dependence],
 )
 def test_disjointness_and_change_detection_read_each_store_entry_a_few_times(check):
     """On the all-miss family the store entries read grow at most 4x (plus
     8) when the world grows 4x: disjointness intersects key sets, change
-    detection looks up one valuation per sample.  A scan of a store per id
-    or per sample would grow 16x."""
+    detection looks up one valuation per sample, and presential dependence
+    collects the boundaries of every process once.  A scan of a store per
+    id or per sample would grow 16x."""
     small, large = (_touches(all_miss_model(random.Random(3), n), check) for n in (50, 200))
     assert 0 < small and large <= 4 * small + 8, (small, large)
 
@@ -606,6 +608,23 @@ def test_process_changes_unknown_property():
     bare = replace(p, trajectories={})
     with pytest.raises(UnknownProperty):
         detect_process_changes(m, bare, "w")
+
+
+def test_process_changes_walk_a_trajectory_once():
+    """Change points come from one pass over a trajectory's samples in
+    order: the lines of gfo run grow at most 4x (plus 0) when a numeric and
+    a categorical trajectory grow from n to 4n samples, each value unlike
+    the last.  A search among all samples for each sample's successor would
+    grow 16x."""
+    counts = []
+    for n in (100, 400):
+        times = [Fraction(10 * i, n) for i in range(n + 1)]
+        numeric = _trajectory_process([(t, Fraction(i % 3)) for i, t in enumerate(times)], NUMERIC)
+        flips = _trajectory_process([(t, ("off", "on")[i % 2]) for i, t in enumerate(times)])
+        changes = [lambda m=m, p=p: detect_process_changes(m, p, "w", 1) for m, p in (numeric, flips)]
+        assert [len(change()) for change in changes] == [n // 3, n]  # the drops from 2 to 0, every flip
+        counts.append(lines_run(lambda: [change() for change in changes]))
+    assert 0 < counts[0] and counts[1] <= 4 * counts[0], counts
 
 
 def test_process_changes_agree_with_oracle_on_random_worlds():

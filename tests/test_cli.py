@@ -11,10 +11,10 @@ from jsonschema import validate
 
 import oracles
 import test_golden as golden
-from genmodels import random_full_model
+from genmodels import all_miss_model, random_full_model
 from gfo import checker, cli
 from gfo.dsl import ParseError, parse, parse_file, serialize
-from helpers import CORPUS, REPO, SCHEMA, corpus_files, run_cli
+from helpers import CORPUS, REPO, SCHEMA, corpus_files, lines_run, run_cli
 
 
 @pytest.fixture(scope="module")
@@ -227,6 +227,22 @@ def test_function_queries_walk_the_situations_and_exe_pairs_once(
     assert (len(names), names) == (100, sorted(names))
     (m,) = loaded
     assert (m.situations.walks, m.exe_assertions.walks) == (1, exe_walks)
+
+
+@pytest.mark.parametrize(
+    "render", [serialize, lambda m: cli._json_parts(cli.model_to_json(m), "\n", [])]
+)
+def test_rendering_runs_a_few_lines_per_entry(render):
+    """``serialize`` and the writer of ``gfo dump`` (``model_to_json``, then
+    ``_json_parts``) render each entry once: the lines of gfo they run grow
+    at most 4x (plus 0) when the all-miss family and the realization chain,
+    together every kind of declaration but a trajectory, grow 4x.  Building
+    the view again for each declaration would grow 16x."""
+    counts = []
+    for n in (50, 200):
+        m = parse(serialize(all_miss_model(random.Random(3), n)) + _realization_chain(n))
+        counts.append(lines_run(lambda: render(m)))
+    assert 0 < counts[0] and counts[1] <= 4 * counts[0], counts
 
 
 def test_check_integration_mode_flag():

@@ -437,6 +437,21 @@ def test_a_clean_load_counts_no_positions(monkeypatch):
         assert len(builds) <= 1, source[:40]
 
 
+def test_a_linker_fault_is_located_by_a_walk_to_its_token(monkeypatch):
+    """A linker diagnostic ends the load, so the walk that locates it stops
+    at its token: one fault at line 4 of a pair world of n and of 4n pairs
+    hands ``_starts`` the same texts, where a walk of the file grows 4x."""
+    walked = []
+    monkeypatch.setattr(
+        dsl, "_starts", lambda source, texts, f=dsl._starts: walked.append(len(texts)) or f(source, texts)
+    )
+    for n in (50, 200):
+        lines = worlds._pair_world(random.Random(7), n, complete=False)[0].split("\n")
+        lines.insert(3, "presential zz at nowhere@0;")
+        assert _found("\n".join(lines)) == [("dangling-reference", 4, 18, 7)]
+    assert walked[0] == walked[1] > 0, walked
+
+
 class _CountedPattern:
     """A compiled pattern that counts the searches made with it."""
 
@@ -477,9 +492,9 @@ def test_each_distinct_number_text_is_read_once_per_parse(monkeypatch):
 
 def test_a_long_string_of_escapes_lexes_in_bounded_memory():
     """One string literal of 50,000 escapes is one token and one diagnostic.
-    Where ``re`` has possessive repeats (Python 3.11+), the lexer keeps no
-    state per escape, so the load's peak stays within 20 bytes a character;
-    with plain repeats it took about 106."""
+    The lexer's repeats are possessive and keep no state per escape, so the
+    load's peak stays within 20 bytes a character; with plain repeats it
+    took about 106."""
     source = 'chronoid c = [0, 1]; "' + "\\x" * 50_000 + '"'
     tracemalloc.start()
     try:
@@ -489,8 +504,7 @@ def test_a_long_string_of_escapes_lexes_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert [(d.code, d.span.column) for d in err.value.diagnostics] == [("unexpected-token", 22)]
-    if sys.version_info >= (3, 11):
-        assert peak < 20 * len(source)
+    assert peak < 20 * len(source)
 
 
 def _boundary_source(n: int) -> str:

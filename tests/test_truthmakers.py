@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from gfo.chrono import Chronoid, inner_boundary
-from gfo.dsl import parse_file
+from gfo.dsl import parse, parse_file, parse_query
 from gfo.errors import MalformedTriple, UnknownEntity, UnknownProperty
 from gfo.functions import FactPattern, FunctionSpec, SituationConcept, WILDCARD
 from gfo.model import Fact, Model, Presential, Process, Situation, process_temporal_part
@@ -22,7 +22,7 @@ from gfo.truthmakers import (
     has_propositional_property,
     satisfies,
 )
-from helpers import CORPUS
+from helpers import CORPUS, lines_run
 
 
 @pytest.fixture(scope="module")
@@ -224,3 +224,37 @@ def test_functional_property_ignores_labels():
     f = m.functions["f_run"]
     relabeled = replace(f, labels=frozenset({"completely different"}))
     assert functional_property("full", f, m) == functional_property("full", relabeled, m)
+
+
+def _founded_chain(n: int) -> str:
+    """``n`` processes p{i} over [i, i+1], each founding a situation at i
+    with the fact stage(p{i}, a) or stage(p{i}, b), and a situoid over its
+    extent with the fact stage(p{i}, b)."""
+    lines = ["property stage : categorical { a, b } isolated;"]
+    for i in range(n):
+        lines += [
+            f"chronoid g{i} = [{i}, {i + 1}];",
+            f"presential e{i}a at g{i}@{i};",
+            f"presential e{i}b at g{i}@{i + 1};",
+            f"process p{i} extent g{i} {{ boundary {i} -> e{i}a; boundary {i + 1} -> e{i}b; }}",
+            f"fact f{i} = stage(p{i}, {'ab'[i % 2]});",
+            f"fact h{i} = stage(p{i}, b);",
+            f"situation s{i} at g{i}@{i} founded on p{i} {{ contains f{i}; }}",
+            f"situation u{i} during g{i} founded on p{i} {{ contains h{i}; }}",
+        ]
+    return "\n".join(lines) + "\n"
+
+
+def test_a_truthmaker_search_reads_each_situation_and_fact_once():
+    """The search walks the situations once and looks up each constituent
+    fact: the lines of gfo run grow at most 4x (plus 0) when the founded
+    chain grows 4x, for an unanchored, an ``at`` and a ``during``
+    proposition.  A scan of the facts per constituent would grow 16x."""
+    counts = []
+    for n in (50, 200):
+        m = parse(_founded_chain(n))
+        props = [parse_query(text, m) for text in
+                 ("fact stage(_, a)", "fact stage(_, b) at 3", f"holds(p1, stage, b) during [0, {n}]")]
+        assert [len(find_truthmakers(m, prop)) for prop in props] == [n // 2, 1, 2]
+        counts.append(lines_run(lambda: [find_truthmakers(m, prop) for prop in props]))
+    assert 0 < counts[0] and counts[1] <= 4 * counts[0], counts
