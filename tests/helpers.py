@@ -61,8 +61,11 @@ def lines_run(call) -> int:
         count[0] += event == "line"
         return line
 
+    def enter(frame, event, arg):  # a new frame: its lines count if its code is gfo's
+        return line if frame.f_code.co_filename.startswith(GFO) else None
+
     previous = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: line if frame.f_code.co_filename.startswith(GFO) else None)
+    sys.settrace(enter)
     try:
         call()
     finally:

@@ -621,9 +621,12 @@ def test_process_changes_walk_a_trajectory_once():
         times = [Fraction(10 * i, n) for i in range(n + 1)]
         numeric = _trajectory_process([(t, Fraction(i % 3)) for i, t in enumerate(times)], NUMERIC)
         flips = _trajectory_process([(t, ("off", "on")[i % 2]) for i, t in enumerate(times)])
-        changes = [lambda m=m, p=p: detect_process_changes(m, p, "w", 1) for m, p in (numeric, flips)]
-        assert [len(change()) for change in changes] == [n // 3, n]  # the drops from 2 to 0, every flip
-        counts.append(lines_run(lambda: [change() for change in changes]))
+
+        def changes(trajectories=(numeric, flips)):
+            return [detect_process_changes(m, p, "w", 1) for m, p in trajectories]
+
+        assert [len(points) for points in changes()] == [n // 3, n]  # drops from 2 to 0; flips
+        counts.append(lines_run(changes))
     assert 0 < counts[0] and counts[1] <= 4 * counts[0], counts
 
 

@@ -442,9 +442,12 @@ def test_a_linker_fault_is_located_by_a_walk_to_its_token(monkeypatch):
     at its token: one fault at line 4 of a pair world of n and of 4n pairs
     hands ``_starts`` the same texts, where a walk of the file grows 4x."""
     walked = []
-    monkeypatch.setattr(
-        dsl, "_starts", lambda source, texts, f=dsl._starts: walked.append(len(texts)) or f(source, texts)
-    )
+
+    def counted(source, texts, starts=dsl._starts):
+        walked.append(len(texts))
+        return starts(source, texts)
+
+    monkeypatch.setattr(dsl, "_starts", counted)
     for n in (50, 200):
         lines = worlds._pair_world(random.Random(7), n, complete=False)[0].split("\n")
         lines.insert(3, "presential zz at nowhere@0;")

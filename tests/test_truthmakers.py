@@ -253,8 +253,10 @@ def test_a_truthmaker_search_reads_each_situation_and_fact_once():
     counts = []
     for n in (50, 200):
         m = parse(_founded_chain(n))
-        props = [parse_query(text, m) for text in
-                 ("fact stage(_, a)", "fact stage(_, b) at 3", f"holds(p1, stage, b) during [0, {n}]")]
+        texts = [
+            "fact stage(_, a)", "fact stage(_, b) at 3", f"holds(p1, stage, b) during [0, {n}]"
+        ]
+        props = [parse_query(text, m) for text in texts]
         assert [len(find_truthmakers(m, prop)) for prop in props] == [n // 2, 1, 2]
         counts.append(lines_run(lambda: [find_truthmakers(m, prop) for prop in props]))
     assert 0 < counts[0] and counts[1] <= 4 * counts[0], counts
