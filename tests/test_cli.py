@@ -235,9 +235,10 @@ def test_function_queries_walk_the_situations_and_exe_pairs_once(
 def test_rendering_runs_a_few_lines_per_entry(render):
     """``serialize`` and the writer of ``gfo dump`` (``model_to_json``, then
     ``_json_parts``) render each entry once: the lines of gfo they run grow
-    at most 4x (plus 0) when the all-miss family and the realization chain,
-    together every kind of declaration but a trajectory, grow 4x.  Building
-    the view again for each declaration would grow 16x."""
+    at most 4x (plus 0) when the all-miss family and the realization chain
+    grow 4x; together they declare properties, chronoids, presentials,
+    processes, continuants, facts, situations, a function and exe pairs.
+    Building the view again for each declaration would grow 16x."""
     counts = []
     for n in (50, 200):
         m = parse(serialize(all_miss_model(random.Random(3), n)) + _realization_chain(n))
