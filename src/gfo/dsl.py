@@ -30,7 +30,6 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import cached_property
 from itertools import compress
 
 from .chrono import Chronoid, Time, TimeBoundary, coord_str, inner_boundary, no_duration
@@ -176,6 +175,7 @@ _LEXEME = _SKIPPED + r"""([=;,(){}\[\]@:]
     |\Z
     |.(?:[^ \t\r\n0-9A-Za-z_"=;,(){}\[\]@:/-]++|/(?!/)|-(?![0-9>]))*+)"""
 _SKIPPED, _LEXEME = re.compile(_SKIPPED), re.compile(_LEXEME, re.VERBOSE)
+_NEWLINE = re.compile("\n")
 _ESCAPE = re.compile(r"\\([\s\S])")
 _ESCAPES = {"n": "\n", "t": "\t"}
 
@@ -191,15 +191,12 @@ _KINDS = {
 
 
 class Token:
-    """A token's class, text and value; it iterates as ``(kind, text, value)``."""
+    """A token's class, text and value."""
 
     __slots__ = ("kind", "text", "value")
 
     def __init__(self, kind: str, text: str, value):
         self.kind, self.text, self.value = kind, text, value
-
-    def __iter__(self):
-        return iter((self.kind, self.text, self.value))
 
 
 def _rational(text: str) -> tuple:
@@ -258,74 +255,71 @@ def _tokenize(source: str, file: str, diagnostics: list) -> list:
     # every occurrence of a text shares its one Token: a position is an index
     tokens = list(filter(None, map(lexemes.get, texts)))
     tokens.append(Token(EOF, "", None))
-    if faults:  # walk to each faulty text; the tokens keep the walk for later diagnostics
-        positions, starts = _Positions(source, file, tokens), _starts(source, texts)
-        for text, start in zip(texts, starts):
+    if faults:  # walk the texts up to the last faulty one; the tokens keep where it stopped
+        last = max(compress(range(len(texts)), map(faults.__contains__, texts)))
+        positions = _Positions(source, file, tokens)
+        positions.walk(texts[: last + 1])
+        for text, start in zip(texts, positions.starts):
             if text in faults:
                 code, message, length = faults[text]
                 diagnostics.append(ParseDiagnostic(positions.at(start, length), code, message))
         tokens = _Located(tokens)
-        tokens.starts = array("q", compress(starts, [*map(lexemes.get, texts), True]))
-        tokens.newlines = positions.newlines
+        tokens.starts = array("q", compress(positions.starts, map(lexemes.get, texts)))
+        tokens.end = positions.end
     return tokens
-
-
-def _starts(source: str, texts: list) -> array:
-    """The start offset of each of ``texts``, the lexer's texts of ``source``
-    in order, then of the end of input."""
-    starts, end = array("q"), 0
-    for text in texts:
-        start = source.find(text, end)
-        # the next text, unless a comment comes first or the text starts one
-        if text[:1] == "/" or source[end:start].strip(" \t\r\n"):
-            start = _SKIPPED.match(source, end).end()
-        starts.append(start)
-        end = start + len(text)
-    starts.append(len(source))
-    return starts
 
 
 class _Located(list):
     """The tokens of a source with lexical faults, which the lexer may have
-    dropped bad runs from, with what its walk to the faults found: the start
-    offset of each token and of each newline."""
+    dropped bad runs from, and where its walk to the last fault stopped: the
+    start offset of each token it passed, and the offset after the fault."""
 
-    __slots__ = ("starts", "newlines")
+    __slots__ = ("starts", "end")
 
 
 class _Positions:
-    """Where the tokens of one source stand, counted only when a diagnostic
-    asks: the first span walks the token texts to every start offset, the
-    first position finds every newline, and a line is a bisect."""
+    """Where the tokens of one source stand, found only when a diagnostic
+    asks: a span walks the token texts on to its token, a line counts the
+    newlines on to its offset and is a bisect.  A fault at token k walks
+    about k texts, however long the source."""
 
     def __init__(self, source: str, file: str, tokens: list):
         self.source, self.file, self.tokens = source, file, tokens
-        if isinstance(tokens, _Located):  # the lexer found both already
-            self.starts, self.newlines = tokens.starts, tokens.newlines
+        # past the lexer's last fault no bad run was dropped, so the walk over
+        # the tokens goes on from where the lexer's stopped; copied, as it grows
+        self.starts, self.end = array("q", getattr(tokens, "starts", ())), getattr(tokens, "end", 0)
+        self.newlines, self.counted = array("q"), 0  # the newlines before offset ``counted``
 
-    @cached_property
-    def starts(self) -> array:
-        return _starts(self.source, [tok.text for tok in self.tokens[:-1]])
-
-    @cached_property
-    def newlines(self) -> array:
-        return array("q", map(re.Match.start, re.finditer("\n", self.source)))
+    def walk(self, texts: list) -> None:
+        """Find the start offset of each of ``texts``, the lexer's next texts
+        of the source, the end of input being the empty text."""
+        source, starts, end = self.source, self.starts, self.end
+        for text in texts:
+            start = source.find(text, end)
+            # the next text, unless a comment comes first, the text starts one or ends the input
+            if text[:1] in ("/", "") or source[end:start].strip(" \t\r\n"):
+                start = _SKIPPED.match(source, end).end()
+            starts.append(start)
+            end = start + len(text)
+        self.end = end
 
     def span(self, index: int, length: int = 0) -> SourceSpan:
         """The span of ``tokens[index]``, or of ``length`` characters from its start."""
+        if index >= len(self.starts):
+            self.walk([tok.text for tok in self.tokens[len(self.starts) : index + 1]])
         return self.at(self.starts[index], length or max(1, len(self.tokens[index].text)))
 
     def at(self, offset: int, length: int) -> SourceSpan:
+        if offset > self.counted:
+            found = _NEWLINE.finditer(self.source, self.counted, offset)
+            self.newlines.extend(map(re.Match.start, found))
+            self.counted = offset
         line = bisect_left(self.newlines, offset)  # the newlines before the offset
         column = offset - (self.newlines[line - 1] + 1 if line else 0) + 1
         return SourceSpan(self.file, line + 1, column, length)
 
     def diagnostics(self, found: list) -> list:
         """A diagnostic per ``(index, code, message)``, at the token of that index."""
-        last = max(i for i, _, _ in found)  # these end a load: walk only up to the last
-        self.starts = _starts(self.source, [tok.text for tok in self.tokens[: last + 1]])
-        head = self.source[: self.starts[last]]  # the newlines a line number counts
-        self.newlines = array("q", map(re.Match.start, re.finditer("\n", head)))
         return [ParseDiagnostic(self.span(i), code, msg) for i, code, msg in found]
 
 

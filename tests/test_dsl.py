@@ -4,7 +4,6 @@ import re
 import sys
 import tracemalloc
 from fractions import Fraction
-from functools import cached_property
 
 import pytest
 from hypothesis import given
@@ -25,7 +24,7 @@ from gfo.dsl import (
     parse_query,
     serialize,
 )
-from helpers import REPO, corpus_files, split_statements
+from helpers import REPO, corpus_files, lines_run, split_statements
 from test_golden import MUTATION_SEED, _mutate
 
 sys.path.insert(0, str(REPO / "perfbench"))
@@ -342,7 +341,7 @@ def test_token_positions_agree_with_oracle_on_random_sources():
         tokens = _tokenize(source, "lex.gfo", diagnostics)
         assert all(type(tok) is Token for tok in tokens), f"source #{i}"
         spans = map(_Positions(source, "lex.gfo", tokens).span, range(len(tokens)))
-        found = [(*tok, s.line, s.column) for tok, s in zip(tokens, spans)]
+        found = [(tok.kind, tok.text, tok.value, s.line, s.column) for tok, s in zip(tokens, spans)]
         expected = oracles.tokens(source, "lex.gfo")
         assert (found, diagnostics) == expected, f"source #{i}: {source!r}"
 
@@ -410,20 +409,25 @@ def test_a_load_makes_one_token_per_distinct_text():
         assert len(tokens) > 2 * len({tok.text for tok in tokens})  # texts repeat
 
 
+def _walked(monkeypatch) -> list:
+    """The number of texts handed to each walk of ``_Positions``, in order."""
+    walked = []
+    walk = dsl._Positions.walk
+    counted = lambda self, texts: walked.append(len(texts)) or walk(self, texts)  # noqa: E731
+    monkeypatch.setattr(dsl._Positions, "walk", counted)
+    return walked
+
+
 def test_a_clean_load_counts_no_positions(monkeypatch):
     """Line and column are counted only for a diagnostic: no clean load
-    builds the position table, and a load with many diagnostics builds it
-    once, however many of them there are."""
-    builds = []
-    build = dsl._Positions.starts.func
-    counted = cached_property(lambda self: builds.append(1) or build(self))
-    counted.__set_name__(dsl._Positions, "starts")
-    monkeypatch.setattr(dsl._Positions, "starts", counted)
+    walks a token text, and a load with many diagnostics walks each of the
+    lexer's texts at most once, however many diagnostics there are."""
+    walked = _walked(monkeypatch)
     for path in corpus_files():
         parse_file(path)
     parse(_flat_source(3000))
     parse_query("holds(blood, position, in_heart) during [0, 1]")
-    assert builds == []
+    assert walked == []
     faulty = [
         "chronoid c = [0 1];\n" * 200,  # parser
         "".join(f"presential p{i} at nowhere@0;\n" for i in range(200)),  # linker
@@ -432,27 +436,79 @@ def test_a_clean_load_counts_no_positions(monkeypatch):
         ";" * 200 + "\n" + ";" * 200,  # two runs of stray ';'
     ]
     for source in faulty:
-        builds.clear()
+        walked.clear()
         _found(source)
-        assert len(builds) <= 1, source[:40]
+        texts = dsl._LEXEME.findall(source)  # the end of input is the first empty one
+        assert 0 < sum(walked) <= texts.index("") + 1, (source[:40], walked)
+
+
+def _pair_source(n: int, line4: str) -> str:
+    """The identity-mode pair world of ``n`` pairs with ``line4`` inserted as its line 4."""
+    lines = worlds._pair_world(random.Random(7), n, complete=False)[0].split("\n")
+    lines.insert(3, line4)
+    return "\n".join(lines)
 
 
 def test_a_linker_fault_is_located_by_a_walk_to_its_token(monkeypatch):
     """A linker diagnostic ends the load, so the walk that locates it stops
     at its token: one fault at line 4 of a pair world of n and of 4n pairs
-    hands ``_starts`` the same texts, where a walk of the file grows 4x."""
-    walked = []
-
-    def counted(source, texts, starts=dsl._starts):
-        walked.append(len(texts))
-        return starts(source, texts)
-
-    monkeypatch.setattr(dsl, "_starts", counted)
+    walks the same texts, where a walk of the file grows 4x."""
+    walked, counts = _walked(monkeypatch), []
     for n in (50, 200):
-        lines = worlds._pair_world(random.Random(7), n, complete=False)[0].split("\n")
-        lines.insert(3, "presential zz at nowhere@0;")
-        assert _found("\n".join(lines)) == [("dangling-reference", 4, 18, 7)]
-    assert walked[0] == walked[1] > 0, walked
+        walked.clear()
+        found = _found(_pair_source(n, "presential zz at nowhere@0;"))
+        assert found == [("dangling-reference", 4, 18, 7)]
+        counts.append(sum(walked))
+    assert counts[0] == counts[1] > 0, counts
+
+
+def test_a_lexer_or_parser_fault_is_located_by_a_walk_to_its_token(monkeypatch):
+    """The lexer walks its texts only up to its last fault, and the parser's
+    walk goes on from there only as far as the tokens it reports: one fault
+    at line 4 of a pair world of n and of 4n pairs walks the same texts and
+    is reported where it was planted."""
+    walked = _walked(monkeypatch)
+    cases = [
+        ("#", [("unexpected-token", 4, 1, 1)]),
+        ("1/0", [("bad-rational", 4, 1, 3)]),
+        ('"x', [("unexpected-token", 4, 1, 1)]),
+        ("presential zz at ;", [("unexpected-token", 4, 18, 1)]),
+        ("# presential zz at ;", [("unexpected-token", 4, 1, 1), ("unexpected-token", 4, 20, 1)]),
+    ]
+    for line4, expected in cases:
+        counts = []
+        for n in (50, 200):
+            walked.clear()
+            assert _found(_pair_source(n, line4)) == expected, line4
+            counts.append(sum(walked))
+        assert counts[0] == counts[1] > 0, (line4, counts)
+
+
+def test_positions_over_the_same_tokens_walk_alike():
+    """Each ``_Positions`` walks on from where the lexer stopped, never from
+    where another one over the same tokens got to: a second one, built after
+    the first walked halfway, gives every token the same span."""
+    source = _pair_source(50, "# presential zz at ;")
+    tokens = _tokenize(source, "<input>", [])
+    first = _Positions(source, "<input>", tokens)
+    half = [*map(first.span, range(len(tokens) // 2))]
+    spans = [*map(_Positions(source, "<input>", tokens).span, range(len(tokens)))]
+    assert spans[: len(half)] == half and spans == [*map(first.span, range(len(tokens)))]
+    zz = [tok.text for tok in tokens].index("zz")  # the first token past the bad run
+    assert (spans[zz].line, spans[zz].column, spans[-1].line) == (4, 14, source.count("\n") + 1)
+
+
+def test_parser_work_grows_with_the_declarations():
+    """Parse guard: the lines of gfo the first pass runs over the flat world
+    grow at most 4x (plus 0) when the world grows 4x, so no declaration costs
+    more the more of them precede it."""
+    counts = []
+    for n in (250, 1000):
+        source = _flat_source(n)
+        tokens = _tokenize(source, "<input>", [])
+        parser = dsl._Parser(tokens, _Positions(source, "<input>", tokens), [])
+        counts.append(lines_run(parser.parse))
+    assert 0 < counts[0] and counts[1] <= 4 * counts[0], counts
 
 
 class _CountedPattern:
@@ -870,8 +926,10 @@ def single_token_edits(path, fillers=EDIT_FILLERS) -> int:
     parser's.  Returns the number of edits."""
     source = path.read_text(encoding="utf-8")
     tokens = _tokenize(source, path.name, [])
+    positions = _Positions(source, path.name, tokens)
+    positions.span(len(tokens) - 1)  # the walk to the end of input
     edits = 0
-    for tok, start in zip(tokens[:-1], _Positions(source, path.name, tokens).starts):
+    for tok, start in zip(tokens[:-1], positions.starts):
         for filler in fillers:
             edited = f"{source[:start]} {filler} {source[start + len(tok.text):]}"
             where = f"{path.name}: {tok.text!r} at {start} -> {filler!r}"
