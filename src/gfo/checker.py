@@ -19,10 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, pairwise
+from operator import itemgetter
 
-from .chrono import coord, coord_str
+from .chrono import Time, coord, coord_str
 from .errors import MalformedContinuant, UnknownProperty
-from .model import CATEGORICAL, Continuant, Model, Process, sample_valuation
+from .model import CATEGORICAL, Continuant, Model, Process
 
 DISJOINTNESS = "disjointness"
 INTEGRATION = "integration"
@@ -343,10 +344,11 @@ def detect_continuant_changes(m: Model, c: Continuant) -> list[tuple]:
     no change at the declared sample resolution — presentials themselves
     cannot change, so t1 < t2 always.
     """
-    out = []
+    out, presentials = [], m.presentials
     t1 = v1 = None  # the previous sample and its valuation
-    for t2 in sorted(c.exhibit_map):
-        v2 = sample_valuation(m, c.exhibit_map, t2) or {}
+    for t2, pid in sorted(c.exhibit_map.items(), key=itemgetter(0)):
+        pres = presentials.get(pid)  # None in a store built in code only, as sample_valuation
+        v2 = pres.valuation if pres else {}
         if v1 is not None and v1 != v2:
             for prop in sorted(v1.keys() | v2.keys()):
                 a, b = v1.get(prop), v2.get(prop)
@@ -368,7 +370,8 @@ def detect_process_changes(
     |v2 - v1| > tol.  Discontinuity is judged on the declared grid only, no
     interpolation.
     """
-    tol = coord(tol)
+    if type(tol) is not Time:  # the command line passes a Time already
+        tol = coord(tol)
     if tol < 0:
         raise ValueError("tolerance must be non-negative")
     pdef = m.property_defs.get(prop_name)
@@ -379,15 +382,19 @@ def detect_process_changes(
         raise UnknownProperty(
             f"property {prop_name!r} has no trajectory on process {p.id!r}"
         )
-    out = []
-    for (t1, v1), (t2, v2) in pairwise(sorted(samples)):
-        if pdef.domain.kind == CATEGORICAL:
-            changed = v1 != v2
-        else:
-            changed = abs(v2 - v1) > tol
-        if changed:
-            out.append((t1 + t2) / 2)
-    return out
+    ordered = sorted(samples, key=itemgetter(0))
+    if pdef.domain.kind == CATEGORICAL:
+        changed = [(t1, t2) for (t1, v1), (t2, v2) in pairwise(ordered) if v1 != v2]
+    else:  # |v2 - v1| > tol on integer parts: |c*b - a*d| * f > e*b*d for a/b, c/d, e/f
+        e, f = tol.numerator, tol.denominator
+        steps = pairwise([(t, v.numerator, v.denominator) for t, v in ordered])
+        changed = [(t1, t2) for (t1, a, b), (t2, c, d) in steps if abs(c*b - a*d) * f > e * b * d]
+    # each midpoint is one Fraction built from the coordinates' integer parts
+    return [
+        Fraction(t1.numerator * t2.denominator + t2.numerator * t1.denominator,
+                 2 * t1.denominator * t2.denominator)
+        for t1, t2 in changed
+    ]
 
 
 __all__ = [

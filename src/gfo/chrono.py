@@ -166,13 +166,14 @@ def inner_boundary(ch: Chronoid, t: int | str | Fraction) -> TimeBoundary:
     entity = ch._boundaries.get(t)
     if entity is not None:
         return entity
-    if not isinstance(t, Fraction):
+    if type(t) is not Time and not isinstance(t, Fraction):  # a parsed coordinate is a Time
         t = coord(t)
     left, right = ch.left, ch.right
-    if not left <= t <= right:
+    kind = INNER if left < t < right else LEFT if t == left else RIGHT if t == right else None
+    if kind is None:
         raise OutOfExtent(ch.outside(t))
-    kind = LEFT if t == left else RIGHT if t == right else INNER
-    entity = TimeBoundary(f"{ch.id}@{coord_str(t)}", t, ch.id, kind)
+    n, d = t._numerator, t._denominator  # the id ends in coord_str(t), written from its parts
+    entity = TimeBoundary(f"{ch.id}@{n}" if d == 1 else f"{ch.id}@{n}/{d}", t, ch.id, kind)
     with ch._lock:
         return ch._boundaries.setdefault(t, entity)
 

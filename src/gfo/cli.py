@@ -18,7 +18,7 @@ from functools import cache
 from json.encoder import encode_basestring_ascii
 
 from . import checker
-from .chrono import coord_str
+from .chrono import coord, coord_str
 from .dsl import NUMBER, ParseError, _tokenize, fmt_value, model_to_json, parse_file, parse_query
 from .errors import GfoError
 from .functions import _executed, is_actual_realization, is_actual_realizer
@@ -334,7 +334,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="how exhibited presentials and process boundaries must agree",
     )
     check.add_argument(
-        "--tol", type=_tolerance, default=Fraction(0), metavar="R",
+        "--tol", type=_tolerance, default=coord(0), metavar="R",
         help="numeric discontinuity tolerance (a rational literal of the grammar)",
     )
     check.add_argument("--format", choices=[HUMAN, JSON], default=HUMAN)
@@ -348,7 +348,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     which.add_argument("--changes", metavar="ENTITY")
     which.add_argument("--classify", nargs=2, metavar=("PROPERTY", "PROCESS"))
     query.add_argument(
-        "--tol", type=_tolerance, default=Fraction(0), metavar="R",
+        "--tol", type=_tolerance, default=coord(0), metavar="R",
         help="numeric discontinuity tolerance for --changes on a process (a rational literal)",
     )
 

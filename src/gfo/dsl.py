@@ -253,7 +253,9 @@ def _tokenize(source: str, file: str, diagnostics: list) -> list:
     faults: dict = {}  # text -> the diagnostic each of its occurrences gets
     lexemes = {text: _lexeme(text, faults) for text in set(texts)}  # each text read once
     # every occurrence of a text shares its one Token: a position is an index
-    tokens = list(filter(None, map(lexemes.get, texts)))
+    tokens = list(map(lexemes.get, texts))
+    if faults:  # only a bad run, which is a fault, has no token
+        tokens = list(filter(None, tokens))
     tokens.append(Token(EOF, "", None))
     if faults:  # walk the texts up to the last faulty one; the tokens keep where it stopped
         last = max(compress(range(len(texts)), map(faults.__contains__, texts)))
@@ -353,6 +355,12 @@ class _Positions:
 # A concept's items are FactPatterns and (entity, prop, value) triples.
 
 
+# parts of a shape for ``_Parser.shaped``: what a token is called, and the
+# classes it may have
+_VALUE, _COORDINATE = ("a symbol or rational", (IDENT, NUMBER)), ("a coordinate", (NUMBER,))
+_PRESENTIAL, _CHRONOID = ("a presential name", (IDENT,)), ("a chronoid name", (IDENT,))
+
+
 class _Syntax(Exception):
     def __init__(self, span: SourceSpan, message: str):
         self.span = span
@@ -443,11 +451,13 @@ class _Parser:
         is consumed and yielded; any other token is an error naming them all.
         A declaration's ``body`` may instead be ``;``, and may have a ``;``
         after its ``}``."""
-        if body and not self.at_punct("{"):
+        tokens = self.tokens
+        if tokens[self.pos].text != "{":
+            if not body:
+                raise self.expected("'{'")
             self.end_simple()
             return
-        self.take_punct("{")
-        tokens = self.tokens
+        self.pos += 1
         while (tok := tokens[self.pos]).text != "}":
             if words:
                 if tok.kind != IDENT or tok.text not in words:
@@ -455,12 +465,30 @@ class _Parser:
                 self.pos += 1
             yield tok.text
         self.pos += 1
-        if body:
-            self.end_block()
+        if body and tokens[self.pos].text == ";":  # end_block, in place
+            self.pos += 1
 
-    # An entry of fixed length is tested whole first, reading each token only
-    # after the one before it proved no EOF; the per-token calls that make any
-    # diagnostic run only when the test fails.
+    def shaped(self, *shape) -> tuple:
+        """Consume the tokens of ``shape`` and return the indexes of its named
+        parts.  A part is a punctuation or keyword text, or ``(what, kinds)``
+        for one token of one of ``kinds``; the first token that breaks the
+        shape is an error naming its part."""
+        tokens, found = self.tokens, []
+        for part in shape:
+            pos = self.pos
+            if type(part) is str:
+                if tokens[pos].text != part:
+                    raise self.expected(repr(part))
+            elif tokens[pos].kind in part[1]:
+                found.append(pos)
+            else:
+                raise self.expected(part[0])
+            self.pos = pos + 1
+        return tuple(found)
+
+    # An entry or head of fixed length is tested whole first, reading each token
+    # only after the one before it proved no EOF; only an entry that fails the
+    # test is read by ``shaped``, which raises at the first token that breaks it.
     def assignment(self) -> tuple:
         """``property = value ;`` as two token indexes."""
         tokens, i = self.tokens, self.pos
@@ -468,11 +496,7 @@ class _Parser:
                 and tokens[i + 2].kind in (IDENT, NUMBER) and tokens[i + 3].text == ";"):
             self.pos = i + 4
             return i, i + 2
-        prop = self.take(IDENT, "a property name")
-        self.take_punct("=")
-        value = self.take_value()
-        self.end_simple()
-        return prop, value
+        return self.shaped(("a property name", (IDENT,)), "=", _VALUE, ";")
 
     def sample(self, kinds=(IDENT,)) -> tuple:
         """``rational -> target ;`` as two token indexes; the target is a
@@ -482,11 +506,7 @@ class _Parser:
                 and tokens[i + 2].kind in kinds and tokens[i + 3].text == ";"):
             self.pos = i + 4
             return i, i + 2
-        t = self.take(NUMBER, "a coordinate")
-        self.take_punct("->")
-        target = self.take_value() if NUMBER in kinds else self.take(IDENT, "a presential name")
-        self.end_simple()
-        return t, target
+        return self.shaped(_COORDINATE, "->", _VALUE if NUMBER in kinds else _PRESENTIAL, ";")
 
     def member(self, what: str) -> int:
         """``id ;`` as the id's token index."""
@@ -494,9 +514,7 @@ class _Parser:
         if tokens[i].kind == IDENT and tokens[i + 1].text == ";":
             self.pos = i + 2
             return i
-        i = self.take(IDENT, what)
-        self.end_simple()
-        return i
+        return self.shaped((what, (IDENT,)), ";")[0]
 
     def relator_args(self) -> tuple:
         """``relator(value, ...)`` as the relator's and the values' token indexes."""
@@ -516,41 +534,22 @@ class _Parser:
 
     def holds_args(self) -> tuple:
         """``(entity, property, value)`` after ``holds``, as three token indexes."""
-        self.take_punct("(")
-        entity = self.take(IDENT, "an entity name")
-        self.take_punct(",")
-        prop = self.take(IDENT, "a property name")
-        self.take_punct(",")
-        value = self.take_value()
-        self.take_punct(")")
-        return entity, prop, value
+        entity, prop = ("an entity name", (IDENT,)), ("a property name", (IDENT,))
+        return self.shaped("(", entity, ",", prop, ",", _VALUE, ")")
 
     def pair(self, first: str, second: str) -> tuple:
         """``(id, id) ;`` as two token indexes."""
-        self.take_punct("(")
-        a = self.take(IDENT, first)
-        self.take_punct(",")
-        b = self.take(IDENT, second)
-        self.take_punct(")")
-        self.end_simple()
-        return a, b
-
-    def interval(self, what: str = "a rational literal") -> tuple:
-        """``[rational, rational]`` as two token indexes."""
-        self.take_punct("[")
-        left = self.take(NUMBER, what)
-        self.take_punct(",")
-        right = self.take(NUMBER, what)
-        self.take_punct("]")
-        return left, right
+        return self.shaped("(", (first, (IDENT,)), ",", (second, (IDENT,)), ")", ";")
 
     # -- recovery --------------------------------------------------------------
 
-    def sync(self, start: int, keywords) -> None:
+    def sync(self, start: int, keywords, stray: bool = False) -> None:
         """Skip to the end of the declaration whose tokens after its keyword
         begin at ``start``, counting the braces it opened before the error.
         While a brace is open, one of the declaration ``keywords`` at column 1
-        ends the skip unconsumed: the error left the block unbalanced.  A
+        ends the skip unconsumed: the error left the block unbalanced.  After
+        a ``stray`` token where a keyword was expected, one does so at any
+        depth: the declaration it begins is not the stray token's.  A
         ``fact`` does so only as ``fact name =``, not as a concept's
         ``fact relator(...)`` item."""
         texts = [tok.text for tok in self.tokens[start : self.pos]]
@@ -559,7 +558,8 @@ class _Parser:
             tok = self.tokens[self.pos]
             if tok.kind == EOF:
                 return
-            if depth > 0 and tok.text in keywords and self.positions.span(self.pos).column == 1:
+            if ((depth > 0 or stray) and tok.text in keywords
+                    and self.positions.span(self.pos).column == 1):
                 after = self.tokens[self.pos + 2 : self.pos + 3]  # '=' in `fact name =`
                 if tok.text != "fact" or (after and after[0].text == "="):
                     return
@@ -618,19 +618,15 @@ class _Parser:
                 decls.append((tok.text, *handler()))
             except _Syntax as err:
                 self.report(err)
-                self.sync(start, table)
+                self.sync(start, table, stray=handler is None)
         return decls
 
     def chronoid(self) -> tuple:
-        name = self.take(IDENT, "a chronoid name")
-        self.take_punct("=")
-        left, right = self.interval()
-        self.end_simple()
-        return name, left, right
+        literal = ("a rational literal", (NUMBER,))
+        return self.shaped(_CHRONOID, "=", "[", literal, ",", literal, "]", ";")
 
     def property(self) -> tuple:
-        name = self.take(IDENT, "a property name")
-        self.take_punct(":")
+        name, = self.shaped(("a property name", (IDENT,)), ":")
         domain_kind = self.keyword(CATEGORICAL, NUMERIC)
         symbols = []
         if domain_kind == CATEGORICAL:
@@ -646,24 +642,21 @@ class _Parser:
         self.end_simple()
         return name, domain_kind, symbols, support_kind, radius
 
-    def _time_point(self):
-        chron = self.take(IDENT, "a chronoid name")
-        self.take_punct("@")
-        t = self.take(NUMBER, "a coordinate")
-        return chron, t
-
     def presential(self) -> tuple:
-        name = self.take(IDENT, "a presential name")
-        self.keyword("at")
-        chron, t = self._time_point()
+        tokens, i = self.tokens, self.pos  # the head ``name at chronoid @ t``, tested whole
+        if (tokens[i].kind == IDENT and tokens[i + 1].text == "at"
+                and tokens[i + 2].kind == IDENT and tokens[i + 3].text == "@"
+                and tokens[i + 4].kind == NUMBER):
+            self.pos = i + 5
+            head = i, i + 2, i + 4
+        else:
+            head = self.shaped(_PRESENTIAL, "at", _CHRONOID, "@", _COORDINATE)
         material = not self.accept_word("immaterial")
         valuation = [self.assignment() for _ in self.entries()]
-        return name, chron, t, material, valuation
+        return *head, material, valuation
 
     def process(self) -> tuple:
-        name = self.take(IDENT, "a process name")
-        self.keyword("extent")
-        chron = self.take(IDENT, "a chronoid name")
+        name, chron = self.shaped(("a process name", (IDENT,)), "extent", _CHRONOID)
         boundaries = []
         trajectories = []
         for word in self.entries(("boundary", "trajectory")):
@@ -679,9 +672,7 @@ class _Parser:
         return prop, samples
 
     def continuant(self) -> tuple:
-        name = self.take(IDENT, "a continuant name")
-        self.keyword("lifetime")
-        chron = self.take(IDENT, "a chronoid name")
+        name, chron = self.shaped(("a continuant name", (IDENT,)), "lifetime", _CHRONOID)
         material = not self.accept_word("immaterial")
         exhibits = [self.sample() for _ in self.entries(("exhibits",))]
         return name, chron, material, exhibits
@@ -690,7 +681,7 @@ class _Parser:
         name = self.take(IDENT, "a situation name")
         t = None
         if self.keyword("at", "during") == "at":
-            chron, t = self._time_point()
+            chron, t = self.shaped(_CHRONOID, "@", _COORDINATE)
         else:
             chron = self.take(IDENT, "a chronoid name")
         founded = None
@@ -725,7 +716,8 @@ class _Parser:
         fitem = []
         for word in self.entries(("label", "requires", "achieves", "fitem"), body=False):
             if word == "label":
-                labels.append(self.label())
+                labels.append(self.tokens[self.take(STRING, "a string label")].value)
+                self.end_simple()
             elif word == "fitem":
                 fitem += [self.assignment() for _ in self.entries(body=False)]
             else:
@@ -733,27 +725,17 @@ class _Parser:
         self.end_block()  # a function has a block, never ';' alone
         return name, kind, bearer, labels, *concepts.values(), fitem
 
-    def label(self) -> str:
-        label = self.tokens[self.take(STRING, "a string label")].value
-        self.end_simple()
-        return label
-
     def concept(self) -> list:
-        return [
-            self.concept_fact() if word == "fact" else self.concept_holds()
-            for word in self.entries(("fact", "holds"), body=False)
-        ]
+        items = []
+        for word in self.entries(("fact", "holds"), body=False):
+            items.append(self.concept_fact() if word == "fact" else self.holds_args())
+            self.end_simple()
+        return items
 
     def concept_fact(self) -> FactPattern:
         relator, args = self.relator_args()
-        self.end_simple()
         tokens = self.tokens
         return FactPattern(relator=tokens[relator].text, args=tuple(tokens[i].value for i in args))
-
-    def concept_holds(self) -> tuple:
-        entity, prop, value = self.holds_args()
-        self.end_simple()
-        return entity, prop, value
 
 
 # ---------------------------------------------------------------------------
@@ -888,11 +870,7 @@ class _Linker:
                         "window radius must be strictly positive",
                     )
             domain = ValueDomain(domain_kind, frozenset(symbols))
-            self.property_defs[name] = PropertyDef(
-                name=name,
-                domain=domain,
-                support=Support(support_kind, radius),
-            )
+            self.property_defs[name] = PropertyDef(name, domain, Support(support_kind, radius))
 
     def build_chronoids(self) -> None:
         self.chronoids = {}
@@ -951,14 +929,15 @@ class _Linker:
         # a rejected entry is left out: the duplicate check reads this map
         tokens, presentials, declared = self.tokens, self.presentials, self.entity_decls
         out: dict = {}
-        sampled = set()  # every coordinate given: a rejected target is no missing endpoint
+        sampled = set()  # coordinates off the clean path: a rejected target is no missing endpoint
+        owner = None if ch is None else ch.id
         for i, target in entries:
-            # the clean path is tested in place; the calls below report a failure
+            # the clean path is tested in place, the calls below report a failure; a
+            # presential's boundary on ch lies in ch, since inner_boundary built it
             t, name = tokens[i].value, tokens[target].text
             pres = presentials.get(name)
-            if (ch is not None and ch.left <= t <= ch.right and t not in out and pres is not None
-                    and pres.at.coordinate == t and declared[name][0] == "presential"):
-                sampled.add(t)
+            if (pres is not None and pres.at.owner == owner and pres.at.coordinate == t
+                    and t not in out and declared[name][0] == "presential"):
                 out[t] = name
                 continue
             t = self.new_sample(i, ch, out, keyword)
@@ -978,7 +957,7 @@ class _Linker:
             out[t] = name
         if ch is not None:
             for endpoint in (ch.left, ch.right):
-                if endpoint not in sampled:
+                if endpoint not in out and endpoint not in sampled:
                     self.diag(
                         name_at,
                         "missing-endpoint",
@@ -1012,10 +991,15 @@ class _Linker:
                     self.diag(prop, "duplicate-id", f"trajectory for {text!r} is declared twice")
                     continue
                 points: dict = {}
+                admits = pdef.domain.admits
                 for i, value in samples:
-                    t = self.new_sample(i, ch, points, "trajectory sample")
-                    if t is not None and self.check_value(pdef, value):
-                        points[t] = tokens[value].value
+                    # the clean path is tested in place; the calls below report a failure
+                    t, v = tokens[i].value, tokens[value].value
+                    if (ch is not None and ch.left <= t <= ch.right and t not in points
+                            and admits(v)):
+                        points[t] = v
+                    elif self.new_sample(i, ch, points, "trajectory sample") is not None:
+                        self.check_value(pdef, value)
                 trajectories[text] = tuple(sorted(points.items()))
             boundary_map = self._sample_map(name_at, boundaries, ch, "boundary")
             self.processes[name] = Process(name, ch, boundary_map, trajectories)
@@ -1030,7 +1014,7 @@ class _Linker:
 
     def build_facts(self) -> None:
         self.facts = {}
-        tokens = self.tokens
+        tokens, declared = self.tokens, self.entity_decls
         for _, name_at, relator_at, args in self.groups["fact"]:
             name = tokens[name_at].text
             entities = args
@@ -1050,17 +1034,18 @@ class _Linker:
                 else:
                     entities = args[:1]
                     literal = "the subject of a property fact must be an entity"
-                    self.check_value(pdef, args[1])
+                    if not pdef.domain.admits(tokens[args[1]].value):
+                        self.check_value(pdef, args[1])
             for arg in entities:
                 if tokens[arg].kind == NUMBER:
                     self.diag(arg, "bad-value", literal)
-                else:
+                elif tokens[arg].text not in declared:  # the clean path, tested in place
                     self.resolve_entity(arg)
             self.facts[name] = Fact(name, relator, tuple([tokens[arg].value for arg in args]))
 
     def build_situations(self) -> None:
         self.situations = {}
-        tokens = self.tokens
+        tokens, declared = self.tokens, self.entity_decls
         used_facts = set()  # orphan-fact reads only the facts a situation really contains
         for _, name_at, chron, t, founded, contains, participants in self.groups["situation"]:
             name = tokens[name_at].text
@@ -1070,11 +1055,16 @@ class _Linker:
                 extent = self._boundary_at(chron, t)
             if founded is not None:
                 self.resolve_entity(founded, "process")
+            # members test their clean path in place; resolve_entity reports a failure
             for fact in contains:
-                if self.resolve_entity(fact, "fact"):
+                record = declared.get(tokens[fact].text)
+                if record is not None and record[0] == "fact":
                     used_facts.add(tokens[fact].text)
+                else:
+                    self.resolve_entity(fact, "fact")
             for entity in participants:
-                self.resolve_entity(entity)
+                if tokens[entity].text not in declared:
+                    self.resolve_entity(entity)
             self.situations[name] = Situation(
                 name, extent, frozenset([tokens[fact].text for fact in contains]),
                 frozenset([tokens[entity].text for entity in participants]),
@@ -1508,7 +1498,7 @@ def _parse_time_ref(parser: _Parser, checks: list):
     if parser.accept_word("at"):
         return AtTime(parser.tokens[parser.take(NUMBER, "a coordinate")].value)
     if parser.accept_word("during"):
-        i, j = parser.interval("a coordinate")
+        i, j = parser.shaped("[", _COORDINATE, ",", _COORDINATE, "]")
         left, right = parser.tokens[i].value, parser.tokens[j].value
         if message := no_duration(left, right):
             checks.append((i, "zero-duration", message))

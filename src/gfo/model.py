@@ -204,9 +204,10 @@ class Model:
         """``build(self, *args)``: a lookup derived from this store, built on
         the first call with these arguments and kept with the model."""
         key = (build, *args)
-        if key not in self._indexes:
-            self._indexes[key] = build(self, *args)
-        return self._indexes[key]
+        lookup = self._indexes.get(key)
+        if lookup is None:
+            lookup = self._indexes[key] = build(self, *args)
+        return lookup
 
     def adopt_index(self, lookup, build, *args) -> None:
         """Keep ``lookup`` as this store's ``index(build, *args)`` unless that

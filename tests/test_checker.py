@@ -32,7 +32,7 @@ from gfo.checker import (
     detect_process_changes,
     sort_violations,
 )
-from gfo.chrono import Chronoid, inner_boundary
+from gfo.chrono import Chronoid, Time, inner_boundary
 from gfo.dsl import parse, parse_file
 from gfo.errors import MalformedContinuant, UnknownProperty
 from gfo.model import (
@@ -52,6 +52,10 @@ from helpers import CORPUS, REPO, lines_run
 
 sys.path.insert(0, str(REPO / "perfbench"))
 import worlds  # noqa: E402
+
+# random worlds per oracle differential of integration and change points;
+# `python tests/test_checker.py` runs those differentials on ten times as many
+ORACLE_WORLDS = 200
 
 
 @pytest.fixture(scope="module")
@@ -186,7 +190,7 @@ def _differential_worlds(seed, count):
 def test_integration_agrees_with_oracles_on_random_worlds(mode):
     identity = mode == IDENTITY
     witnesses = violations = 0
-    for m in _differential_worlds(20261020, 200):
+    for m in _differential_worlds(20261020, ORACLE_WORLDS):
         for cid in sorted(m.continuants):
             c = m.continuants[cid]
             if not c.material:
@@ -224,7 +228,7 @@ def test_integration_misses_are_decided_by_the_bound_or_by_the_full_scan(monkeyp
 
     monkeypatch.setattr(checker, "_closest", counted)
     bound = fallback = 0
-    for m in _differential_worlds(20261020, 200):
+    for m in _differential_worlds(20261020, ORACLE_WORLDS):
         for cid in sorted(m.continuants):
             c = m.continuants[cid]
             scans.clear()
@@ -551,6 +555,19 @@ def test_continuant_changes_to_undefined_matches_oracle():
     assert detect_continuant_changes(m, c) == expected
 
 
+def test_continuant_changes_agree_with_oracle_on_random_worlds():
+    rng = random.Random(20261023)
+    continuants = changes = 0
+    for _ in range(ORACLE_WORLDS):
+        m = random_full_model(rng)
+        for cid, c in sorted(m.continuants.items()):
+            expected = oracles.continuant_change_pairs(m, c)
+            assert detect_continuant_changes(m, c) == expected, cid
+            continuants += 1
+            changes += len(expected)
+    assert continuants >= 250 and changes >= 150, (continuants, changes)
+
+
 def test_continuant_changes_never_pair_equal_times(heart):
     for c in heart.continuants.values():
         for t1, t2, *_ in detect_continuant_changes(heart, c):
@@ -597,8 +614,36 @@ def test_process_changes_tolerance_absorbs_slope():
     m, p = _trajectory_process([(0, Fraction(0)), (1, Fraction(1))], "numeric")
     assert detect_process_changes(m, p, "w", tol=2) == []
     assert detect_process_changes(m, p, "w", tol=0) == [Fraction(1, 2)]
+    # a step equal to the tolerance is no change: steps of 1/2, 1/2 and 5/3
+    values = [Fraction(1, 3), Fraction(-1, 6), Fraction(1, 3), 2]
+    m, p = _trajectory_process(list(zip((0, 1, 3, 10), values)), "numeric")
+    for tol in (Fraction(1, 2), "1/2", Time(1, 2)):
+        assert detect_process_changes(m, p, "w", tol) == [Fraction(13, 2)]
+    assert detect_process_changes(m, p, "w", Time(5, 3)) == []
+    assert detect_process_changes(m, p, "w", Fraction(499, 1000)) == [Fraction(1, 2), 2, Fraction(13, 2)]
     with pytest.raises(ValueError, match="non-negative"):
         detect_process_changes(m, p, "w", tol=-1)
+
+
+@pytest.mark.parametrize(
+    "times",
+    [
+        (Fraction(-7, 3), Fraction(-1, 2), Fraction(1, 3)),  # negative
+        (Fraction(2, 4), Fraction(6, 4), Fraction(9, 3)),  # not in lowest terms as written
+        (-3, 0, 8),  # plain int
+        (Time(-7, 4), Time(1, 6), Time(5)),  # parsed coordinates
+    ],
+)
+def test_process_change_points_are_exact_midpoints(times):
+    """Each change point equals (t1 + t2) / 2 and is a plain Fraction,
+    whatever the type of the coordinates."""
+    ch = Chronoid("run", Fraction(-10), Fraction(10))
+    prop = PropertyDef("w", ValueDomain(CATEGORICAL, frozenset({"off", "on"})), Support("global"))
+    p = Process("P", ch, {}, {"w": tuple(zip(times, ("off", "on", "off")))})
+    m = Model(processes={"P": p}, property_defs={"w": prop})
+    points = detect_process_changes(m, p, "w")
+    assert points == [(t1 + t2) / 2 for t1, t2 in zip(times, times[1:])]
+    assert [type(t) for t in points] == [Fraction, Fraction]
 
 
 def test_process_changes_unknown_property():
@@ -634,7 +679,7 @@ def test_process_changes_agree_with_oracle_on_random_worlds():
     # tolerances: 0 and every distinct neighbour difference, where > and >= part
     rng = random.Random(20261022)
     runs = changes = numeric = 0
-    for _ in range(200):
+    for _ in range(ORACLE_WORLDS):
         m = random_full_model(rng)
         for p in m.processes.values():
             for prop, samples in p.trajectories.items():
@@ -670,3 +715,12 @@ def test_violation_rejects_unregistered_axiom():
 def test_violation_needs_a_subject():
     with pytest.raises(ValueError, match="at least one subject"):
         Violation(axiom="integration", subjects=(), message="boom")
+
+
+if __name__ == "__main__":  # the integration and change-point differentials on 10x the worlds
+    ORACLE_WORLDS *= 10
+    for mode in (IDENTITY, VALUATION):
+        test_integration_agrees_with_oracles_on_random_worlds(mode)
+    test_process_changes_agree_with_oracle_on_random_worlds()
+    test_continuant_changes_agree_with_oracle_on_random_worlds()
+    print(f"integration and change points agree with the oracles on {ORACLE_WORLDS} worlds each")

@@ -754,6 +754,18 @@ def test_recovery_skips_to_the_end_of_the_failing_declaration():
             ["<input>:1:39: unexpected-token: expected 'boundary' or 'trajectory', found '{'",
              "<input>:4:17: unexpected-token: expected ',', found '1'"],
         ),
+        (  # after a stray token, or a stray run, the next line's keyword ends the skip
+            "chronoid c = [0, 1];\nfoo\npresential p at c@ ;\nchronoid d = [0 1];",
+            ["<input>:2:1: unexpected-token: expected a declaration keyword, found 'foo'",
+             "<input>:3:20: unexpected-token: expected a coordinate, found ';'",
+             "<input>:4:17: unexpected-token: expected ',', found '1'"],
+        ),
+        (
+            "chronoid c = [0, 1];\nfoo bar\npresential p at c@ ;\nchronoid d = [0 1];",
+            ["<input>:2:1: unexpected-token: expected a declaration keyword, found 'foo'",
+             "<input>:3:20: unexpected-token: expected a coordinate, found ';'",
+             "<input>:4:17: unexpected-token: expected ',', found '1'"],
+        ),
         (  # a concept's `fact r(...)` item at column 1 is skipped; a `fact f =` is not
             "function f {\nlabel 1;\nrequires {\nfact r(_);\n}\nachieves { fact r(_); }\n}\n"
             "function g {\nlabel 2;\nrequires { holds(a, b, c); }\nfact h = r(a b);\n",
@@ -878,8 +890,19 @@ EVERY_KIND = REPO / "tests" / "every_kind.gfo"
 
 
 class _PerTokenParser(dsl._Parser):
-    """The parser with its fixed-length entries read one token at a time,
-    without the whole-entry test of ``assignment``, ``sample`` and ``member``."""
+    """The parser with its fixed-length entries and the presential head read
+    one token at a time, without the whole tests of ``assignment``,
+    ``sample``, ``member`` and ``presential``."""
+
+    def presential(self) -> tuple:
+        name = self.take(dsl.IDENT, "a presential name")
+        self.keyword("at")
+        chron = self.take(dsl.IDENT, "a chronoid name")
+        self.take_punct("@")
+        t = self.take(dsl.NUMBER, "a coordinate")
+        material = not self.accept_word("immaterial")
+        valuation = [self.assignment() for _ in self.entries()]
+        return name, chron, t, material, valuation
 
     def assignment(self) -> tuple:
         prop = self.take(dsl.IDENT, "a property name")
