@@ -12,16 +12,14 @@ represented symbolically by its endpoints.  Boundary entities are
 individuals, not numbers: two boundaries may coincide (occupy the same
 coordinate) without being the same entity.  Inner boundaries are interned
 per (chronoid, coordinate), so repeated queries return the same entity.  A
-lookup that finds one needs no lock.  A miss builds the boundary once and
-inserts it with ``setdefault`` under the chronoid's lock, the one place an
-entry is inserted, so of two racing misses both return the first entry.
-Everything else is immutable, which makes all time values safe to share
-between concurrent tasks.
+miss builds the boundary and inserts it with ``dict.setdefault``, which is
+atomic, so of two racing misses both return the first entry.  Everything
+else is immutable, which makes all time values safe to share between
+concurrent tasks.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -115,9 +113,6 @@ class Chronoid:
     left: Fraction
     right: Fraction
     _boundaries: dict = field(default_factory=dict, compare=False, repr=False)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, compare=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         if message := no_duration(self.left, self.right):
@@ -159,9 +154,9 @@ def inner_boundary(ch: Chronoid, t: int | str | Fraction) -> TimeBoundary:
 
     Endpoints yield the chronoid's own left/right boundary entity; interior
     coordinates yield an inner boundary, interned so that repeated calls on
-    the same (chronoid, coordinate) return the same entity.  An entity already
-    interned is returned first, without the lock: entries are only ever
-    inserted under it, and a value equal to a coordinate hashes as it does.
+    the same (chronoid, coordinate) return the same entity.  A value equal to
+    a coordinate hashes as it does, so it finds the entity interned there;
+    a miss inserts with the atomic ``dict.setdefault``.
     """
     entity = ch._boundaries.get(t)
     if entity is not None:
@@ -174,8 +169,7 @@ def inner_boundary(ch: Chronoid, t: int | str | Fraction) -> TimeBoundary:
         raise OutOfExtent(ch.outside(t))
     n, d = t._numerator, t._denominator  # the id ends in coord_str(t), written from its parts
     entity = TimeBoundary(f"{ch.id}@{n}" if d == 1 else f"{ch.id}@{n}/{d}", t, ch.id, kind)
-    with ch._lock:
-        return ch._boundaries.setdefault(t, entity)
+    return ch._boundaries.setdefault(t, entity)
 
 
 def left_boundary(ch: Chronoid) -> TimeBoundary:

@@ -294,13 +294,12 @@ class _Positions:
 
     def walk(self, texts: list) -> None:
         """Find the start offset of each of ``texts``, the lexer's next texts
-        of the source, the end of input being the empty text."""
-        source, starts, end = self.source, self.starts, self.end
+        of the source, the end of input being the empty text.  A text starts
+        where the lexer's own skip prefix of blanks and comments ends after
+        the text before it, so each start is exact by construction."""
+        source, starts, end, skipped = self.source, self.starts, self.end, _SKIPPED.match
         for text in texts:
-            start = source.find(text, end)
-            # the next text, unless a comment comes first, the text starts one or ends the input
-            if text[:1] in ("/", "") or source[end:start].strip(" \t\r\n"):
-                start = _SKIPPED.match(source, end).end()
+            start = skipped(source, end).end()
             starts.append(start)
             end = start + len(text)
         self.end = end
@@ -352,7 +351,7 @@ class _Positions:
 #   ("exe", executor, process)
 #   ("requirement-instance" or "goal-instance", function, situation)
 #
-# A concept's items are FactPatterns and (entity, prop, value) triples.
+# A concept's items are (relator, [arg]) pairs and (entity, prop, value) triples.
 
 
 # parts of a shape for ``_Parser.shaped``: what a token is called, and the
@@ -543,23 +542,21 @@ class _Parser:
 
     # -- recovery --------------------------------------------------------------
 
-    def sync(self, start: int, keywords, stray: bool = False) -> None:
+    def sync(self, start: int, keywords) -> None:
         """Skip to the end of the declaration whose tokens after its keyword
         begin at ``start``, counting the braces it opened before the error.
-        While a brace is open, one of the declaration ``keywords`` at column 1
-        ends the skip unconsumed: the error left the block unbalanced.  After
-        a ``stray`` token where a keyword was expected, one does so at any
-        depth: the declaration it begins is not the stray token's.  A
-        ``fact`` does so only as ``fact name =``, not as a concept's
-        ``fact relator(...)`` item."""
+        One of the declaration ``keywords`` at column 1 ends the skip
+        unconsumed, at any depth: it begins the next declaration, whether
+        the error left a block unbalanced or came before the declaration's
+        ``;``.  A ``fact`` does so only as ``fact name =``, not as a
+        concept's ``fact relator(...)`` item."""
         texts = [tok.text for tok in self.tokens[start : self.pos]]
         depth = texts.count("{") - texts.count("}")
         while True:
             tok = self.tokens[self.pos]
             if tok.kind == EOF:
                 return
-            if ((depth > 0 or stray) and tok.text in keywords
-                    and self.positions.span(self.pos).column == 1):
+            if tok.text in keywords and self.positions.span(self.pos).column == 1:
                 after = self.tokens[self.pos + 2 : self.pos + 3]  # '=' in `fact name =`
                 if tok.text != "fact" or (after and after[0].text == "="):
                     return
@@ -618,7 +615,7 @@ class _Parser:
                 decls.append((tok.text, *handler()))
             except _Syntax as err:
                 self.report(err)
-                self.sync(start, table, stray=handler is None)
+                self.sync(start, table)
         return decls
 
     def chronoid(self) -> tuple:
@@ -728,14 +725,9 @@ class _Parser:
     def concept(self) -> list:
         items = []
         for word in self.entries(("fact", "holds"), body=False):
-            items.append(self.concept_fact() if word == "fact" else self.holds_args())
+            items.append(self.relator_args() if word == "fact" else self.holds_args())
             self.end_simple()
         return items
-
-    def concept_fact(self) -> FactPattern:
-        relator, args = self.relator_args()
-        tokens = self.tokens
-        return FactPattern(relator=tokens[relator].text, args=tuple(tokens[i].value for i in args))
 
 
 # ---------------------------------------------------------------------------
@@ -1095,8 +1087,10 @@ class _Linker:
         patterns = set()
         constraints = set()
         for item in items:
-            if isinstance(item, FactPattern):
-                patterns.add(item)
+            if len(item) == 2:  # fact relator(arg, ...)
+                relator, args = item
+                args = tuple([tokens[i].value for i in args])
+                patterns.add(FactPattern(tokens[relator].text, args))
                 continue
             entity, prop, value = item
             self.resolve_entity(entity)

@@ -41,17 +41,13 @@ class DuringSpan:
     right: Fraction
 
 
-# time reference of a proposition; None means unanchored
-TimeRef = "AtTime | DuringSpan | None"
-
-
 @dataclass(frozen=True)
 class FactProp:
     """'relator(arg, ...)': made true by a matching constituent fact."""
 
     relator: str
     patterns: tuple  # ids, literal values or '_'
-    time_ref: object = None
+    time_ref: object = None  # an AtTime, a DuringSpan, or None: unanchored
 
 
 @dataclass(frozen=True)
@@ -61,10 +57,7 @@ class HoldsProp:
     subject: str
     prop: str
     value: Value
-    time_ref: object = None
-
-
-Proposition = "FactProp | HoldsProp"
+    time_ref: object = None  # an AtTime, a DuringSpan, or None: unanchored
 
 
 @dataclass(frozen=True)
@@ -201,10 +194,8 @@ def functional_property(p: str, f: FunctionSpec, m: Model) -> bool:
 __all__ = [
     "AtTime",
     "DuringSpan",
-    "TimeRef",
     "FactProp",
     "HoldsProp",
-    "Proposition",
     "TruthMakerTriple",
     "SupportClass",
     "satisfies",

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gfo import chrono
 from gfo.chrono import (
     INNER,
     LEFT,
@@ -85,6 +86,22 @@ def test_inner_boundary_interning_is_thread_safe():
         for a, b in zip(first, result):
             assert a is b
 
+
+
+def test_of_two_racing_boundary_misses_both_return_the_first_entry(monkeypatch):
+    """A second miss that inserts between the first's lookup and its insert
+    wins: the first returns the entry already there, not its own."""
+    ch, t = make_chronoid(0, 1), Fraction(1, 2)
+    build, overtaken = chrono.TimeBoundary, []
+
+    def overtaking(*args):
+        if not overtaken:
+            overtaken.append(None)  # the second miss builds without overtaking again
+            overtaken[0] = inner_boundary(ch, t)
+        return build(*args)
+
+    monkeypatch.setattr(chrono, "TimeBoundary", overtaking)
+    assert inner_boundary(ch, t) is overtaken[0] is inner_boundary(ch, t)
 
 def test_coincides_examples():
     a = make_chronoid(0, 5)

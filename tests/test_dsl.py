@@ -773,6 +773,22 @@ def test_recovery_skips_to_the_end_of_the_failing_declaration():
              "<input>:9:7: unexpected-token: expected a string label, found '2'",
              "<input>:11:14: unexpected-token: expected ')', found 'b'"],
         ),
+        (  # a missing ';' at depth 0: the next line's keyword ends the skip
+            "chronoid c = [0, 1]\npresential p at c@ ;\nchronoid d = [0 1];",
+            ["<input>:2:1: unexpected-token: expected ';', found 'presential'",
+             "<input>:2:20: unexpected-token: expected a coordinate, found ';'",
+             "<input>:3:17: unexpected-token: expected ',', found '1'"],
+        ),
+        (  # the string swallows the ';': the property is parsed, not skipped to its '}'
+            'chronoid "open = [0, 3];\n\nproperty color : categorical { blue, red } isolated;',
+            ["<input>:1:10: unexpected-token: unterminated string literal"],
+        ),
+        (  # the stop at column 1 adds nothing where the skip ends there anyway
+            "property hue : categorical { red } isolated\n"
+            "process q extent c { boundary 0 -> a; }\nchronoid c = [0 1];",
+            ["<input>:2:1: unexpected-token: expected ';', found 'process'",
+             "<input>:3:17: unexpected-token: expected ',', found '1'"],
+        ),
     )
     for source, diagnostics in cases:
         with pytest.raises(ParseError) as err:
