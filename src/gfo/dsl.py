@@ -4,11 +4,13 @@ The language is statement-oriented (``keyword name ... ;`` with braces for
 maps) and resolved in two passes, so forward references are legal.  Parsing
 either yields a model satisfying every structural invariant of the store,
 or raises :class:`ParseError` carrying span-annotated diagnostics — never a
-partial model.  The lexer and the parser report every error they can:
-recovery skips to the end of the failing declaration and goes on with the
-next.  The linker (the second pass) runs only on a clean parse, so none of
-its diagnostics follows from a lexical or syntax error.  It too reports
-every fault it finds, and builds every declaration as written; any
+partial model.  Each pass records its faults by index into one token list,
+a bad run's token included, and one walk locates them all at the end.  The
+lexer and the parser report every error they can: recovery skips to the
+end of the failing declaration, a bad run as a stray token, and goes on
+with the next.  The linker (the second pass) runs only on a clean parse,
+so none of its diagnostics follows from a lexical or syntax error.  It too
+reports every fault it finds, and builds every declaration as written; any
 diagnostic discards the model it built.
 
 ``model_to_json`` is the one canonical view of a store: map entries in
@@ -225,9 +227,9 @@ def _shown(text: str) -> str:
     return repr(text) if len(text) <= 20 else f"{text[:20]!r}..."
 
 
-def _lexeme(text: str, faults: dict):
-    """The token of the text ``text``, None for a bad run; a faulty text gets
-    its diagnostic's ``(code, message, length)`` in ``faults``."""
+def _lexeme(text: str, faults: dict) -> Token:
+    """The token of the text ``text``; a faulty text gets its diagnostic's
+    ``(code, message, length)`` in ``faults``."""
     kind = _KINDS.get(text[:1]) or _KINDS.get(text[:2], BAD)
     value = text
     if kind == NUMBER:
@@ -243,53 +245,40 @@ def _lexeme(text: str, faults: dict):
     elif kind == BAD:
         error = f"unexpected character{'s' if len(text) > 1 else ''} {_shown(text)}"
         faults[text] = ("unexpected-token", error, len(text))
-        return None
     return Token(kind, text, value)
 
 
-def _tokenize(source: str, file: str, diagnostics: list) -> list:
+def _lex(source: str) -> tuple:
+    """The tokens of ``source``, token i for the lexer's text i, and the
+    list of faults that every pass of a load adds to: one ``(token index,
+    code, message, length)`` per faulty token, a length of 0 meaning the
+    token's own."""
     texts = _LEXEME.findall(source)
     del texts[texts.index("") :]  # the end of input and what follows it
-    faults: dict = {}  # text -> the diagnostic each of its occurrences gets
+    faults: dict = {}  # text -> the fault each of its occurrences gets
     lexemes = {text: _lexeme(text, faults) for text in set(texts)}  # each text read once
     # every occurrence of a text shares its one Token: a position is an index
     tokens = list(map(lexemes.get, texts))
-    if faults:  # only a bad run, which is a fault, has no token
-        tokens = list(filter(None, tokens))
     tokens.append(Token(EOF, "", None))
-    if faults:  # walk the texts up to the last faulty one; the tokens keep where it stopped
-        last = max(compress(range(len(texts)), map(faults.__contains__, texts)))
-        positions = _Positions(source, file, tokens)
-        positions.walk(texts[: last + 1])
-        for text, start in zip(texts, positions.starts):
-            if text in faults:
-                code, message, length = faults[text]
-                diagnostics.append(ParseDiagnostic(positions.at(start, length), code, message))
-        tokens = _Located(tokens)
-        tokens.starts = array("q", compress(positions.starts, map(lexemes.get, texts)))
-        tokens.end = positions.end
+    faulty = compress(range(len(texts)), map(faults.__contains__, texts)) if faults else ()
+    return tokens, [(i, *faults[texts[i]]) for i in faulty]
+
+
+def _tokenize(source: str, file: str, diagnostics: list) -> list:
+    tokens, found = _lex(source)
+    diagnostics += _Positions(source, file, tokens).diagnostics(found)
     return tokens
-
-
-class _Located(list):
-    """The tokens of a source with lexical faults, which the lexer may have
-    dropped bad runs from, and where its walk to the last fault stopped: the
-    start offset of each token it passed, and the offset after the fault."""
-
-    __slots__ = ("starts", "end")
 
 
 class _Positions:
     """Where the tokens of one source stand, found only when a diagnostic
     asks: a span walks the token texts on to its token, a line counts the
-    newlines on to its offset and is a bisect.  A fault at token k walks
-    about k texts, however long the source."""
+    newlines on to its offset and is a bisect.  Token i is the lexer's text
+    i, so a fault at token k walks about k texts, however long the source."""
 
     def __init__(self, source: str, file: str, tokens: list):
         self.source, self.file, self.tokens = source, file, tokens
-        # past the lexer's last fault no bad run was dropped, so the walk over
-        # the tokens goes on from where the lexer's stopped; copied, as it grows
-        self.starts, self.end = array("q", getattr(tokens, "starts", ())), getattr(tokens, "end", 0)
+        self.starts, self.end = array("q"), 0  # each walked token's start, the last one's end
         self.newlines, self.counted = array("q"), 0  # the newlines before offset ``counted``
 
     def walk(self, texts: list) -> None:
@@ -308,20 +297,19 @@ class _Positions:
         """The span of ``tokens[index]``, or of ``length`` characters from its start."""
         if index >= len(self.starts):
             self.walk([tok.text for tok in self.tokens[len(self.starts) : index + 1]])
-        return self.at(self.starts[index], length or max(1, len(self.tokens[index].text)))
-
-    def at(self, offset: int, length: int) -> SourceSpan:
+        offset = self.starts[index]
         if offset > self.counted:
             found = _NEWLINE.finditer(self.source, self.counted, offset)
             self.newlines.extend(map(re.Match.start, found))
             self.counted = offset
         line = bisect_left(self.newlines, offset)  # the newlines before the offset
         column = offset - (self.newlines[line - 1] + 1 if line else 0) + 1
+        length = length or max(1, len(self.tokens[index].text))
         return SourceSpan(self.file, line + 1, column, length)
 
     def diagnostics(self, found: list) -> list:
-        """A diagnostic per ``(index, code, message)``, at the token of that index."""
-        return [ParseDiagnostic(self.span(i), code, msg) for i, code, msg in found]
+        """A diagnostic per ``(index, code, message, length)``, at the token of that index."""
+        return [ParseDiagnostic(self.span(i, n), code, msg) for i, code, msg, n in found]
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +349,8 @@ _PRESENTIAL, _CHRONOID = ("a presential name", (IDENT,)), ("a chronoid name", (I
 
 
 class _Syntax(Exception):
-    def __init__(self, span: SourceSpan, message: str):
-        self.span = span
+    def __init__(self, index: int, message: str):
+        self.index = index
         self.message = message
 
 
@@ -376,11 +364,11 @@ class _Parser:
     def __init__(self, tokens: list, positions: _Positions, diagnostics: list):
         self.tokens = tokens
         self.positions = positions
-        self.diagnostics = diagnostics
+        self.diagnostics = diagnostics  # the load's faults, the lexer's first: see _lex
         self.pos = 0
-        # where the lexer reported a bad token; a syntax error found at one of
-        # these positions would only repeat it
-        self.lexed = {(d.span.line, d.span.column) for d in diagnostics}
+        # the tokens the lexer reported; a syntax error found at one of them
+        # would only repeat it
+        self.lexed = {fault[0] for fault in diagnostics}
 
     # -- token helpers -------------------------------------------------------
 
@@ -390,13 +378,13 @@ class _Parser:
         return self.tokens[self.pos].text == text
 
     def report(self, err: _Syntax) -> None:
-        if (err.span.line, err.span.column) not in self.lexed:
-            self.diagnostics.append(ParseDiagnostic(err.span, "unexpected-token", err.message))
+        if err.index not in self.lexed:
+            self.diagnostics.append((err.index, "unexpected-token", err.message, 0))
 
     def expected(self, what: str) -> _Syntax:
         """The error for finding the next token where ``what`` was expected."""
         found = _shown(self.tokens[self.pos].text)
-        return _Syntax(self.positions.span(self.pos), f"expected {what}, found {found}")
+        return _Syntax(self.pos, f"expected {what}, found {found}")
 
     def accept_word(self, *words: str) -> str | None:
         """Consume and return one of ``words`` when it comes next."""
@@ -549,9 +537,11 @@ class _Parser:
         unconsumed, at any depth: it begins the next declaration, whether
         the error left a block unbalanced or came before the declaration's
         ``;``.  A ``fact`` does so only as ``fact name =``, not as a
-        concept's ``fact relator(...)`` item."""
+        concept's ``fact relator(...)`` item.  A property's ``}`` closes its
+        symbol list, not the declaration, which only its ``;`` ends."""
         texts = [tok.text for tok in self.tokens[start : self.pos]]
         depth = texts.count("{") - texts.count("}")
+        block = self.tokens[start - 1].text != "property"  # a '}' may end the declaration
         while True:
             tok = self.tokens[self.pos]
             if tok.kind == EOF:
@@ -563,12 +553,12 @@ class _Parser:
             if tok.text == "{":
                 depth += 1
             elif tok.text == "}":
-                if depth <= 1:
+                if depth <= 1 and block:
                     self.pos += 1
                     self.end_block()
                     return
                 depth -= 1
-            elif tok.text == ";" and depth == 0:
+            elif tok.text == ";" and depth <= 0:
                 self.pos += 1
                 return
             self.pos += 1  # never past EOF, which ends the skip above
@@ -601,16 +591,15 @@ class _Parser:
                     self.pos += 1
                 head, last = self.positions.span(first), self.positions.span(self.pos - 1)
                 length = last.column + 1 - head.column if last.line == head.line else 1
-                span = self.positions.span(first, length)
-                self.report(_Syntax(span, "expected a declaration keyword, found ';'"))
+                stray = "expected a declaration keyword, found ';'"
+                self.diagnostics.append((first, "unexpected-token", stray, length))
                 continue
             self.pos += 1  # the keyword, or the token that should have been one
             start = self.pos
             try:
                 if handler is None:
                     raise _Syntax(
-                        self.positions.span(self.pos - 1),
-                        f"expected a declaration keyword, found {_shown(tok.text)}",
+                        self.pos - 1, f"expected a declaration keyword, found {_shown(tok.text)}"
                     )
                 decls.append((tok.text, *handler()))
             except _Syntax as err:
@@ -746,12 +735,10 @@ class _Linker:
     keywords.
     """
 
-    def __init__(self, decls: list, positions: _Positions, diagnostics: list):
+    def __init__(self, decls: list, tokens: list, found: list):
         self.decls = decls
-        self.tokens = positions.tokens
-        self.positions = positions
-        self.diagnostics = diagnostics
-        self.found: list = []  # (token index, code, message), located at the end of link()
+        self.tokens = tokens
+        self.found = found  # the load's faults, empty on a clean parse: see _lex
         self.groups: dict = defaultdict(list)  # keyword -> its records in source order
         self.prop_decls: dict = {}
         self.chron_decls: dict = {}
@@ -759,7 +746,7 @@ class _Linker:
         self.fn_decls: dict = {}
 
     def diag(self, i: int, code: str, message: str) -> None:
-        self.found.append((i, code, message))
+        self.found.append((i, code, message, 0))
 
     # -- namespace registration ------------------------------------------------
 
@@ -990,8 +977,9 @@ class _Linker:
                     if (ch is not None and ch.left <= t <= ch.right and t not in points
                             and admits(v)):
                         points[t] = v
-                    elif self.new_sample(i, ch, points, "trajectory sample") is not None:
-                        self.check_value(pdef, value)
+                    elif (self.new_sample(i, ch, points, "trajectory sample") is not None
+                            and self.check_value(pdef, value)):
+                        points[t] = v
                 trajectories[text] = tuple(sorted(points.items()))
             boundary_map = self._sample_map(name_at, boundaries, ch, "boundary")
             self.processes[name] = Process(name, ch, boundary_map, trajectories)
@@ -1162,7 +1150,6 @@ class _Linker:
         self.build_functions()
         self.build_assertions()
         if self.found:
-            self.diagnostics += self.positions.diagnostics(self.found)
             return None
         return Model(**{field.name: getattr(self, field.name) for field in fields(Model)})
 
@@ -1175,14 +1162,14 @@ def parse(source: str, file: str = "<input>") -> Model:
     store invariants.  The linker runs only on a clean parse, so a lexical
     or syntax error comes with no structural diagnostics.
     """
-    diagnostics: list = []
     collecting = gc.isenabled()
     gc.disable()  # a load makes no reference cycles: docs/semantics.md
     try:
-        tokens = _tokenize(source, file, diagnostics)
+        tokens, found = _lex(source)
         positions = _Positions(source, file, tokens)
-        decls = _Parser(tokens, positions, diagnostics).parse()
-        model = None if diagnostics else _Linker(decls, positions, diagnostics).link()
+        decls = _Parser(tokens, positions, found).parse()
+        model = None if found else _Linker(decls, tokens, found).link()
+        diagnostics = positions.diagnostics(found)  # every pass's faults, located at once
     finally:
         if collecting:
             gc.enable()
@@ -1448,55 +1435,51 @@ def parse_query(text: str, m: Model | None = None):
     name of a ``holds`` proposition must be declared in it.  That check and
     the one for an empty ``during`` span are made only on a clean parse.
     """
-    diagnostics: list = []
-    checks: list = []  # (index, code, message) of semantic faults, reported only on a clean parse
-    file = "<query>"
-    tokens = _tokenize(text, file, diagnostics)
-    positions = _Positions(text, file, tokens)
-    parser = _Parser(tokens, positions, diagnostics)
+    tokens, found = _lex(text)
+    positions = _Positions(text, "<query>", tokens)
+    parser = _Parser(tokens, positions, found)
     prop = None
     try:
         if parser.keyword("holds", "fact") == "holds":
-            subject, prop_name, value = parser.holds_args()
-            time_ref = _parse_time_ref(parser, checks)
-            name = tokens[prop_name].text
-            if m is not None and name not in m.property_defs:
-                checks.append((prop_name, "unknown-id", f"property {name!r} is not declared"))
+            subject, prop_at, value = parser.holds_args()
+            when = parser.pos
             prop = HoldsProp(
                 subject=tokens[subject].text,
-                prop=name,
+                prop=tokens[prop_at].text,
                 value=tokens[value].value,
-                time_ref=time_ref,
+                time_ref=_parse_time_ref(parser),
             )
         else:
             relator, args = parser.relator_args()
-            time_ref = _parse_time_ref(parser, checks)
+            when = parser.pos
             prop = FactProp(
                 relator=tokens[relator].text,
                 patterns=tuple(tokens[i].value for i in args),
-                time_ref=time_ref,
+                time_ref=_parse_time_ref(parser),
             )
         parser.end_block()
         tok = parser.tokens[parser.pos]
         if tok.kind != EOF:
-            message = f"unexpected trailing input: {_shown(tok.text)}"
-            raise _Syntax(positions.span(parser.pos), message)
+            raise _Syntax(parser.pos, f"unexpected trailing input: {_shown(tok.text)}")
     except _Syntax as err:
         parser.report(err)
-    if diagnostics or checks:
-        raise ParseError(diagnostics or positions.diagnostics(checks))
+    if not found:  # a clean parse: the semantic checks
+        if m is not None and type(prop) is HoldsProp and prop.prop not in m.property_defs:
+            found.append((prop_at, "unknown-id", f"property {prop.prop!r} is not declared", 0))
+        span = prop.time_ref
+        if type(span) is DuringSpan and (message := no_duration(span.left, span.right)):
+            found.append((when + 2, "zero-duration", message, 0))  # at l in `during [l, r]`
+    if found:
+        raise ParseError(positions.diagnostics(found))
     return prop
 
 
-def _parse_time_ref(parser: _Parser, checks: list):
+def _parse_time_ref(parser: _Parser):
     if parser.accept_word("at"):
         return AtTime(parser.tokens[parser.take(NUMBER, "a coordinate")].value)
     if parser.accept_word("during"):
         i, j = parser.shaped("[", _COORDINATE, ",", _COORDINATE, "]")
-        left, right = parser.tokens[i].value, parser.tokens[j].value
-        if message := no_duration(left, right):
-            checks.append((i, "zero-duration", message))
-        return DuringSpan(left, right)
+        return DuringSpan(parser.tokens[i].value, parser.tokens[j].value)
     return None
 
 

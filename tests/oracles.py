@@ -67,9 +67,10 @@ def _literal(text):
 
 
 def tokens(source, file):
-    """``(tokens, diagnostics)`` of the lexer on ``source``: each token as a
-    ``(kind, text, value, line, column)`` tuple, its line counted from the
-    newlines before it and its value computed afresh for every literal.
+    """``(tokens, diagnostics)`` of the lexer on ``source``: each token, a bad
+    run's too, as a ``(kind, text, value, line, column)`` tuple, its line
+    counted from the newlines before it and its value computed afresh for
+    every literal.
 
     It splits the source by docs/grammar.md alone: at each offset it skips
     blanks and comments, then takes the first class of the table that
@@ -107,8 +108,7 @@ def tokens(source, file):
             value = None
         if error:
             diagnostics.append(ParseDiagnostic(SourceSpan(file, line, column, length), code, error))
-        if kind != "bad":
-            out.append((kind, text, value, line, column))
+        out.append((kind, text, value, line, column))
         if kind == "eof":
             return out, diagnostics
 

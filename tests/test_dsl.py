@@ -365,11 +365,11 @@ def _found(source: str) -> list:
 
 def test_positions_hold_after_many_lines_and_dropped_tokens():
     """One fault of each layer planted deep in a world of ~3000 declarations
-    is reported where it was planted, also after a bad run, which the lexer
-    drops from the token list and so shifts every later token's ordinal."""
+    is reported where it was planted, also after a bad run, which is a token
+    of its own, so that every later token's index counts it."""
     world = _flat_source(1000)
     last = world.count("\n") + 1
-    early = ("unexpected-token", 40, 3, 2)  # a bad run the parser never sees
+    early = ("unexpected-token", 40, 3, 2)  # a bad run, which the parser does not report again
     cases = [
         (1500, "  chronoid q = [0, 1]; #%", [("unexpected-token", 1500, 24, 2)]),
         (1500, '  function q { label "open\n; }', [("unexpected-token", 1500, 22, 1)]),
@@ -463,17 +463,18 @@ def test_a_linker_fault_is_located_by_a_walk_to_its_token(monkeypatch):
 
 
 def test_a_lexer_or_parser_fault_is_located_by_a_walk_to_its_token(monkeypatch):
-    """The lexer walks its texts only up to its last fault, and the parser's
-    walk goes on from there only as far as the tokens it reports: one fault
-    at line 4 of a pair world of n and of 4n pairs walks the same texts and
-    is reported where it was planted."""
+    """Each pass records its faults by token index, and the one walk that
+    locates them all goes only as far as the last: one fault at line 4 of a
+    pair world of n and of 4n pairs walks the same texts and is reported
+    where it was planted, once: the parser skips a bad run as it skips a
+    stray token."""
     walked = _walked(monkeypatch)
     cases = [
         ("#", [("unexpected-token", 4, 1, 1)]),
         ("1/0", [("bad-rational", 4, 1, 3)]),
         ('"x', [("unexpected-token", 4, 1, 1)]),
         ("presential zz at ;", [("unexpected-token", 4, 18, 1)]),
-        ("# presential zz at ;", [("unexpected-token", 4, 1, 1), ("unexpected-token", 4, 20, 1)]),
+        ("# presential zz at ;", [("unexpected-token", 4, 1, 1)]),
     ]
     for line4, expected in cases:
         counts = []
@@ -485,9 +486,10 @@ def test_a_lexer_or_parser_fault_is_located_by_a_walk_to_its_token(monkeypatch):
 
 
 def test_positions_over_the_same_tokens_walk_alike():
-    """Each ``_Positions`` walks on from where the lexer stopped, never from
-    where another one over the same tokens got to: a second one, built after
-    the first walked halfway, gives every token the same span."""
+    """Each ``_Positions`` walks from the start of its source, a bad run's
+    token included, never from where another one over the same tokens got
+    to: a second one, built after the first walked halfway, gives every
+    token the same span."""
     source = _pair_source(50, "# presential zz at ;")
     tokens = _tokenize(source, "<input>", [])
     first = _Positions(source, "<input>", tokens)
@@ -631,7 +633,6 @@ def test_a_run_of_unlexable_characters_gets_one_diagnostic():
         ("<input>:1:22: unexpected-token: unexpected characters '#.>\\\\'", 4),
         ("<input>:1:27: unexpected-token: unexpected characters '\u00e9\\xa0\u00e9'", 3),
         ("<input>:2:1: unexpected-token: unexpected characters '-#'", 2),
-        ("<input>:2:3: unexpected-token: expected a declaration keyword, found '-1/2'", 4),
     ]
 
 
@@ -712,6 +713,21 @@ def test_a_rejected_chronoid_is_not_also_undeclared():
     ]
 
 
+def test_a_sample_under_an_undeclared_extent_is_still_checked_for_a_twin():
+    source = (
+        "chronoid c = [0, 1];\npresential a at c@0;\nproperty speed : numeric global;\n"
+        "process p extent nowhere { boundary 0 -> a; boundary 0 -> a; "
+        "trajectory speed { 0 -> 1; 0 -> 2; } }"
+    )
+    with pytest.raises(ParseError) as err:
+        parse(source)
+    assert [str(d) for d in err.value.diagnostics] == [
+        "<input>:4:18: dangling-reference: chronoid 'nowhere' is not declared",
+        "<input>:4:54: duplicate-id: boundary at 0 is declared twice",
+        "<input>:4:89: duplicate-id: trajectory sample at 0 is declared twice",
+    ]
+
+
 def test_a_rejected_sample_target_still_occupies_its_endpoint():
     base = "chronoid c = [0, 2];\npresential a at c@0;\npresential b at c@2;\n"
     cases = (
@@ -789,6 +805,27 @@ def test_recovery_skips_to_the_end_of_the_failing_declaration():
             ["<input>:2:1: unexpected-token: expected ';', found 'process'",
              "<input>:3:17: unexpected-token: expected ',', found '1'"],
         ),
+        (  # a bad run is skipped as a stray token is: the declaration after it is one error
+            "chronoid c = [0, 1];\n# presential zz at ;",
+            ["<input>:2:1: unexpected-token: unexpected character '#'"],
+        ),
+        (
+            "chronoid c = [0, 1];\nfoo presential zz at ;",
+            ["<input>:2:1: unexpected-token: expected a declaration keyword, found 'foo'"],
+        ),
+        (  # inside a declaration too: the lexer's diagnostic is the only one
+            "presential p at c@0 { color = r#ed; }",
+            ["<input>:1:32: unexpected-token: unexpected character '#'"],
+        ),
+        (  # a property's '}' closes its symbols, not the declaration: its ';' ends the skip
+            "property color : categorical { red, , blue } isolated;",
+            ["<input>:1:37: unexpected-token: expected a symbol, found ','"],
+        ),
+        (
+            "property color : categorical { r#ed, blue } isolated;\nchronoid d = [0 1];",
+            ["<input>:1:33: unexpected-token: unexpected character '#'",
+             "<input>:2:17: unexpected-token: expected ',', found '1'"],
+        ),
     )
     for source, diagnostics in cases:
         with pytest.raises(ParseError) as err:
@@ -839,13 +876,13 @@ def test_a_file_with_a_lexical_or_syntax_error_gets_no_linker_diagnostics():
 
 def test_parse_pauses_the_collector_and_restores_its_state(monkeypatch):
     seen = []
-    tokenize = dsl._tokenize
+    lex = dsl._lex
 
-    def watched(source, file, diagnostics):
+    def watched(source):
         seen.append(gc.isenabled())
-        return tokenize(source, file, diagnostics)
+        return lex(source)
 
-    monkeypatch.setattr(dsl, "_tokenize", watched)
+    monkeypatch.setattr(dsl, "_lex", watched)
     was = gc.isenabled()
     try:
         for enabled in (True, False):

@@ -172,9 +172,9 @@ DIGESTS = {
     "dump": "009f9693fded42f5ffecbead1ba9d73aa5e852aa823a439319e77eab2d113a6f",
     "serialize": "34d1b576b3134b1c54cdf740a0ace2d08bea1fe4f80367fa571ca8262103dc59",
     "query": "29bdf064e078658571bd1c28e383ae89822d86bb61a472ef1f2a8f0a1ac4809e",
-    "mutations": "d5492dd4c435e778fbf285062939c703c5835676cdd51f59053e0beec2578ec0",
+    "mutations": "863e90988b847589907d46d29ff60daa88caafebcc7d8ea40d0401ffe7fe03f8",
     "parse-query": "7796bf16770c973adc235efdf6f482ceefe2801f50802b5a13fafd1725d5ac56",
-    "lexer": "e9945695ad173ca013724a874f93a465dd45935737e322c3572cc5c8ad14317b",
+    "lexer": "d5a47519f207e77b5681baac34c648b3576cee4e09fc922bc78458469be3e610",
     "linker": "a945d2d049a142b531b1954a7322d7460d6e2f9d974431731db789b8f59438c1",
     "render": "1dd59fc863b3e72c57d02c400a221c54f2dfb6a66c8efbd54144590af2760f6e",
 }
