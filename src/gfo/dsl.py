@@ -7,11 +7,11 @@ or raises :class:`ParseError` carrying span-annotated diagnostics — never a
 partial model.  Each pass records its faults by index into one token list,
 a bad run's token included, and one walk locates them all at the end.  The
 lexer and the parser report every error they can: recovery skips to the
-end of the failing declaration, a bad run as a stray token, and goes on
-with the next.  The linker (the second pass) runs only on a clean parse,
-so none of its diagnostics follows from a lexical or syntax error.  It too
-reports every fault it finds, and builds every declaration as written; any
-diagnostic discards the model it built.
+next declaration keyword at column 1, past a bad run as past a stray
+token, and goes on from there.  The linker (the second pass) runs only on
+a clean parse, so none of its diagnostics follows from a lexical or syntax
+error.  It too reports every fault it finds, and builds every declaration
+as written; any diagnostic discards the model it built.
 
 ``model_to_json`` is the one canonical view of a store: map entries in
 coordinate order, sets sorted, rationals normalized.  `gfo dump` prints it
@@ -530,18 +530,12 @@ class _Parser:
 
     # -- recovery --------------------------------------------------------------
 
-    def sync(self, start: int, keywords) -> None:
-        """Skip to the end of the declaration whose tokens after its keyword
-        begin at ``start``, counting the braces it opened before the error.
-        One of the declaration ``keywords`` at column 1 ends the skip
-        unconsumed, at any depth: it begins the next declaration, whether
-        the error left a block unbalanced or came before the declaration's
-        ``;``.  A ``fact`` does so only as ``fact name =``, not as a
-        concept's ``fact relator(...)`` item.  A property's ``}`` closes its
-        symbol list, not the declaration, which only its ``;`` ends."""
-        texts = [tok.text for tok in self.tokens[start : self.pos]]
-        depth = texts.count("{") - texts.count("}")
-        block = self.tokens[start - 1].text != "property"  # a '}' may end the declaration
+    def sync(self, keywords) -> None:
+        """Skip to the next of the declaration ``keywords`` at column 1, which
+        ends the skip unconsumed and begins the next declaration, or to the
+        end of input.  Nothing else ends it: the layout, not the tokens the
+        error left, marks where a declaration begins.  A ``fact`` does so
+        only as ``fact name =``, not as a concept's ``fact relator(...)`` item."""
         while True:
             tok = self.tokens[self.pos]
             if tok.kind == EOF:
@@ -550,17 +544,6 @@ class _Parser:
                 after = self.tokens[self.pos + 2 : self.pos + 3]  # '=' in `fact name =`
                 if tok.text != "fact" or (after and after[0].text == "="):
                     return
-            if tok.text == "{":
-                depth += 1
-            elif tok.text == "}":
-                if depth <= 1 and block:
-                    self.pos += 1
-                    self.end_block()
-                    return
-                depth -= 1
-            elif tok.text == ";" and depth <= 0:
-                self.pos += 1
-                return
             self.pos += 1  # never past EOF, which ends the skip above
 
     # -- statements --------------------------------------------------------------
@@ -583,19 +566,7 @@ class _Parser:
         while self.tokens[self.pos].kind != EOF:
             tok = self.tokens[self.pos]
             handler = table.get(tok.text) if tok.kind == IDENT else None
-            if handler is None and self.at_punct(";"):
-                # each ';' of a run ends an empty declaration: one error for the
-                # run, and nothing after it is skipped
-                first = self.pos
-                while self.at_punct(";"):
-                    self.pos += 1
-                head, last = self.positions.span(first), self.positions.span(self.pos - 1)
-                length = last.column + 1 - head.column if last.line == head.line else 1
-                stray = "expected a declaration keyword, found ';'"
-                self.diagnostics.append((first, "unexpected-token", stray, length))
-                continue
             self.pos += 1  # the keyword, or the token that should have been one
-            start = self.pos
             try:
                 if handler is None:
                     raise _Syntax(
@@ -604,7 +575,7 @@ class _Parser:
                 decls.append((tok.text, *handler()))
             except _Syntax as err:
                 self.report(err)
-                self.sync(start, table)
+                self.sync(table)
         return decls
 
     def chronoid(self) -> tuple:
@@ -744,6 +715,7 @@ class _Linker:
         self.chron_decls: dict = {}
         self.entity_decls: dict = {}  # name -> first record of an individual
         self.fn_decls: dict = {}
+        self.twice: set = set()  # (kind, name) of each name declared twice under one kind
 
     def diag(self, i: int, code: str, message: str) -> None:
         self.found.append((i, code, message, 0))
@@ -765,6 +737,7 @@ class _Linker:
             if prior is record:
                 continue
             if prior[0] == kind:
+                self.twice.add((kind, name))
                 self.diag(name_at, "duplicate-id", f"{kind} {name!r} is declared twice")
             else:
                 self.diag(
@@ -901,7 +874,8 @@ class _Linker:
                     self.check_value(pdef, value)
                 else:
                     valuation[text] = v
-            if boundary is not None:  # coordinate-mismatch reads pres.at
+            # a name declared twice is left out: neither record drives a coordinate-mismatch
+            if boundary is not None and ("presential", name) not in self.twice:
                 self.presentials[name] = Presential(name, boundary, valuation, material)
 
     def _sample_map(self, name_at: int, entries, ch, keyword: str) -> dict:

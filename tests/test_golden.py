@@ -172,7 +172,7 @@ DIGESTS = {
     "dump": "009f9693fded42f5ffecbead1ba9d73aa5e852aa823a439319e77eab2d113a6f",
     "serialize": "34d1b576b3134b1c54cdf740a0ace2d08bea1fe4f80367fa571ca8262103dc59",
     "query": "29bdf064e078658571bd1c28e383ae89822d86bb61a472ef1f2a8f0a1ac4809e",
-    "mutations": "863e90988b847589907d46d29ff60daa88caafebcc7d8ea40d0401ffe7fe03f8",
+    "mutations": "e803a973b834baf972efdd7a1ff58e739222a567eb1b3e3f2a1ad85840678ae9",
     "parse-query": "7796bf16770c973adc235efdf6f482ceefe2801f50802b5a13fafd1725d5ac56",
     "lexer": "d5a47519f207e77b5681baac34c648b3576cee4e09fc922bc78458469be3e610",
     "linker": "a945d2d049a142b531b1954a7322d7460d6e2f9d974431731db789b8f59438c1",
