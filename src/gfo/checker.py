@@ -45,7 +45,6 @@ class Violation:
     axiom: str
     subjects: tuple
     message: str
-    severity: str = "error"
     at: Fraction | None = None
 
     def __post_init__(self) -> None:
@@ -70,7 +69,7 @@ class Violation:
             "axiom": self.axiom,
             "subjects": list(self.subjects),
             "message": self.message,
-            "severity": self.severity,
+            "severity": "error",
         }
         if self.at is not None:
             out["at"] = coord_str(self.at)

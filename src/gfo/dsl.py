@@ -239,8 +239,8 @@ def _lexeme(text: str, faults: dict) -> Token:
     elif kind == STRING:  # closed by a last '"' after an even run of backslashes
         body = text[1:-1]
         if len(text) < 2 or text[-1] != '"' or (len(body) - len(body.rstrip("\\"))) % 2:
-            body = text[1:]
             faults[text] = ("unexpected-token", "unterminated string literal", 1)
+            return Token(BAD, text, text)  # no value: the parser rejects it as a bad run
         value = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), body)
     elif kind == BAD:
         error = f"unexpected character{'s' if len(text) > 1 else ''} {_shown(text)}"
@@ -698,12 +698,14 @@ class _Parser:
 class _Linker:
     """The second pass: resolves the parser's records into the model's stores.
 
-    Each stage reports every fault it finds and then builds each declaration
-    from its tokens as written.  It leaves a value out only where a later
-    check reads it, so that a rejected declaration drives no follow-on
-    diagnostic.  Any diagnostic discards the model.  Entities are built
-    with positional arguments, which a frozen dataclass binds faster than
-    keywords.
+    ``register`` reports every name declared twice.  Then each stage builds
+    and checks every record of its kind in source order, reports every
+    fault it finds, and builds each declaration from its tokens as written.
+    It leaves a value out only where a later check reads it, so that a
+    rejected declaration drives no follow-on diagnostic: ``store`` maps a
+    name declared twice to None, and a check reads only what is stored.
+    Any diagnostic discards the model.  Entities are built with positional
+    arguments, which a frozen dataclass binds faster than keywords.
     """
 
     def __init__(self, decls: list, tokens: list, found: list):
@@ -711,21 +713,23 @@ class _Linker:
         self.tokens = tokens
         self.found = found  # the load's faults, empty on a clean parse: see _lex
         self.groups: dict = defaultdict(list)  # keyword -> its records in source order
-        self.prop_decls: dict = {}
-        self.chron_decls: dict = {}
         self.entity_decls: dict = {}  # name -> first record of an individual
-        self.fn_decls: dict = {}
-        self.twice: set = set()  # (kind, name) of each name declared twice under one kind
 
     def diag(self, i: int, code: str, message: str) -> None:
         self.found.append((i, code, message, 0))
 
+    def store(self, table: dict, name: str, value) -> None:
+        """Store a declaration built from its record.  A name declared twice, a
+        chronoid of no duration and a presential of no boundary map to None,
+        which no check reads: a name in ``table`` is declared all the same."""
+        table[name] = None if name in table else value
+
     # -- namespace registration ------------------------------------------------
 
     def register(self) -> None:
-        # keyword -> its name table; an exe or instance record declares no id
+        # keyword -> its namespace; an exe or instance record declares no id
         tables = dict.fromkeys(["exe", "requirement-instance", "goal-instance"])
-        tables.update(property=self.prop_decls, chronoid=self.chron_decls, function=self.fn_decls)
+        tables.update(property={}, chronoid={}, function={})
         for record in self.decls:
             kind, name_at = record[0], record[1]
             self.groups[kind].append(record)
@@ -737,7 +741,6 @@ class _Linker:
             if prior is record:
                 continue
             if prior[0] == kind:
-                self.twice.add((kind, name))
                 self.diag(name_at, "duplicate-id", f"{kind} {name!r} is declared twice")
             else:
                 self.diag(
@@ -766,7 +769,7 @@ class _Linker:
     def resolve_chronoid(self, ref: int):
         text = self.tokens[ref].text
         ch = self.chronoids.get(text)
-        if ch is None and text not in self.chron_decls:  # a rejected one was reported
+        if ch is None and text not in self.chronoids:  # a rejected one was reported
             self.diag(ref, "dangling-reference", f"chronoid {text!r} is not declared")
         return ch
 
@@ -785,7 +788,7 @@ class _Linker:
     def resolve_property(self, ref: int):
         text = self.tokens[ref].text
         pdef = self.property_defs.get(text)
-        if pdef is None:
+        if pdef is None and text not in self.property_defs:  # a rejected one was reported
             self.diag(ref, "unknown-id", f"property {text!r} is not declared")
         return pdef
 
@@ -811,29 +814,25 @@ class _Linker:
 
     def build_properties(self) -> None:
         self.property_defs = {}
-        for name, (_, _, domain_kind, symbols, support_kind, radius_at) in self.prop_decls.items():
+        for _, name_at, domain_kind, symbols, support_kind, radius_at in self.groups["property"]:
             radius = None
             if radius_at is not None:
                 radius = self.tokens[radius_at].value
                 if radius <= 0:
-                    self.diag(
-                        radius_at,
-                        "bad-value",
-                        "window radius must be strictly positive",
-                    )
-            domain = ValueDomain(domain_kind, frozenset(symbols))
-            self.property_defs[name] = PropertyDef(name, domain, Support(support_kind, radius))
+                    self.diag(radius_at, "bad-value", "window radius must be strictly positive")
+            name, domain = self.tokens[name_at].text, ValueDomain(domain_kind, frozenset(symbols))
+            pdef = PropertyDef(name, domain, Support(support_kind, radius))
+            self.store(self.property_defs, name, pdef)
 
     def build_chronoids(self) -> None:
         self.chronoids = {}
-        for name, (_, _, left, right) in self.chron_decls.items():
+        for _, name_at, left, right in self.groups["chronoid"]:
+            name, ch = self.tokens[name_at].text, None
             try:
-                self.chronoids[name] = Chronoid(
-                    name, self.tokens[left].value, self.tokens[right].value
-                )
+                ch = Chronoid(name, self.tokens[left].value, self.tokens[right].value)
             except ZeroOrNegativeDuration as err:
-                # left out: resolve_chronoid then gives no chronoid to check against
                 self.diag(left, "zero-duration", str(err))
+            self.store(self.chronoids, name, ch)
 
     def _boundary_at(self, chron: int, i: int):
         ch = self.chronoids.get(self.tokens[chron].text)
@@ -874,9 +873,8 @@ class _Linker:
                     self.check_value(pdef, value)
                 else:
                     valuation[text] = v
-            # a name declared twice is left out: neither record drives a coordinate-mismatch
-            if boundary is not None and ("presential", name) not in self.twice:
-                self.presentials[name] = Presential(name, boundary, valuation, material)
+            pres = None if boundary is None else Presential(name, boundary, valuation, material)
+            self.store(self.presentials, name, pres)
 
     def _sample_map(self, name_at: int, entries, ch, keyword: str) -> dict:
         # a rejected entry is left out: the duplicate check reads this map
@@ -956,7 +954,7 @@ class _Linker:
                         points[t] = v
                 trajectories[text] = tuple(sorted(points.items()))
             boundary_map = self._sample_map(name_at, boundaries, ch, "boundary")
-            self.processes[name] = Process(name, ch, boundary_map, trajectories)
+            self.store(self.processes, name, Process(name, ch, boundary_map, trajectories))
 
     def build_continuants(self) -> None:
         self.continuants = {}
@@ -964,7 +962,7 @@ class _Linker:
             name = self.tokens[name_at].text
             ch = self.resolve_chronoid(chron)
             exhibit_map = self._sample_map(name_at, exhibits, ch, "exhibits")
-            self.continuants[name] = Continuant(name, ch, exhibit_map, material)
+            self.store(self.continuants, name, Continuant(name, ch, exhibit_map, material))
 
     def build_facts(self) -> None:
         self.facts = {}
@@ -974,9 +972,9 @@ class _Linker:
             entities = args
             relator = tokens[relator_at].text
             literal = "literal arguments are only allowed in property facts"
-            pdef = self.property_defs.get(relator)
-            if pdef is not None:
-                # property fact: (subject entity, literal value)
+            if relator in self.property_defs:
+                # property fact: (subject entity, literal value); a rejected property checks none
+                pdef = self.property_defs[relator]
                 if len(args) != 2:
                     self.diag(
                         relator_at,
@@ -988,14 +986,15 @@ class _Linker:
                 else:
                     entities = args[:1]
                     literal = "the subject of a property fact must be an entity"
-                    if not pdef.domain.admits(tokens[args[1]].value):
+                    if pdef is not None and not pdef.domain.admits(tokens[args[1]].value):
                         self.check_value(pdef, args[1])
             for arg in entities:
                 if tokens[arg].kind == NUMBER:
                     self.diag(arg, "bad-value", literal)
                 elif tokens[arg].text not in declared:  # the clean path, tested in place
                     self.resolve_entity(arg)
-            self.facts[name] = Fact(name, relator, tuple([tokens[arg].value for arg in args]))
+            fact = Fact(name, relator, tuple([tokens[arg].value for arg in args]))
+            self.store(self.facts, name, fact)
 
     def build_situations(self) -> None:
         self.situations = {}
@@ -1019,11 +1018,11 @@ class _Linker:
             for entity in participants:
                 if tokens[entity].text not in declared:
                     self.resolve_entity(entity)
-            self.situations[name] = Situation(
+            self.store(self.situations, name, Situation(
                 name, extent, frozenset([tokens[fact].text for fact in contains]),
                 frozenset([tokens[entity].text for entity in participants]),
                 None if founded is None else tokens[founded].text,
-            )
+            ))
         # facts are properties of processes only through situations; a fact
         # contained in no situation has nothing to be founded on
         for _, name_at, _, _ in self.groups["fact"]:
@@ -1069,7 +1068,8 @@ class _Linker:
     def build_functions(self) -> None:
         self.functions = {}
         tokens = self.tokens
-        for name, (_, name_at, kind, bearer, labels, req, goal, assigned) in self.fn_decls.items():
+        for _, name_at, kind, bearer, labels, req, goal, assigned in self.groups["function"]:
+            name = tokens[name_at].text
             if bearer is not None:
                 self.resolve_entity(bearer)
             elif kind == INDIVIDUAL:
@@ -1081,7 +1081,7 @@ class _Linker:
             for prop, value in assigned:
                 self.resolve_value(prop, value)
             fitem = [(tokens[prop].text, tokens[value].value) for prop, value in assigned]
-            self.functions[name] = FunctionSpec(
+            self.store(self.functions, name, FunctionSpec(
                 id=name,
                 req=self._concept(name_at, "req", req),
                 goal=self._concept(name_at, "goal", goal),
@@ -1089,7 +1089,7 @@ class _Linker:
                 fitem=tuple(sorted(fitem, key=lambda c: (c[0], str(c[1])))),
                 kind=kind,
                 bearer=None if bearer is None else tokens[bearer].text,
-            )
+            ))
 
     def build_assertions(self) -> None:
         tokens = self.tokens
@@ -1102,7 +1102,7 @@ class _Linker:
         for keyword, found in instances.items():
             for _, fn_at, sit in self.groups[keyword]:
                 fn = tokens[fn_at].text
-                if fn not in self.fn_decls:
+                if fn not in self.functions:
                     self.diag(fn_at, "unknown-id", f"function {fn!r} is not declared")
                     continue  # one diagnostic per cause: the situation is not resolved
                 self.resolve_entity(sit, "situation")

@@ -68,9 +68,9 @@ def _literal(text):
 
 def tokens(source, file):
     """``(tokens, diagnostics)`` of the lexer on ``source``: each token, a bad
-    run's too, as a ``(kind, text, value, line, column)`` tuple, its line
-    counted from the newlines before it and its value computed afresh for
-    every literal.
+    run's too (an unclosed string is one), as a ``(kind, text, value, line,
+    column)`` tuple, its line counted from the newlines before it and its
+    value computed afresh for every literal.
 
     It splits the source by docs/grammar.md alone: at each offset it skips
     blanks and comments, then takes the first class of the table that
@@ -99,8 +99,8 @@ def tokens(source, file):
             code = "bad-rational"
         elif kind == "string":
             value = re.sub(r"\\([\s\S])", lambda e: ESCAPES.get(e[1], e[1]), fit["body"])
-            if fit["closed"] is None:
-                error, length = "unterminated string literal", 1
+            if fit["closed"] is None:  # a bad run, its value its text
+                kind, value, error, length = "bad", text, "unterminated string literal", 1
         elif kind == "bad":
             plural = "s" if len(text) > 1 else ""
             error = f"unexpected character{plural} {text[:20]!r}" + ("..." if len(text) > 20 else "")

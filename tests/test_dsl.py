@@ -768,6 +768,57 @@ def test_a_duplicated_presential_drives_no_check():
     ]
 
 
+# a conflicting copy of each declaration of a kind; ``{}`` is its name
+CONFLICTING_COPIES = (
+    ("chronoids", "chronoid {} = [1000, 1001];"),
+    ("property_defs", "property {} : categorical {{ zz_fresh }} isolated;"),
+    ("functions", "function {} {{ requires {{ fact zz_fresh(x); }} achieves {{ fact zz_fresh(x); }} }}"),
+)
+
+
+def test_a_name_declared_twice_drives_no_check():
+    """A conflicting copy of each chronoid, property and function of the
+    corpus and of EVERY_KIND, put before the file and after it, gives its
+    ``duplicate-id`` and nothing else: neither record is checked against."""
+    sources = 0
+    for path in [*corpus_files(), EVERY_KIND]:
+        source = path.read_text(encoding="utf-8")
+        m = parse(source)
+        for store, copy in CONFLICTING_COPIES:
+            for name in getattr(m, store):
+                line = copy.format(name)
+                for where, planted in (("first", f"{line}\n{source}"), ("last", f"{source}\n{line}\n")):
+                    sources += 1
+                    assert codes_of(planted) == ["duplicate-id"], (path.name, line, where)
+    assert sources == 76
+
+
+def test_each_record_of_a_name_declared_twice_is_checked():
+    heart = (REPO / "corpus" / "heart.gfo").read_text(encoding="utf-8") + "\n"
+    at = f"<input>:{heart.count(chr(10)) + 1}"  # the line appended to heart.gfo
+    cases = (
+        ("property p : numeric;\nproperty p : numeric nonisolated(0);",
+         ["<input>:2:10: duplicate-id: property 'p' is declared twice",
+          "<input>:2:34: bad-value: window radius must be strictly positive"]),
+        ("chronoid c = [0, 1];\nchronoid c = [1, 1];",
+         ["<input>:2:10: duplicate-id: chronoid 'c' is declared twice",
+          "<input>:2:15: zero-duration: chronoid 'c': [1, 1] has no duration"]),
+        (heart + "function f_pump bearer nobody { }",
+         [f"{at}:10: duplicate-id: function 'f_pump' is declared twice",
+          f"{at}:10: empty-concept: function 'f_pump' needs a non-empty 'achieves' block",
+          f"{at}:10: empty-concept: function 'f_pump' needs a non-empty 'requires' block",
+          f"{at}:24: dangling-reference: 'nobody' is not declared"]),
+        # the fact's relator names a property declared twice: no value is checked against either
+        ("property p : categorical { zz } isolated;\nproperty p : numeric;\nchronoid c = [0, 1];\n"
+         "presential a at c@0;\nfact f = p(a, 3);\nsituation s during c { contains f; }",
+         ["<input>:2:10: duplicate-id: property 'p' is declared twice"]),
+    )
+    for source, diagnostics in cases:
+        with pytest.raises(ParseError) as err:
+            parse(source)
+        assert [str(d) for d in err.value.diagnostics] == diagnostics
+
+
 def test_recovery_skips_to_the_end_of_the_failing_declaration():
     cases = (
         (
@@ -822,6 +873,12 @@ def test_recovery_skips_to_the_end_of_the_failing_declaration():
         (  # the string swallows the ';': the property is parsed, not skipped to its '}'
             'chronoid "open = [0, 3];\n\nproperty color : categorical { blue, red } isolated;',
             ["<input>:1:10: unexpected-token: unterminated string literal"],
+        ),
+        (  # an unterminated string is a bad run, which the parser reads as no value
+            (REPO / "corpus" / "functions_universal.gfo").read_text(encoding="utf-8").replace(
+                'label "to boil water";', 'label "open  ;'
+            ),
+            ["<input>:65:9: unexpected-token: unterminated string literal"],
         ),
         (  # a missing ';' before a column-1 keyword: that keyword ends the skip
             "property hue : categorical { red } isolated\n"
@@ -1038,13 +1095,12 @@ def single_token_edits(path, fillers=EDIT_FILLERS) -> int:
     every diagnostic lies inside the edited source, and every model is a
     ``serialize`` fixed point.  One edit has one cause, so it gets at most
     one ``unexpected-token``, with one exception: the lexer's ``unterminated
-    string literal`` is not counted.  A planted ``"`` may pair with a later
-    quote on its line and leave that quote unterminated, and the lexer
-    reports it however the parser recovers.  So the law also lets pass the
-    one follow-on of an unterminated string, which the parser reads as a
-    value: its ``;`` is inside the string.  Under ``_ComparedParser``, as
-    the test and the CI run use it, every first pass also agrees with the
-    per-token parser's.  Returns the number of edits."""
+    string literal`` is not counted.  A planted ``"`` may pair with the
+    opening quote of a label on its line, and leave the label's closing
+    quote unterminated: the edit makes two faults, and the lexer reports the
+    second however the parser recovers from the first.  Under
+    ``_ComparedParser``, as the test and the CI run use it, every first pass
+    also agrees with the per-token parser's.  Returns the number of edits."""
     source = path.read_text(encoding="utf-8")
     tokens = _tokenize(source, path.name, [])
     positions = _Positions(source, path.name, tokens)

@@ -174,7 +174,7 @@ DIGESTS = {
     "query": "29bdf064e078658571bd1c28e383ae89822d86bb61a472ef1f2a8f0a1ac4809e",
     "mutations": "e803a973b834baf972efdd7a1ff58e739222a567eb1b3e3f2a1ad85840678ae9",
     "parse-query": "7796bf16770c973adc235efdf6f482ceefe2801f50802b5a13fafd1725d5ac56",
-    "lexer": "d5a47519f207e77b5681baac34c648b3576cee4e09fc922bc78458469be3e610",
+    "lexer": "448a60877c8fd89f99f2286f2067176f171185a06e3499dc10265b110da8df7b",
     "linker": "a945d2d049a142b531b1954a7322d7460d6e2f9d974431731db789b8f59438c1",
     "render": "1dd59fc863b3e72c57d02c400a221c54f2dfb6a66c8efbd54144590af2760f6e",
 }
