@@ -85,6 +85,14 @@ def coord_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def fmt_value(value):
+    """A value or argument as the canonical view holds it: rationals as
+    ``p/q``, anything else unchanged."""
+    if isinstance(value, str):  # the common case, and cheaper to test than the Fraction ABC
+        return value
+    return coord_str(value) if isinstance(value, Fraction) else value
+
+
 def no_duration(l: Fraction, r: Fraction) -> str | None:
     """The message for a span [l, r] that has no duration (l >= r), else None."""
     return f"[{coord_str(l)}, {coord_str(r)}] has no duration" if l >= r else None

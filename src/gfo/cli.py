@@ -18,8 +18,8 @@ from functools import cache
 from json.encoder import encode_basestring_ascii
 
 from . import checker
-from .chrono import coord, coord_str
-from .dsl import NUMBER, ParseError, _tokenize, fmt_value, model_to_json, parse_file, parse_query
+from .chrono import coord, coord_str, fmt_value
+from .dsl import NUMBER, ParseError, _tokenize, model_to_json, parse_file, parse_query
 from .errors import GfoError
 from .functions import _executed, is_actual_realization, is_actual_realizer
 from .model import Model
@@ -82,15 +82,22 @@ def _json_parts(value, pad: str, out: list) -> None:
 
 def _emit_json(payload) -> None:
     """Write ``payload`` as ``print(json.dumps(payload, indent=2,
-    sort_keys=True))`` would, in about half the time.  The writer,
-    ``_json_parts``, is pinned to ``json.dumps(indent=2, sort_keys=True)``
-    by a differential test in tests/test_cli.py, for payloads like gfo's:
-    string keys; strings, numbers, booleans, None, lists and tuples as
-    values."""
-    out: list = []
-    _json_parts(payload, "\n", out)
-    out.append("\n")
-    _write("".join(out))
+    sort_keys=True))`` would, in about half the time; differential tests in
+    tests/test_cli.py pin the two together for payloads like gfo's: string
+    keys; strings, numbers, booleans, None, lists and tuples as values.  A
+    dict is written one entry at a time, so the parts held at once are
+    those of its largest entry, not of the whole document."""
+    if not (isinstance(payload, dict) and payload):
+        _json_parts(payload, "\n", out := [])
+        _write("".join(out) + "\n")
+        return
+    sep = "{\n  "
+    for key, item in sorted(payload.items()):
+        out = [sep + encode_basestring_ascii(key) + ": "]
+        _json_parts(item, "\n  ", out)
+        _write("".join(out))
+        sep = ",\n  "
+    _write("\n}\n")
 
 
 def _emit_diagnostics(exc: ParseError, output_format: str) -> None:

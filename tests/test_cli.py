@@ -1,9 +1,13 @@
+import contextlib
 import gc
+import hashlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -15,6 +19,9 @@ from genmodels import all_miss_model, random_full_model
 from gfo import checker, cli
 from gfo.dsl import ParseError, parse, parse_file, serialize
 from helpers import CORPUS, REPO, SCHEMA, corpus_files, lines_run, run_cli
+
+sys.path.insert(0, str(REPO / "perfbench"))
+import worlds  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -538,14 +545,18 @@ def test_color_env_toggles_ansi():
     assert "\x1b[31m" in colored[1]
 
 
+_EMIT_JSON = cli._emit_json  # the writer itself, should a test replace it in cli
+
+
 def _written(payload) -> str:
-    out: list = []
-    cli._json_parts(payload, "\n", out)
-    return "".join(out)
+    """What ``_emit_json`` writes to stdout for ``payload``."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        _EMIT_JSON(payload)
+    return out.getvalue()
 
 
 def _dumps(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_json_writer_matches_json_dumps_on_every_corpus_payload(monkeypatch):
@@ -610,6 +621,26 @@ def test_json_writer_matches_json_dumps_on_random_payloads():
         assert _written(payload) == _dumps(payload), payload
 
 
+def test_the_json_writer_holds_one_store_of_a_dump_at_a_time(monkeypatch):
+    """``gfo dump`` of 2000 presentials writes each store as it is rendered,
+    so the writer's memory peak stays under 4 times the bytes it writes; a
+    document joined whole peaks at 7 to 8 times.  The bytes are those of
+    ``json.dumps``, compared by digest so that no copy of them is traced."""
+    m = parse(worlds._flat_world(random.Random(1), 2000)[0])
+    payload = cli.model_to_json(m)
+    digest, written = hashlib.sha256(), []
+    monkeypatch.setattr(cli, "_write", lambda text: digest.update(text.encode()) or written.append(len(text)))
+    tracemalloc.start()
+    try:
+        cli._emit_json(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert digest.hexdigest() == hashlib.sha256(_dumps(payload).encode()).hexdigest()
+    assert peak < 4 * sum(written), (peak, sum(written))
+    assert len(written) == len(payload) + 1  # an entry a write, then the closing brace
+
+
 def _closing_world(n: int, loads: bool) -> str:
     """A world whose check report, dump and ``--changes ball`` answer each
     exceed a 64 KiB pipe buffer: ``ball`` changes colour between each two of
@@ -645,6 +676,22 @@ def test_a_closed_stdout_ends_quietly_with_the_verdict(tmp_path, argv, loads, ve
         err = proc.stderr.read()
         code = proc.wait(timeout=120)
     assert (code, err) == (verdict, b"")
+
+
+def test_compiling_each_module_peaks_under_3_mb():
+    """Without a bytecode cache every start compiles every module, and the
+    compiler's memory peaks near 68 bytes per source byte, so the largest
+    module sets a fresh start's high-water (docs/semantics.md, "Cold start")."""
+    peaks = {}
+    for path in sorted((REPO / "src" / "gfo").glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        tracemalloc.start()
+        try:
+            compile(source, str(path), "exec", dont_inherit=True)
+            peaks[path.name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert max(peaks.values()) < 3_000_000, peaks
 
 
 def test_importing_the_cli_loads_no_typing():

@@ -768,29 +768,54 @@ def test_a_duplicated_presential_drives_no_check():
     ]
 
 
-# a conflicting copy of each declaration of a kind; ``{}`` is its name
+# a conflicting copy of each declaration of a store, ``{}`` its name, and the
+# one diagnostic it gives; an individual's copy is one of another kind
+_SITUATION_COPY = "chronoid zz_span = [0, 1]; situation {} during zz_span;"
 CONFLICTING_COPIES = (
-    ("chronoids", "chronoid {} = [1000, 1001];"),
-    ("property_defs", "property {} : categorical {{ zz_fresh }} isolated;"),
-    ("functions", "function {} {{ requires {{ fact zz_fresh(x); }} achieves {{ fact zz_fresh(x); }} }}"),
+    ("chronoids", "chronoid {} = [1000, 1001];", "duplicate-id"),
+    ("property_defs", "property {} : categorical {{ zz_fresh }} isolated;", "duplicate-id"),
+    ("functions", "function {} {{ requires {{ fact zz_fresh(x); }} achieves {{ fact zz_fresh(x); }} }}",
+     "duplicate-id"),
+    *((store, _SITUATION_COPY, "kind-conflict") for store in ("presentials", "processes", "continuants", "facts")),
+    ("situations", "chronoid zz_span = [0, 1]; presential {} at zz_span@0;", "kind-conflict"),
 )
 
 
 def test_a_name_declared_twice_drives_no_check():
-    """A conflicting copy of each chronoid, property and function of the
-    corpus and of EVERY_KIND, put before the file and after it, gives its
-    ``duplicate-id`` and nothing else: neither record is checked against."""
-    sources = 0
+    """A conflicting copy of each chronoid, property, function and entity of
+    the corpus and of EVERY_KIND, put before the file and after it, gives its
+    ``duplicate-id`` or ``kind-conflict`` and nothing else: neither record is
+    checked against."""
+    sources = dict.fromkeys(["duplicate-id", "kind-conflict"], 0)
     for path in [*corpus_files(), EVERY_KIND]:
         source = path.read_text(encoding="utf-8")
         m = parse(source)
-        for store, copy in CONFLICTING_COPIES:
+        for store, copy, code in CONFLICTING_COPIES:
             for name in getattr(m, store):
                 line = copy.format(name)
                 for where, planted in (("first", f"{line}\n{source}"), ("last", f"{source}\n{line}\n")):
-                    sources += 1
-                    assert codes_of(planted) == ["duplicate-id"], (path.name, line, where)
-    assert sources == 76
+                    sources[code] += 1
+                    assert codes_of(planted) == [code], (path.name, line, where)
+    assert sources == {"duplicate-id": 76, "kind-conflict": 274}
+
+
+def test_a_name_of_two_kinds_drives_no_check_in_either_order():
+    """A name declared as a process and as a presential gets the one
+    ``kind-conflict`` of its second record, whichever comes first: the
+    exhibit that names it is checked against neither."""
+    head = "chronoid c = [0, 1];\npresential a at c@0;\npresential b at c@1;\n"
+    process, presential = "process x extent c { boundary 0 -> a; boundary 1 -> b; }", "presential x at c@0;"
+    exhibits = "continuant k lifetime c { exhibits 0 -> x; exhibits 1 -> b; }"
+    cases = (
+        (process, presential, "<input>:5:12: kind-conflict: 'x' is already declared as a process, "
+         "cannot also be a presential"),
+        (presential, process, "<input>:5:9: kind-conflict: 'x' is already declared as a presential, "
+         "cannot also be a process"),
+    )
+    for first, second, diagnostic in cases:
+        with pytest.raises(ParseError) as err:
+            parse(f"{head}{first}\n{second}\n{exhibits}\n")
+        assert [str(d) for d in err.value.diagnostics] == [diagnostic]
 
 
 def test_each_record_of_a_name_declared_twice_is_checked():
