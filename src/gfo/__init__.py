@@ -10,7 +10,8 @@ from . import checker, chrono, dsl, errors, functions, model, truthmakers
 
 __version__ = "0.1.0"
 
-# the package's public names, each named once under the module defining it
+# the package's public names, and its only export list: each named once under
+# the module defining it
 _EXPORTS = (
     (chrono, "Chronoid TimeBoundary coord coord_str make_chronoid inner_boundary left_boundary"
              " right_boundary coincides meets temporal_part_chronoid"),

@@ -317,8 +317,7 @@ def check_presential_dependence(m: Model) -> list[Violation]:
         pres_id for p in m.processes.values() for pres_id in p.boundary_map.values()
     }
     out = []
-    for pres_id in sorted(m.presentials):
-        pres = m.presentials[pres_id]
+    for pres_id, pres in m.presentials.items():
         if pres.material and pres_id not in referenced:
             out.append(
                 Violation(
@@ -394,24 +393,3 @@ def detect_process_changes(
                  2 * t1.denominator * t2.denominator)
         for t1, t2 in changed
     ]
-
-
-__all__ = [
-    "DISJOINTNESS",
-    "INTEGRATION",
-    "INTEGRATION_NO_PROCESS",
-    "PRESENTIAL_DEPENDENCE",
-    "REGISTERED_AXIOMS",
-    "IDENTITY",
-    "VALUATION",
-    "Violation",
-    "IntegrationWitness",
-    "sort_violations",
-    "check_disjointness",
-    "check_integration",
-    "derive_process",
-    "complete_integration",
-    "check_presential_dependence",
-    "detect_continuant_changes",
-    "detect_process_changes",
-]

@@ -139,8 +139,7 @@ def _check_report(path: str, m: Model, args) -> dict:
     derived: list = []
     if args.complete:
         m, derived = checker.complete_integration(m, args.integration)
-    for cid in sorted(m.continuants):
-        c = m.continuants[cid]
+    for c in m.continuants.values():
         if not c.material:
             continue
         result = checker.check_integration(m, c, args.integration)

@@ -985,15 +985,3 @@ def _parse_time_ref(parser: _Parser):
         i, j = parser.shaped("[", _COORDINATE, ",", _COORDINATE, "]")
         return DuringSpan(parser.tokens[i].value, parser.tokens[j].value)
     return None
-
-
-__all__ = [
-    "DIAGNOSTIC_CODES",
-    "SourceSpan",
-    "ParseDiagnostic",
-    "ParseError",
-    "parse",
-    "parse_file",
-    "serialize",
-    "parse_query",
-]

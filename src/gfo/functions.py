@@ -21,6 +21,7 @@ from .model import (
     Process,
     Situation,
     Value,
+    process_of,
     sample_map,
     sample_valuation,
     valuation_at,
@@ -195,14 +196,13 @@ def is_universal_realization(process_ids, f: FunctionSpec, m: Model):
     True iff every member realizes ``f`` and the members' realization
     records cover every declared requirement instance of ``f``.  Returns
     (verdict, diagnostics); diagnostics name non-realizing members and
-    uncovered requirement instances.
+    uncovered requirement instances.  A member that is not a process raises
+    as :func:`model.process_of` does.
     """
     diagnostics = []
     covered = set()
     for pid in sorted(process_ids):
-        p = m.processes.get(pid)
-        if p is None:
-            raise UnknownEntity(pid)
+        p = process_of(m, pid, "only processes realize functions")
         record = is_actual_realization(p, f, m)
         if record is None:
             diagnostics.append(f"process {pid!r} is not a realization of {f.id!r}")
@@ -247,23 +247,3 @@ def check_fitem(bearer: str, f: FunctionSpec, m: Model, t: int | str | Fraction)
         )
     unmet = [(prop, want) for prop, want in f.fitem if valuation.get(prop) != want]
     return (not unmet, unmet)
-
-
-__all__ = [
-    "WILDCARD",
-    "CONCEPTUAL",
-    "UNIVERSAL",
-    "INDIVIDUAL",
-    "FUNCTION_KINDS",
-    "FactPattern",
-    "PropertyConstraint",
-    "SituationConcept",
-    "FunctionSpec",
-    "RealizationRecord",
-    "satisfies_concept",
-    "is_actual_realization",
-    "is_universal_realization",
-    "executes",
-    "is_actual_realizer",
-    "check_fitem",
-]

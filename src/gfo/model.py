@@ -252,6 +252,18 @@ def classify(entity_id: str, m: Model) -> Kind:
     raise UnknownEntity(entity_id)
 
 
+def process_of(m: Model, pid: str, why: str) -> Process:
+    """The process ``pid`` names, for every function that takes a process id.
+    Raises TypeError for another individual, ending its message with ``why``,
+    and UnknownEntity for an undeclared id."""
+    p = m.processes.get(pid)
+    if p is None:
+        if m.has_entity(pid):
+            raise TypeError(f"{pid!r} is not a process; {why}")
+        raise UnknownEntity(f"process {pid!r} is not declared")
+    return p
+
+
 def _declared_presential(m, owner, span, extent, sample, samples, t, outside):
     """The presential a sample map holds at the declared sample ``t``: the
     checked lookup behind :func:`snapshot` and :func:`process_boundary`.
@@ -354,28 +366,3 @@ def valuation_at(m: Model, entity_id: str, t: Fraction) -> dict | None:
     raises UnknownEntity for ids that are not individuals at all.
     """
     return sample_valuation(m, sample_map(m, entity_id), t)
-
-
-__all__ = [
-    "CATEGORICAL",
-    "NUMERIC",
-    "ISOLATED",
-    "NON_ISOLATED",
-    "GLOBAL",
-    "Value",
-    "ValueDomain",
-    "Support",
-    "PropertyDef",
-    "Presential",
-    "Process",
-    "Continuant",
-    "Fact",
-    "Situation",
-    "Kind",
-    "Model",
-    "classify",
-    "process_boundary",
-    "snapshot",
-    "process_temporal_part",
-    "valuation_at",
-]

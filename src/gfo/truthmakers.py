@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import MalformedTriple, UnknownEntity, UnknownProperty
+from .errors import MalformedTriple, UnknownProperty
 from .model import (
     GLOBAL,
     ISOLATED,
@@ -22,6 +22,7 @@ from .model import (
     Model,
     Situation,
     Value,
+    process_of,
 )
 from .functions import FactPattern, FunctionSpec, is_actual_realization
 
@@ -143,14 +144,13 @@ def find_truthmakers(m: Model, prop) -> list[TruthMakerTriple]:
     canonical (process, situation, fact) order."""
     matches = _fact_test(prop, m)
     out = []
-    for sid in sorted(m.situations):
-        s = m.situations[sid]
+    for sid, s in m.situations.items():
         # triples built here are founded and constituent by construction, so
         # satisfies() is not re-run on them; unknown processes and facts:
         # guard for hand-built stores only (docs/semantics.md, store invariants)
         if s.founded_on not in m.processes or not _extent_matches(s, prop.time_ref):
             continue
-        for fid in sorted(s.constituents):
+        for fid in s.constituents:
             fact = m.facts.get(fid)
             if fact is not None and matches(fact):
                 out.append(TruthMakerTriple(process=s.founded_on, situation=sid, fact=fid))
@@ -158,21 +158,20 @@ def find_truthmakers(m: Model, prop) -> list[TruthMakerTriple]:
 
 
 def has_propositional_property(p: str, prop, m: Model) -> bool:
-    """True iff the process is a truth-maker for the proposition."""
-    if p not in m.processes:
-        raise UnknownEntity(p)
+    """True iff the process is a truth-maker for the proposition.  An id
+    that is not a process raises as :func:`model.process_of` does."""
+    process_of(m, p, "only processes are truth-makers")
     return any(tm.process == p for tm in find_truthmakers(m, prop))
 
 
 def classify_property_support(prop_name: str, p: str, m: Model) -> SupportClass:
-    """Three-level temporal classification of a process property."""
+    """Three-level temporal classification of a process property.  An
+    undeclared property raises UnknownProperty; an id that is not a process
+    then raises as :func:`model.process_of` does."""
     pdef = m.property_defs.get(prop_name)
     if pdef is None:
         raise UnknownProperty(f"property {prop_name!r} is not declared")
-    if p not in m.processes:
-        if m.has_entity(p):
-            raise TypeError(f"{p!r} is not a process; only process properties are classified")
-        raise UnknownEntity(f"process {p!r} is not declared")
+    process_of(m, p, "only process properties are classified")
     return _SUPPORT_CLASS[pdef.support.kind]
 
 
@@ -181,26 +180,7 @@ def functional_property(p: str, f: FunctionSpec, m: Model) -> bool:
 
     A functional property is always global, never presentic; presentials
     bear no functional properties, so passing a non-process id is a type
-    error at this interface.
+    error at this interface, raised as :func:`model.process_of` does.
     """
-    process = m.processes.get(p)
-    if process is None:
-        if m.has_entity(p):
-            raise TypeError(f"{p!r} is not a process; only processes realize functions")
-        raise UnknownEntity(p)
+    process = process_of(m, p, "only processes realize functions")
     return is_actual_realization(process, f, m) is not None
-
-
-__all__ = [
-    "AtTime",
-    "DuringSpan",
-    "FactProp",
-    "HoldsProp",
-    "TruthMakerTriple",
-    "SupportClass",
-    "satisfies",
-    "find_truthmakers",
-    "has_propositional_property",
-    "classify_property_support",
-    "functional_property",
-]

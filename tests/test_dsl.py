@@ -24,6 +24,7 @@ from gfo.dsl import (
     parse_query,
     serialize,
 )
+from gfo.model import CATEGORICAL
 from helpers import REPO, corpus_files, lines_run, split_statements
 from test_golden import MUTATION_SEED, _mutate
 
@@ -797,6 +798,115 @@ def test_a_name_declared_twice_drives_no_check():
                     sources[code] += 1
                     assert codes_of(planted) == [code], (path.name, line, where)
     assert sources == {"duplicate-id": 76, "kind-conflict": 274}
+
+
+_PLANTED = "zz_planted"  # a name no clean source declares
+# the plants of each linker code in the corpus and EVERY_KIND
+LINKER_PLANTS = {
+    "bad-rational": 140, "bad-value": 37, "coordinate-mismatch": 33, "dangling-reference": 121,
+    "empty-concept": 3, "missing-endpoint": 88, "orphan-fact": 7, "out-of-extent": 72,
+    "unknown-id": 30, "zero-duration": 20,
+}
+
+
+def _linker_plants(source: str) -> list:
+    """``(code, planted source, (line, column))`` for one fault planted at
+    each site of each kind in the clean ``source``, found from the parser's
+    records, so that a comment is no site: a sample's presential renamed
+    (``dangling-reference``), a valuation's property renamed (``unknown-id``),
+    a categorical value renamed (``bad-value``), an endpoint sample deleted
+    (``missing-endpoint``), a presential moved to @1000 (``out-of-extent``), a
+    chronoid's right set to its left (``zero-duration``), a fact's only
+    ``contains`` deleted (``orphan-fact``), an inner sample moved to a fresh
+    inner coordinate (``coordinate-mismatch``), a ``requires`` block emptied
+    (``empty-concept``) and a sample coordinate set to 1/0 (``bad-rational``).
+    The place is that of the token the fault is reported at."""
+    m = parse(source)
+    tokens, found = dsl._lex(source)
+    positions = _Positions(source, "<input>", tokens)
+    decls = dsl._Parser(tokens, positions, found).parse()
+    positions.span(len(tokens) - 1)
+    starts, plants = positions.starts, []
+
+    def plant(code, first, last, text, at):
+        """Tokens ``first`` to ``last`` replaced by ``text``; ``at`` is reported."""
+        begin, end = starts[first], starts[last] + len(tokens[last].text)
+        planted = source[:begin] + text + source[end:]
+        offset = starts[at] if starts[at] <= begin else starts[at] + len(text) - (end - begin)
+        place = (planted.count("\n", 0, offset) + 1, offset - planted.rfind("\n", 0, offset))
+        plants.append((code, planted, place))
+
+    def categorical(prop, value):
+        if m.property_defs[tokens[prop].text].domain.kind == CATEGORICAL:
+            plant("bad-value", value, value, _PLANTED, value)
+
+    containing = {}  # fact name -> the indexes of its ``contains`` entries
+    for record in decls:
+        if record[0] == "situation":
+            for fact in record[5]:
+                containing.setdefault(tokens[fact].text, []).append(fact)
+    for record in decls:
+        kind, name = record[0], record[1]
+        if kind == "chronoid":
+            left, right = record[2:]
+            plant("zero-duration", right, right, tokens[left].text, left)
+        elif kind == "presential":
+            plant("out-of-extent", record[3], record[3], "1000", record[3])
+            for prop, value in record[5]:
+                plant("unknown-id", prop, prop, _PLANTED, prop)
+                categorical(prop, value)
+        elif kind in ("process", "continuant"):
+            if kind == "process":
+                samples, extent = record[3], m.processes[tokens[name].text].extent
+                for prop, points in record[4]:
+                    for t, value in points:
+                        plant("bad-rational", t, t, "1/0", t)
+                        categorical(prop, value)
+            else:
+                samples, extent = record[4], m.continuants[tokens[name].text].lifetime
+            grid = sorted(tokens[t].value for t, _ in samples)
+            for t, target in samples:
+                plant("dangling-reference", target, target, _PLANTED, target)
+                plant("bad-rational", t, t, "1/0", t)
+                at = tokens[t].value
+                if at in (extent.left, extent.right):  # `keyword t -> target ;` deleted
+                    plant("missing-endpoint", t - 1, t + 3, "", name)
+                else:
+                    fresh = (at + grid[grid.index(at) + 1]) / 2
+                    plant("coordinate-mismatch", t, t, coord_str(fresh), target)
+        elif kind == "fact":
+            relator, args = record[2:]
+            entries = containing.get(tokens[name].text, [])
+            if len(entries) == 1:  # `contains fact ;` deleted
+                plant("orphan-fact", entries[0] - 1, entries[0] + 1, "", name)
+            if tokens[relator].text in m.property_defs and len(args) == 2:
+                categorical(relator, args[1])
+        elif kind == "function":
+            requires, achieves, fitem = record[5:]
+            for prop, value in fitem:
+                categorical(prop, value)
+            for item in (*requires, *achieves):
+                if len(item) == 3:  # holds(entity, prop, value)
+                    categorical(*item[1:])
+            if requires:  # the block's `{`: before a first `fact relator` or `holds (entity`
+                brace = requires[0][0] - (2 if len(requires[0]) == 2 else 3)
+                close = next(i for i in range(brace, len(tokens)) if tokens[i].text == "}")
+                plant("empty-concept", brace + 1, close - 1, "", name)
+    return plants
+
+
+def test_a_planted_linker_fault_is_reported_once_at_its_token():
+    """One fault of each linker kind planted at every site of the corpus and
+    of EVERY_KIND gives exactly its one diagnostic, at its own token."""
+    sources = dict.fromkeys(sorted(LINKER_PLANTS), 0)
+    for path in [*corpus_files(), EVERY_KIND]:
+        for code, planted, (line, column) in _linker_plants(path.read_text(encoding="utf-8")):
+            sources[code] += 1
+            with pytest.raises(ParseError) as err:
+                parse(planted)
+            found = [(d.code, d.span.line, d.span.column) for d in err.value.diagnostics]
+            assert found == [(code, line, column)], (path.name, code, line, column)
+    assert sources == LINKER_PLANTS
 
 
 def test_a_name_of_two_kinds_drives_no_check_in_either_order():

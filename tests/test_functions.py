@@ -135,8 +135,10 @@ def test_universal_realization_cases(kettle):
     ok, diags = is_universal_realization({"mid"}, f, m2)
     assert not ok
     assert any("mid" in d and "not a realization" in d for d in diags)
-    with pytest.raises(UnknownEntity):
+    with pytest.raises(UnknownEntity, match="^process 'nosuch' is not declared$"):
         is_universal_realization({"heating_one", "nosuch"}, f, kettle)
+    with pytest.raises(TypeError, match="^'kettle1' is not a process; "):
+        is_universal_realization({"kettle1"}, f, kettle)  # a presential
 
 
 def test_universal_realization_vacuous():

@@ -1,8 +1,10 @@
+import importlib
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+import gfo
 from gfo.chrono import Chronoid, inner_boundary
 from gfo.dsl import parse_file
 from gfo.errors import (
@@ -170,3 +172,54 @@ def test_equal_boundary_maps_do_not_identify_processes():
     assert classify("P1", m2) is Kind.PROCESS
     assert classify("P2", m2) is Kind.PROCESS
     assert len(m2.processes) == 2
+
+
+# the package's export list, in order
+PUBLIC = (
+    "errors Chronoid TimeBoundary coord coord_str make_chronoid inner_boundary left_boundary"
+    " right_boundary coincides meets temporal_part_chronoid Model Presential Process Continuant"
+    " Fact Situation PropertyDef ValueDomain Support Kind classify process_boundary snapshot"
+    " process_temporal_part Violation IntegrationWitness check_disjointness check_integration"
+    " derive_process complete_integration check_presential_dependence detect_continuant_changes"
+    " detect_process_changes FactPattern PropertyConstraint SituationConcept FunctionSpec"
+    " RealizationRecord satisfies_concept is_actual_realization is_universal_realization executes"
+    " is_actual_realizer check_fitem AtTime DuringSpan FactProp HoldsProp TruthMakerTriple"
+    " SupportClass satisfies find_truthmakers has_propositional_property"
+    " classify_property_support functional_property parse parse_file serialize parse_query"
+    " ParseError ParseDiagnostic SourceSpan"
+)
+# names the modules once listed as their own exports, constants among them:
+# each is imported from its module
+MODULE_NAMES = {
+    "model": "CATEGORICAL NUMERIC ISOLATED NON_ISOLATED GLOBAL Value ValueDomain Support"
+             " PropertyDef Presential Process Continuant Fact Situation Kind Model classify"
+             " process_boundary snapshot process_temporal_part valuation_at",
+    "checker": "DISJOINTNESS INTEGRATION INTEGRATION_NO_PROCESS PRESENTIAL_DEPENDENCE"
+               " REGISTERED_AXIOMS IDENTITY VALUATION Violation IntegrationWitness"
+               " sort_violations check_disjointness check_integration derive_process"
+               " complete_integration check_presential_dependence detect_continuant_changes"
+               " detect_process_changes",
+    "functions": "WILDCARD CONCEPTUAL UNIVERSAL INDIVIDUAL FUNCTION_KINDS FactPattern"
+                 " PropertyConstraint SituationConcept FunctionSpec RealizationRecord"
+                 " satisfies_concept is_actual_realization is_universal_realization executes"
+                 " is_actual_realizer check_fitem",
+    "truthmakers": "AtTime DuringSpan FactProp HoldsProp TruthMakerTriple SupportClass"
+                   " satisfies find_truthmakers has_propositional_property"
+                   " classify_property_support functional_property",
+    "dsl": "DIAGNOSTIC_CODES SourceSpan ParseDiagnostic ParseError parse parse_file serialize"
+           " parse_query",
+}
+
+
+def test_the_public_names_resolve():
+    """``gfo.__all__`` is the public API, each name the object of the module
+    that defines it; every name a module ever listed still imports from it."""
+    assert gfo.__all__ == PUBLIC.split()
+    for name in gfo.__all__:
+        assert getattr(gfo, name) is not None, name
+    for module, names in MODULE_NAMES.items():
+        mod = importlib.import_module(f"gfo.{module}")
+        for name in names.split():
+            assert hasattr(mod, name), (module, name)
+            if name in gfo.__all__:
+                assert getattr(gfo, name) is getattr(mod, name), (module, name)

@@ -132,8 +132,10 @@ def test_has_propositional_property(football):
     prop = FactProp("shoots", ("player", "ball", "goalpost"))
     assert has_propositional_property("shooting", prop, football)
     assert not has_propositional_property("ball_proc", prop, football)
-    with pytest.raises(UnknownEntity):
+    with pytest.raises(UnknownEntity, match="^process 'nothing' is not declared$"):
         has_propositional_property("nothing", prop, football)
+    with pytest.raises(TypeError, match="^'ball' is not a process; "):
+        has_propositional_property("ball", prop, football)  # a continuant
 
 
 def test_has_propositional_property_without_founded_situations(football):
@@ -215,7 +217,7 @@ def test_functional_property_rejects_presentials():
     f = m.functions["f_run"]
     with pytest.raises(TypeError):
         functional_property("n0", f, m)
-    with pytest.raises(UnknownEntity):
+    with pytest.raises(UnknownEntity, match="^process 'nothing' is not declared$"):
         functional_property("nothing", f, m)
 
 
