@@ -16,14 +16,13 @@ asserts, and adding it to the model makes the check pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, pairwise
 from operator import itemgetter
 
 from .chrono import Time, coord, coord_str
 from .errors import MalformedContinuant, UnknownProperty
-from .model import CATEGORICAL, Continuant, Model, Process
+from .model import CATEGORICAL, Continuant, Model, Process, Record, _set
 
 DISJOINTNESS = "disjointness"
 INTEGRATION = "integration"
@@ -38,31 +37,24 @@ IDENTITY = "identity"
 VALUATION = "valuation"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """One axiom broken by the subjects, at a coordinate when it has one."""
 
-    axiom: str
-    subjects: tuple
-    message: str
-    at: Fraction | None = None
+    __slots__ = ("axiom", "subjects", "message", "at")
 
-    def __post_init__(self) -> None:
-        if self.axiom not in REGISTERED_AXIOMS:
-            raise ValueError(f"unregistered axiom name: {self.axiom!r}")
-        if not self.subjects:
+    def __init__(self, axiom: str, subjects: tuple, message: str, at: Fraction | None = None):
+        if axiom not in REGISTERED_AXIOMS:
+            raise ValueError(f"unregistered axiom name: {axiom!r}")
+        if not subjects:
             raise ValueError("a violation needs at least one subject")
+        _set(self, "axiom", axiom)
+        _set(self, "subjects", subjects)
+        _set(self, "message", message)
+        _set(self, "at", at)
 
     def sort_key(self):
         # None sorts before any coordinate; message breaks the last ties
-        has_at = self.at is not None
-        return (
-            self.axiom,
-            self.subjects,
-            has_at,
-            self.at if has_at else Fraction(0),
-            self.message,
-        )
+        return self.axiom, self.subjects, self.at is not None, self.at or 0, self.message
 
     def to_json(self) -> dict:
         out = {
@@ -76,17 +68,19 @@ class Violation:
         return out
 
 
-@dataclass(frozen=True)
-class IntegrationWitness:
+class IntegrationWitness(Record):
     """A process certifying the integration axiom for one continuant.
 
     ``matched_samples`` is the full shared sample grid of the exhibit map
     and the boundary map.
     """
 
-    continuant: str
-    process: str
-    matched_samples: tuple
+    __slots__ = ("continuant", "process", "matched_samples")
+
+    def __init__(self, continuant: str, process: str, matched_samples: tuple):
+        _set(self, "continuant", continuant)
+        _set(self, "process", process)
+        _set(self, "matched_samples", matched_samples)
 
 
 def sort_violations(violations) -> list[Violation]:
@@ -104,13 +98,7 @@ def check_disjointness(m: Model) -> list[Violation]:
     out = []
     for entity_id in shared:
         names = " and ".join(k.value for k in m.kinds_of(entity_id))
-        out.append(
-            Violation(
-                axiom=DISJOINTNESS,
-                subjects=(entity_id,),
-                message=f"{entity_id!r} is declared as {names}",
-            )
-        )
+        out.append(Violation(DISJOINTNESS, (entity_id,), f"{entity_id!r} is declared as {names}"))
     return sort_violations(out)
 
 
@@ -147,9 +135,7 @@ def _sample_tokens(m: Model, mode: str):
     return tokens
 
 
-def _integration_mismatches(
-    m: Model, c: Continuant, p: Process, mode: str
-) -> list[Violation]:
+def _integration_mismatches(m: Model, c: Continuant, p: Process, mode: str) -> list[Violation]:
     """One violation per mismatch: a differing extent, a sample on one side
     only, a shared sample whose tokens differ."""
     found = []
@@ -237,13 +223,8 @@ def check_integration(m: Model, c: Continuant, mode: str = IDENTITY):
     best is final when it is below |E|; otherwise every process is scored.
     """
     if not m.processes:
-        return [
-            Violation(
-                axiom=INTEGRATION_NO_PROCESS,
-                subjects=(c.id,),
-                message=f"no declared process integrates continuant {c.id!r}",
-            )
-        ]
+        message = f"no declared process integrates continuant {c.id!r}"
+        return [Violation(INTEGRATION_NO_PROCESS, (c.id,), message)]
     exhibited = _sample_tokens(m, mode)(c.exhibit_map)
     pid = m.index(_integration_index, mode).get(_integration_key(c.lifetime, exhibited))
     if pid is not None:
@@ -267,9 +248,7 @@ def derive_process(m: Model, c: Continuant) -> Process:
     keys = set(c.exhibit_map)
     # guard for hand-built stores only (docs/semantics.md, store invariants)
     if not keys or c.lifetime.left not in keys or c.lifetime.right not in keys:
-        raise MalformedContinuant(
-            f"continuant {c.id!r} lacks snapshots at its lifetime endpoints"
-        )
+        raise MalformedContinuant(f"continuant {c.id!r} lacks snapshots at its lifetime endpoints")
     base = f"{c.id}-proc"
     pid, n = base, 2
     while m.has_id(pid):
@@ -313,20 +292,12 @@ def complete_integration(m: Model, mode: str = IDENTITY):
 
 def check_presential_dependence(m: Model) -> list[Violation]:
     """One violation per material presential no process declares as a boundary."""
-    referenced = {
-        pres_id for p in m.processes.values() for pres_id in p.boundary_map.values()
-    }
+    referenced = {pres_id for p in m.processes.values() for pres_id in p.boundary_map.values()}
     out = []
     for pres_id, pres in m.presentials.items():
         if pres.material and pres_id not in referenced:
-            out.append(
-                Violation(
-                    axiom=PRESENTIAL_DEPENDENCE,
-                    subjects=(pres_id,),
-                    at=pres.at.coordinate,
-                    message=f"material presential {pres_id!r} is not a boundary of any process",
-                )
-            )
+            message = f"material presential {pres_id!r} is not a boundary of any process"
+            out.append(Violation(PRESENTIAL_DEPENDENCE, (pres_id,), message, pres.at.coordinate))
     return sort_violations(out)
 
 
@@ -377,9 +348,7 @@ def detect_process_changes(
         raise UnknownProperty(prop_name)
     samples = p.trajectories.get(prop_name)
     if samples is None:
-        raise UnknownProperty(
-            f"property {prop_name!r} has no trajectory on process {p.id!r}"
-        )
+        raise UnknownProperty(f"property {prop_name!r} has no trajectory on process {p.id!r}")
     ordered = sorted(samples, key=itemgetter(0))
     if pdef.domain.kind == CATEGORICAL:
         changed = [(t1, t2) for (t1, v1), (t2, v2) in pairwise(ordered) if v1 != v2]

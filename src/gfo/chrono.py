@@ -20,6 +20,7 @@ concurrent tasks.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -28,6 +29,13 @@ from .errors import NotASubinterval, OutOfExtent, ZeroOrNegativeDuration
 LEFT = "left"
 RIGHT = "right"
 INNER = "inner"
+
+# digits in a rational literal and in the p/q text ``serialize`` writes for
+# its value, which a decimal's may double; twice this stays under 640, the
+# least int-to-str digit limit Python takes, so every literal, its canonical
+# text and the midpoint of two of them print and parse under any setting
+MAX_LITERAL_DIGITS = 300
+_LITERAL = re.compile(r"-?[0-9]+(?:[./][0-9]+)?")  # a rational literal (docs/grammar.md)
 
 
 class Time(Fraction):
@@ -74,8 +82,23 @@ class Time(Fraction):
 
 
 def coord(value: int | str | Fraction) -> Time:
-    """Coerce ints, Fractions and strings ('3/2', '0.25') to an exact coordinate."""
-    return Time(value)
+    """Coerce ints, Fractions and rational literals ('3/2', '-0.25') to an
+    exact coordinate.  A string is read as the lexer reads a number token:
+    any other text, a literal of more than MAX_LITERAL_DIGITS digits (counted
+    before it is converted) or as p/q, and a zero denominator raise ValueError."""
+    if not isinstance(value, str):
+        return Time(value)
+    if not _LITERAL.fullmatch(value):
+        raise ValueError(f"not a rational literal: {value[:20]!r}")
+    if sum(map(str.isdigit, value)) > MAX_LITERAL_DIGITS:
+        raise ValueError(f"a rational literal has at most {MAX_LITERAL_DIGITS} digits")
+    try:
+        t = Time(value)
+    except ZeroDivisionError:
+        raise ValueError(f"{value!r} has a zero denominator") from None
+    if sum(map(str.isdigit, coord_str(t))) > MAX_LITERAL_DIGITS:
+        raise ValueError(f"a rational literal has at most {MAX_LITERAL_DIGITS} digits as p/q")
+    return t
 
 
 def coord_str(value: Fraction) -> str:

@@ -12,14 +12,13 @@ import gc
 import json
 import os
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii
 
 from . import checker
 from .chrono import coord, coord_str, fmt_value
-from .dsl import NUMBER, ParseError, _tokenize, model_to_json, parse_file, parse_query
+from .dsl import ParseError, model_to_json, parse_file, parse_query
 from .errors import GfoError
 from .functions import _executed, is_actual_realization, is_actual_realizer
 from .model import Model
@@ -234,7 +233,7 @@ def _query_realizations(m: Model, fn_id: str):
     for pid in sorted(m.processes):
         record = is_actual_realization(m.processes[pid], fn, m)
         if record is not None:
-            out.append(asdict(record))
+            out.append(record.to_json())
     return out
 
 
@@ -258,11 +257,7 @@ def _query_changes(m: Model, entity: str, tol: Fraction):
 
 def _query_classify(m: Model, prop_name: str, process_id: str):
     support = classify_property_support(prop_name, process_id, m)
-    return {
-        "property": prop_name,
-        "process": process_id,
-        "support": support.value,
-    }
+    return {"property": prop_name, "process": process_id, "support": support.value}
 
 
 def run_query(args) -> int:
@@ -309,12 +304,13 @@ def run_dump(args) -> int:
 
 
 def _tolerance(text: str) -> Fraction:
-    tokens = _tokenize(text, "--tol", diagnostics := [])
-    if diagnostics or tokens[0].kind != NUMBER or tokens[0].text != text:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a rational")
-    if tokens[0].value < 0:
+    try:
+        value = coord(text)  # a rational literal of the grammar, as the lexer reads one
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a rational") from None
+    if value < 0:
         raise argparse.ArgumentTypeError("tolerance must be non-negative")
-    return tokens[0].value
+    return value
 
 
 @cache  # built once per process: a parser is a web of reference cycles
@@ -377,5 +373,15 @@ def main(argv=None) -> int:
             gc.enable()
 
 
+def entry() -> int:
+    """``main`` for a process that ends with the command: ``python -m gfo``
+    and the ``gfo`` script.  Every object left is frozen out of the cyclic
+    collector, so the exit collections scan none of them (docs/semantics.md)."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+    raise SystemExit(entry())

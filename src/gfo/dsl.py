@@ -29,14 +29,13 @@ import gc
 import re
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import compress
 
-from .chrono import Time, TimeBoundary, coord_str, fmt_value, no_duration
+from .chrono import MAX_LITERAL_DIGITS, Time, TimeBoundary, coord_str, fmt_value, no_duration
 from .errors import GfoError
 from .functions import CONCEPTUAL, FUNCTION_KINDS
 from .link import _Linker
-from .model import CATEGORICAL, GLOBAL, ISOLATED, NON_ISOLATED, NUMERIC, Model
+from .model import CATEGORICAL, GLOBAL, ISOLATED, NON_ISOLATED, NUMERIC, Model, Record, _set
 from .truthmakers import AtTime, DuringSpan, FactProp, HoldsProp
 
 # ---------------------------------------------------------------------------
@@ -62,30 +61,32 @@ DIAGNOSTIC_CODES = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(Record):
     """1-based line/column position with a length in characters."""
 
-    file: str
-    line: int
-    column: int
-    length: int = 1
+    __slots__ = ("file", "line", "column", "length")
+
+    def __init__(self, file: str, line: int, column: int, length: int = 1):
+        _set(self, "file", file)
+        _set(self, "line", line)
+        _set(self, "column", column)
+        _set(self, "length", length)
 
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.column}"
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
+class ParseDiagnostic(Record):
     """One fault found in a source: where it is, its code and its message."""
 
-    span: SourceSpan
-    code: str
-    message: str
+    __slots__ = ("span", "code", "message")
 
-    def __post_init__(self) -> None:
-        if self.code not in DIAGNOSTIC_CODES:
-            raise ValueError(f"unregistered diagnostic code: {self.code!r}")
+    def __init__(self, span: SourceSpan, code: str, message: str):
+        if code not in DIAGNOSTIC_CODES:
+            raise ValueError(f"unregistered diagnostic code: {code!r}")
+        _set(self, "span", span)
+        _set(self, "code", code)
+        _set(self, "message", message)
 
     def __str__(self) -> str:
         return f"{self.span}: {self.code}: {self.message}"
@@ -125,12 +126,6 @@ STRING = "string"
 PUNCT = "punct"
 EOF = "eof"
 BAD = "bad"
-
-# digits in a rational literal and in the p/q text ``serialize`` writes for
-# its value, which a decimal's may double; twice this stays under 640, the
-# least int-to-str digit limit Python takes, so every literal, its canonical
-# text and the midpoint of two of them print and parse under any setting
-MAX_LITERAL_DIGITS = 300
 
 # Whitespace and comments are a skip prefix of every match (blanks, then
 # comments each with the blanks after it), and the one group is the token:

@@ -15,17 +15,8 @@ from fractions import Fraction
 
 from .chrono import coord, coord_str
 from .errors import UnknownEntity, UnknownSituation, UnsampledTime
-from .model import (
-    Fact,
-    Model,
-    Process,
-    Situation,
-    Value,
-    process_of,
-    sample_map,
-    sample_valuation,
-    valuation_at,
-)
+from .model import Fact, Model, Process, Record, Situation, Value, _set, process_of, sample_map
+from .model import sample_valuation, valuation_at
 
 WILDCARD = "_"
 
@@ -46,9 +37,7 @@ class FactPattern:
     def matches(self, fact: Fact) -> bool:
         if fact.relator != self.relator or len(fact.args) != len(self.args):
             return False
-        return all(
-            slot == WILDCARD or slot == arg for slot, arg in zip(self.args, fact.args)
-        )
+        return all(slot == WILDCARD or slot == arg for slot, arg in zip(self.args, fact.args))
 
 
 @dataclass(frozen=True)
@@ -92,13 +81,15 @@ class FunctionSpec:
     bearer: str | None = None
 
 
-@dataclass(frozen=True)
-class RealizationRecord:
+class RealizationRecord(Record):
     """Connects a process to the individual requirement and goal it links."""
 
-    process: str
-    requirement_situation: str
-    goal_situation: str
+    __slots__ = ("process", "requirement_situation", "goal_situation")
+
+    def __init__(self, process: str, requirement_situation: str, goal_situation: str):
+        _set(self, "process", process)
+        _set(self, "requirement_situation", requirement_situation)
+        _set(self, "goal_situation", goal_situation)
 
 
 # -- concept satisfaction ------------------------------------------------------
@@ -108,11 +99,7 @@ def _constraint_holds(m: Model, s: Situation, pc: PropertyConstraint) -> bool:
     if pc.entity not in s.participants:
         return False
     # only individuals with samples can present property values
-    if not (
-        pc.entity in m.presentials
-        or pc.entity in m.continuants
-        or pc.entity in m.processes
-    ):
+    if not (pc.entity in m.presentials or pc.entity in m.continuants or pc.entity in m.processes):
         return False
     samples = sample_map(m, pc.entity)
     if s.presentic:
@@ -214,11 +201,12 @@ def is_universal_realization(process_ids, f: FunctionSpec, m: Model):
 
 
 def executes(x: str, p: str, m: Model) -> bool:
-    """The primitive execution relation: true iff (x, p) was asserted."""
-    if not m.has_entity(x):
-        raise UnknownEntity(x)
-    if not m.has_entity(p):
-        raise UnknownEntity(p)
+    """The primitive execution relation: true iff (x, p) was asserted.  An
+    undeclared id raises UnknownEntity naming its role; a declared id of
+    another kind answers False."""
+    for role, name in (("executor", x), ("process", p)):
+        if not m.has_entity(name):
+            raise UnknownEntity(f"{role} {name!r} is not declared")
     return (x, p) in m.exe_assertions
 
 
@@ -242,8 +230,6 @@ def check_fitem(bearer: str, f: FunctionSpec, m: Model, t: int | str | Fraction)
     t = coord(t)
     valuation = valuation_at(m, bearer, t)  # raises UnknownEntity for foreign ids
     if valuation is None:
-        raise UnsampledTime(
-            f"{bearer!r} presents no snapshot or boundary at {coord_str(t)}"
-        )
+        raise UnsampledTime(f"{bearer!r} presents no snapshot or boundary at {coord_str(t)}")
     unmet = [(prop, want) for prop, want in f.fitem if valuation.get(prop) != want]
     return (not unmet, unmet)

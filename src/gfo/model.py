@@ -14,19 +14,13 @@ pinned to a single boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import FrozenInstanceError, dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 
 from .chrono import Chronoid, TimeBoundary, coord, coord_str, temporal_part_chronoid
-from .errors import (
-    NotASubinterval,
-    OutOfExtent,
-    OutOfLifetime,
-    UnknownEntity,
-    UnsampledTime,
-)
+from .errors import NotASubinterval, OutOfExtent, OutOfLifetime, UnknownEntity, UnsampledTime
 
 # a property value: a categorical symbol or an exact numeric
 Value = str | Fraction
@@ -37,6 +31,45 @@ NUMERIC = "numeric"
 ISOLATED = "isolated"
 NON_ISOLATED = "nonisolated"
 GLOBAL = "global"
+
+_set = object.__setattr__  # how a record's __init__ fills its slots, as a frozen dataclass does
+
+
+class Record:
+    """A frozen record that is not an entity type: the ``==``, hash, repr and
+    write errors of a frozen dataclass of the fields in ``__slots__``,
+    without the code a dataclass generates and compiles at every import.
+    Each subclass's ``__init__`` sets every slot with ``_set``."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = (f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild a record through __init__, which sets slots
+        return type(self), self._values()
+
+    def to_json(self) -> dict:
+        """The fields by name: ``dataclasses.asdict`` of a record that holds no record."""
+        return dict(zip(self.__slots__, self._values()))
 
 
 @dataclass(frozen=True)
@@ -231,9 +264,7 @@ class Model:
     def with_continuant(self, c: Continuant) -> "Model":
         chronoids = dict(self.chronoids)
         chronoids.setdefault(c.lifetime.id, c.lifetime)
-        return replace(
-            self, chronoids=chronoids, continuants={**self.continuants, c.id: c}
-        )
+        return replace(self, chronoids=chronoids, continuants={**self.continuants, c.id: c})
 
     def with_presential(self, p: Presential) -> "Model":
         return replace(self, presentials={**self.presentials, p.id: p})
@@ -298,9 +329,7 @@ def snapshot(c: Continuant, t: int | str | Fraction, m: Model) -> Presential:
     )
 
 
-def process_temporal_part(
-    p: Process, l: int | str | Fraction, r: int | str | Fraction
-) -> Process:
+def process_temporal_part(p: Process, l: int | str | Fraction, r: int | str | Fraction) -> Process:
     """Restrict a process to [l, r]; boundary map and trajectories are cut
     down to the window, yielding a fresh process individual."""
     l, r = coord(l), coord(r)
@@ -311,9 +340,7 @@ def process_temporal_part(
         )
     for bound in (l, r):
         if bound not in p.boundary_map:
-            raise UnsampledTime(
-                f"process {p.id!r} has no declared boundary at {coord_str(bound)}"
-            )
+            raise UnsampledTime(f"process {p.id!r} has no declared boundary at {coord_str(bound)}")
     part_extent = temporal_part_chronoid(p.extent, l, r)
     boundary_map = {t: v for t, v in p.boundary_map.items() if l <= t <= r}
     trajectories = {}

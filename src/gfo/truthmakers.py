@@ -15,31 +15,28 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import MalformedTriple, UnknownProperty
-from .model import (
-    GLOBAL,
-    ISOLATED,
-    NON_ISOLATED,
-    Model,
-    Situation,
-    Value,
-    process_of,
-)
+from .model import GLOBAL, ISOLATED, NON_ISOLATED, Model, Record, Situation, Value, _set
+from .model import process_of
 from .functions import FactPattern, FunctionSpec, is_actual_realization
 
 
-@dataclass(frozen=True)
-class AtTime:
+class AtTime(Record):
     """A proposition's time reference: the one coordinate."""
 
-    coordinate: Fraction
+    __slots__ = ("coordinate",)
+
+    def __init__(self, coordinate: Fraction):
+        _set(self, "coordinate", coordinate)
 
 
-@dataclass(frozen=True)
-class DuringSpan:
+class DuringSpan(Record):
     """A proposition's time reference: the span [left, right]."""
 
-    left: Fraction
-    right: Fraction
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Fraction, right: Fraction):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 @dataclass(frozen=True)
@@ -61,20 +58,15 @@ class HoldsProp:
     time_ref: object = None  # an AtTime, a DuringSpan, or None: unanchored
 
 
-@dataclass(frozen=True)
-class TruthMakerTriple:
+class TruthMakerTriple(Record):
     """A process, a situation founded on it, and one of its constituent facts."""
 
-    process: str
-    situation: str
-    fact: str
+    __slots__ = ("process", "situation", "fact")
 
-    def to_json(self) -> dict:
-        return {
-            "process": self.process,
-            "situation": self.situation,
-            "fact": self.fact,
-        }
+    def __init__(self, process: str, situation: str, fact: str):
+        _set(self, "process", process)
+        _set(self, "situation", situation)
+        _set(self, "fact", fact)
 
 
 class SupportClass(Enum):

@@ -2,7 +2,9 @@ import copy
 import operator
 import pickle
 import random
+import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -24,6 +26,7 @@ from gfo.chrono import (
     right_boundary,
     temporal_part_chronoid,
 )
+from gfo.dsl import NUMBER, _tokenize
 from gfo.errors import NotASubinterval, OutOfExtent, ZeroOrNegativeDuration
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -56,6 +59,33 @@ def test_coord_parses_strings_exactly():
     assert coord("3/2") == Fraction(3, 2)
     assert coord_str(Fraction(2, 4)) == "1/2"
     assert coord_str(Fraction(-8, 4)) == "-2"
+
+
+def test_coord_reads_a_string_as_the_lexer_reads_a_number():
+    """``coord`` takes exactly the rational literals the language takes, and
+    counts digits before converting, so an exponent costs nothing."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # so that only the digit bound stops a long literal early
+    try:
+        start = time.perf_counter()
+        for text in ("1e-3", "+1", " 4", "4 ", "1e1000000", "1_000", "٣", ".5", "1/0", "9" * 301,
+                     "0." + "7" * 300_000):
+            with pytest.raises(ValueError):
+                coord(text)
+        assert time.perf_counter() - start < 0.05
+    finally:
+        sys.set_int_max_str_digits(limit)
+    rng = random.Random(11)
+    texts = ["0." + "0" * 298 + "1", "1" * 300, "-" + "7" * 300, "1/" + "3" * 299]
+    texts += ["".join(rng.choices("0123456789-./e+ ", k=rng.randint(0, 6))) for _ in range(3000)]
+    for text in texts:
+        tokens = _tokenize(text, "<coord>", diagnostics := [])
+        lexed = not diagnostics and tokens[0].kind == NUMBER and tokens[0].text == text
+        try:
+            value = coord(text)
+        except ValueError:
+            value = None
+        assert value == (tokens[0].value if lexed else None), text
 
 
 def test_inner_boundary_interning_and_kinds():

@@ -141,13 +141,14 @@ def test_no_command_makes_reference_cycles(tmp_path, capsys):
             ["dump", path],
         ]
     cli.build_arg_parser()
-    enabled = gc.isenabled()
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
     gc.disable()
     try:
         gc.collect()
         for argv in commands:
             cli.main(argv)
             assert gc.collect() == 0, argv
+            assert gc.get_freeze_count() == frozen, argv  # only cli.entry freezes
     finally:
         if enabled:
             gc.enable()
@@ -676,6 +677,25 @@ def test_a_closed_stdout_ends_quietly_with_the_verdict(tmp_path, argv, loads, ve
         err = proc.stderr.read()
         code = proc.wait(timeout=120)
     assert (code, err) == (verdict, b"")
+
+
+def test_the_process_entry_answers_as_main_and_then_freezes_the_collector(capsys):
+    """``python -m gfo`` runs ``cli.entry``: ``main``, whose output and exit
+    code it keeps, and then ``gc.freeze()``, so that the interpreter's exit
+    collections scan nothing (docs/semantics.md)."""
+    argv = ["check", str(CORPUS / "heart.gfo"), "--format", "json"]
+    code = cli.main(argv)
+    expected = capsys.readouterr().out
+    probe = "\n".join([
+        "import gc, runpy, sys",
+        f"sys.path.insert(0, {str(REPO / 'src')!r}); sys.argv = ['gfo', *{argv!r}]",
+        "try:",
+        "    runpy.run_module('gfo', run_name='__main__', alter_sys=True)",
+        "except SystemExit as exit:",
+        "    print(exit.code, gc.get_freeze_count() > 0, file=sys.stderr)",
+    ])
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, cwd=REPO)
+    assert (done.stdout, done.stderr) == (expected, f"{code} True\n")
 
 
 def test_compiling_each_module_peaks_under_3_mb():

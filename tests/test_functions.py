@@ -244,6 +244,13 @@ def test_executes_self_pair_undeclared(heart):
     assert not executes("heart", "heart", heart)
 
 
+def test_executes_names_the_undeclared_id_and_its_role(heart):
+    with pytest.raises(UnknownEntity, match=r"^executor 'nobody' is not declared$"):
+        executes("nobody", "blood-movement", heart)
+    with pytest.raises(UnknownEntity, match=r"^process 'nothing' is not declared$"):
+        executes("heart", "nothing", heart)
+
+
 def test_situoid_constraint_checks_every_sample_inside():
     drinking = parse_file(CORPUS / "drinking.gfo")
     s = drinking.situations["s_drink"]  # situoid over [1, 2]

@@ -1,5 +1,7 @@
+import copy
 import importlib
-from dataclasses import replace
+import pickle
+from dataclasses import FrozenInstanceError, asdict, make_dataclass, replace
 from fractions import Fraction
 
 import pytest
@@ -223,3 +225,54 @@ def test_the_public_names_resolve():
             assert hasattr(mod, name), (module, name)
             if name in gfo.__all__:
                 assert getattr(gfo, name) is getattr(mod, name), (module, name)
+
+
+# one value per field of every record that is not an entity type, and a
+# second value of the first field, so that the two differ
+RECORD_VALUES = [
+    (gfo.SourceSpan, ("world.gfo", 3, 7, 2), "other.gfo"),
+    (gfo.ParseDiagnostic, (gfo.SourceSpan("world.gfo", 1, 1), "unknown-id", "boom"), None),
+    (gfo.Violation, ("integration", ("c", "p"), "differ", Fraction(1, 2)), "disjointness"),
+    (gfo.IntegrationWitness, ("c", "p", (Fraction(0), Fraction(1))), "d"),
+    (gfo.RealizationRecord, ("p", "s_req", "s_goal"), "q"),
+    (gfo.TruthMakerTriple, ("p", "s", "f"), "q"),
+    (gfo.AtTime, (Fraction(3, 2),), Fraction(2)),
+    (gfo.DuringSpan, (Fraction(0), Fraction(1)), Fraction(-1)),
+]
+
+
+def _refusal(write, target) -> str:
+    with pytest.raises(FrozenInstanceError) as raised:
+        write(target)
+    return str(raised.value)
+
+
+@pytest.mark.parametrize("cls, values, first", RECORD_VALUES, ids=[cls.__name__ for cls, *_ in RECORD_VALUES])
+def test_a_record_behaves_as_its_frozen_dataclass(cls, values, first):
+    """Records that are not entity types are built without code generation
+    (``model.Record``), yet compare, hash, print and refuse writes as the
+    frozen dataclass of the same fields does."""
+    twin = make_dataclass(cls.__name__, cls.__slots__, frozen=True)
+    record, model = cls(*values), twin(*values)
+    assert record == cls(**dict(zip(cls.__slots__, values))) and model == twin(*values)
+    assert (hash(record), repr(record)) == (hash(model), repr(model))
+    assert record != model and record.__eq__(model) is NotImplemented
+    subclass = type("Subclass", (cls,), {})  # the same fields and values, another class
+    assert (record == subclass(*values)) is (model == type("Subclass", (twin,), {})(*values)) is False
+    if first is not None:
+        assert (cls(first, *values[1:]) == record) is (twin(first, *values[1:]) == model) is False
+    for name in (*cls.__slots__, "undeclared"):
+        for write in (lambda x: setattr(x, name, None), lambda x: delattr(x, name)):
+            assert _refusal(write, record) == _refusal(write, model)
+    assert copy.copy(record) == copy.deepcopy(record) == pickle.loads(pickle.dumps(record)) == record
+    if "to_json" not in vars(cls):  # a diagnostic and a violation write their own
+        assert record.to_json() == asdict(model)
+
+
+def test_a_record_keeps_its_defaults_and_checks():
+    span = gfo.SourceSpan("world.gfo", 1, 2)
+    assert span.length == 1 and gfo.Violation("integration", ("c",), "m").at is None
+    with pytest.raises(ValueError, match="unregistered diagnostic code"):
+        gfo.ParseDiagnostic(span, "no-such-code", "boom")
+    with pytest.raises(ValueError, match="unregistered axiom name"):
+        gfo.Violation("no-such-axiom", ("c",), "m")
