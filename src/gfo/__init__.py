@@ -32,5 +32,11 @@ _EXPORTS = (
 __all__ = ["errors"]
 for _module, _names in _EXPORTS:
     __all__ += _names.split()
-    globals().update((name, getattr(_module, name)) for name in _names.split())
+    globals().update((n, vars(_module)[n]) for n in _names.split() if n in vars(_module))
 del _module, _names
+
+
+def __getattr__(name: str):
+    if name in __all__:  # serialize or parse_query, which gfo.dsl loads on first use
+        return getattr(dsl, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

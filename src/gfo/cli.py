@@ -9,20 +9,16 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
 from fractions import Fraction
 from functools import cache
-from json.encoder import encode_basestring_ascii
 
-from . import checker
+from . import checker, dsl, functions, truthmakers  # noqa: F401  (last two: perfbench's tracer)
 from .chrono import coord, coord_str, fmt_value
-from .dsl import ParseError, model_to_json, parse_file, parse_query
+from .dsl import ParseError, parse_file
 from .errors import GfoError
-from .functions import _executed, is_actual_realization, is_actual_realizer
 from .model import Model
-from .truthmakers import classify_property_support, find_truthmakers
 
 HUMAN = "human"
 JSON = "json"
@@ -49,54 +45,9 @@ def _write(text: str) -> None:
         os.close(devnull)
 
 
-_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}  # looked up by identity only
-
-
-def _json_parts(value, pad: str, out: list) -> None:
-    """Append ``value`` as JSON to ``out``, one item a line, each line after
-    ``pad``: a newline and the current indent."""
-    if isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif isinstance(value, (list, tuple)) and value:
-        inner = pad + "  "
-        sep = "[" + inner
-        for item in value:
-            out.append(sep)
-            _json_parts(item, inner, out)
-            sep = "," + inner
-        out.append(pad + "]")
-    elif isinstance(value, dict) and value:
-        inner = pad + "  "
-        sep = "{" + inner
-        for key, item in sorted(value.items()):
-            out.append(sep + encode_basestring_ascii(key) + ": ")
-            _json_parts(item, inner, out)
-            sep = "," + inner
-        out.append(pad + "}")
-    elif value is None or value is True or value is False:
-        out.append(_JSON_CONSTANTS[value])
-    else:  # numbers and empty containers
-        out.append(json.dumps(value))
-
-
 def _emit_json(payload) -> None:
-    """Write ``payload`` as ``print(json.dumps(payload, indent=2,
-    sort_keys=True))`` would, in about half the time; differential tests in
-    tests/test_cli.py pin the two together for payloads like gfo's: string
-    keys; strings, numbers, booleans, None, lists and tuples as values.  A
-    dict is written one entry at a time, so the parts held at once are
-    those of its largest entry, not of the whole document."""
-    if not (isinstance(payload, dict) and payload):
-        _json_parts(payload, "\n", out := [])
-        _write("".join(out) + "\n")
-        return
-    sep = "{\n  "
-    for key, item in sorted(payload.items()):
-        out = [sep + encode_basestring_ascii(key) + ": "]
-        _json_parts(item, "\n  ", out)
-        _write("".join(out))
-        sep = ",\n  "
-    _write("\n}\n")
+    from .render import write_json  # the writer, and json, load on the first JSON output
+    write_json(payload, _write)
 
 
 def _emit_diagnostics(exc: ParseError, output_format: str) -> None:
@@ -210,33 +161,6 @@ def run_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _query_truthmakers(m: Model, text: str):
-    prop = parse_query(text, m)
-    return [tm.to_json() for tm in find_truthmakers(m, prop)]
-
-
-def _function(m: Model, fn_id: str):
-    fn = m.functions.get(fn_id)
-    if fn is None:
-        raise GfoError(f"function {fn_id!r} is not declared")
-    return fn
-
-
-def _query_realizers(m: Model, fn_id: str):
-    fn = _function(m, fn_id)
-    return [x for x in m.index(_executed) if is_actual_realizer(x, fn, m)]
-
-
-def _query_realizations(m: Model, fn_id: str):
-    fn = _function(m, fn_id)
-    out = []
-    for pid in sorted(m.processes):
-        record = is_actual_realization(m.processes[pid], fn, m)
-        if record is not None:
-            out.append(record.to_json())
-    return out
-
-
 def _query_changes(m: Model, entity: str, tol: Fraction):
     if entity in m.continuants:
         changes = checker.detect_continuant_changes(m, m.continuants[entity])
@@ -255,26 +179,16 @@ def _query_changes(m: Model, entity: str, tol: Fraction):
     raise GfoError(f"{entity!r} is not a continuant or process")
 
 
-def _query_classify(m: Model, prop_name: str, process_id: str):
-    support = classify_property_support(prop_name, process_id, m)
-    return {"property": prop_name, "process": process_id, "support": support.value}
-
-
 def run_query(args) -> int:
     m = _load(args.inputs[0], JSON)
     if m is None:
         return 2
     try:
-        if args.truthmakers is not None:
-            result = _query_truthmakers(m, args.truthmakers)
-        elif args.realizers is not None:
-            result = _query_realizers(m, args.realizers)
-        elif args.realizations is not None:
-            result = _query_realizations(m, args.realizations)
-        elif args.changes is not None:
+        if args.changes is not None:
             result = _query_changes(m, args.changes, args.tol)
         else:
-            result = _query_classify(m, args.classify[0], args.classify[1])
+            from .query import answer  # the query parser and handlers load on first use
+            result = answer(m, args)
     except ParseError as exc:
         _emit_diagnostics(exc, JSON)
         return 2
@@ -294,7 +208,7 @@ def run_dump(args) -> int:
     m = _load(args.inputs[0], JSON)
     if m is None:
         return 2
-    _emit_json(model_to_json(m))
+    _emit_json(dsl.model_to_json(m))
     return 0
 
 
@@ -371,6 +285,13 @@ def main(argv=None) -> int:
     finally:
         if collecting:
             gc.enable()
+
+
+def __getattr__(name: str):
+    """``model_to_json``, as ``gfo.dsl`` loads it on first use."""
+    if name == "model_to_json":
+        return dsl.model_to_json
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def entry() -> int:

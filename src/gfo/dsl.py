@@ -1,4 +1,4 @@
-"""The `.gfo` declaration language: parser, diagnostics, canonical rendering.
+"""The `.gfo` declaration language: lexer, parser and diagnostics.
 
 The language is statement-oriented (``keyword name ... ;`` with braces for
 maps) and resolved in two passes, so forward references are legal.  Parsing
@@ -13,12 +13,11 @@ runs only on a clean parse, so none of its diagnostics follows from a
 lexical or syntax error.  It too reports every fault it finds, and builds
 every declaration as written; any diagnostic discards the model it built.
 
-``model_to_json`` is the one canonical view of a store: map entries in
-coordinate order, sets sorted, rationals normalized.  `gfo dump` prints it
-as JSON and ``serialize`` as source text, declarations sorted by kind and
-id.  Parsing the serialization of a model reproduces a store-equal model,
-and serialization of a parse is invariant under reordering the source's
-declarations and the entries inside its blocks.
+The canonical rendering (``model_to_json``, ``serialize``: render.py) and
+the query parser (``parse_query``: query.py) load on first use of their
+names here.  Parsing the serialization of a model reproduces a store-equal
+model, and serialization of a parse is invariant under reordering the
+source's declarations and the entries inside its blocks.
 
 The full grammar is published in docs/grammar.md.
 """
@@ -31,12 +30,11 @@ from array import array
 from bisect import bisect_left
 from itertools import compress
 
-from .chrono import MAX_LITERAL_DIGITS, Time, TimeBoundary, coord_str, fmt_value, no_duration
+from .chrono import MAX_LITERAL_DIGITS, Time, coord_str
 from .errors import GfoError
 from .functions import CONCEPTUAL, FUNCTION_KINDS
 from .link import _Linker
 from .model import CATEGORICAL, GLOBAL, ISOLATED, NON_ISOLATED, NUMERIC, Model, Record, _set
-from .truthmakers import AtTime, DuringSpan, FactProp, HoldsProp
 
 # ---------------------------------------------------------------------------
 # Diagnostics
@@ -690,293 +688,13 @@ def parse_file(path) -> Model:
         return parse(handle.read(), file=str(path))
 
 
-# ---------------------------------------------------------------------------
-# Canonical rendering
-# ---------------------------------------------------------------------------
-
-
-def _extent_json(extent) -> dict:
-    if isinstance(extent, TimeBoundary):
-        return {
-            "kind": "boundary",
-            "chronoid": extent.owner,
-            "coordinate": coord_str(extent.coordinate),
-        }
-    return {"kind": "chronoid", "chronoid": extent.id}
-
-
-def _concept_json(concept) -> dict:
-    patterns = sorted(concept.required_facts, key=lambda p: (p.relator, tuple(map(str, p.args))))
-    constraints = sorted(concept.required_props, key=lambda c: (c.entity, c.prop, str(c.value)))
-    return {
-        "facts": [
-            {"relator": p.relator, "args": [fmt_value(a) for a in p.args]}
-            for p in patterns
-        ],
-        "holds": [
-            {"entity": c.entity, "property": c.prop, "value": fmt_value(c.value)}
-            for c in constraints
-        ],
-    }
-
-
-def model_to_json(m: Model) -> dict:
-    """The canonical view of the whole store: `gfo dump` prints it as JSON
-    and ``serialize`` as source text.
-
-    Every rendering choice is made here, once: rationals as ``p/q``, maps and
-    trajectory samples in coordinate order, sets and concept items sorted.
-    Only the order of the stores' own ids is left to the printer.
-    """
-    return {
-        "chronoids": {
-            cid: {"left": coord_str(ch.left), "right": coord_str(ch.right)}
-            for cid, ch in m.chronoids.items()
-        },
-        "properties": {
-            name: {
-                "domain": pdef.domain.kind,
-                "symbols": sorted(pdef.domain.symbols),
-                "support": pdef.support.kind,
-                "window_radius": fmt_value(pdef.support.window_radius),
-            }
-            for name, pdef in m.property_defs.items()
-        },
-        "presentials": {
-            pid: {
-                "at": _extent_json(pres.at),
-                "material": pres.material,
-                "valuation": {
-                    prop: fmt_value(v) for prop, v in pres.valuation.items()
-                },
-            }
-            for pid, pres in m.presentials.items()
-        },
-        "processes": {
-            pid: {
-                "extent": p.extent.id,
-                "boundaries": {
-                    coord_str(t): p.boundary_map[t] for t in sorted(p.boundary_map)
-                },
-                "trajectories": {
-                    prop: [[coord_str(t), fmt_value(v)] for t, v in sorted(samples)]
-                    for prop, samples in p.trajectories.items()
-                },
-            }
-            for pid, p in m.processes.items()
-        },
-        "continuants": {
-            cid: {
-                "lifetime": c.lifetime.id,
-                "material": c.material,
-                "exhibits": {
-                    coord_str(t): c.exhibit_map[t] for t in sorted(c.exhibit_map)
-                },
-            }
-            for cid, c in m.continuants.items()
-        },
-        "facts": {
-            fid: {"relator": f.relator, "args": [fmt_value(a) for a in f.args]}
-            for fid, f in m.facts.items()
-        },
-        "situations": {
-            sid: {
-                "extent": _extent_json(s.extent),
-                "founded_on": s.founded_on,
-                "constituents": sorted(s.constituents),
-                "participants": sorted(s.participants),
-            }
-            for sid, s in m.situations.items()
-        },
-        "functions": {
-            fid: {
-                "kind": fn.kind,
-                "bearer": fn.bearer,
-                "labels": sorted(fn.labels),
-                "requires": _concept_json(fn.req),
-                "achieves": _concept_json(fn.goal),
-                "fitem": [[prop, fmt_value(v)] for prop, v in fn.fitem],
-            }
-            for fid, fn in m.functions.items()
-        },
-        "exe": sorted([list(pair) for pair in m.exe_assertions]),
-        # the language cannot write an empty instance set, so the view has none
-        "requirement_instances": {
-            fn: sorted(sits) for fn, sits in m.requirement_instances.items() if sits
-        },
-        "goal_instances": {fn: sorted(sits) for fn, sits in m.goal_instances.items() if sits},
-    }
-
-
-def _escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
-def _args(values) -> str:
-    return ", ".join(map(str, values))
-
-
-def _block(head: str, lines: list) -> list:
-    """``head;`` when ``lines`` is empty, else ``head {``, the lines, ``}``."""
-    return [head + " {", *lines, "}"] if lines else [head + ";"]
-
-
-def _at(extent: dict) -> str:
-    return f"{extent['chronoid']}@{extent['coordinate']}"
-
-
-def serialize(m: Model) -> str:
-    """Canonical text for a model: the view of :func:`model_to_json` printed
-    as source, declarations in kind and id order.
-
-    ``parse(serialize(m))`` is store-equal to ``m``, and serialization is a
-    fixed point: reparsing and reserializing reproduces the bytes.
-    """
-    view = model_to_json(m)
-    out: list = []
-
-    for name, prop in sorted(view["properties"].items()):
-        domain = prop["domain"]
-        if domain == CATEGORICAL:
-            domain = "categorical { " + ", ".join(prop["symbols"]) + " }"
-        support = prop["support"]
-        if support == NON_ISOLATED:
-            support += f"({prop['window_radius']})"
-        out.append(f"property {name} : {domain} {support};")
-
-    for name, ch in sorted(view["chronoids"].items()):
-        out.append(f"chronoid {name} = [{ch['left']}, {ch['right']}];")
-
-    for name, pres in sorted(view["presentials"].items()):
-        head = f"presential {name} at {_at(pres['at'])}"
-        if not pres["material"]:
-            head += " immaterial"
-        valuation = sorted(pres["valuation"].items())
-        out += _block(head, [f"  {prop} = {value};" for prop, value in valuation])
-
-    for name, p in sorted(view["processes"].items()):
-        out.append(f"process {name} extent {p['extent']} {{")
-        out += [f"  boundary {t} -> {target};" for t, target in p["boundaries"].items()]
-        for prop, samples in sorted(p["trajectories"].items()):
-            out.append(f"  trajectory {prop} {{")
-            out += [f"    {t} -> {value};" for t, value in samples]
-            out.append("  }")
-        out.append("}")
-
-    for name, c in sorted(view["continuants"].items()):
-        head = f"continuant {name} lifetime {c['lifetime']}"
-        if not c["material"]:
-            head += " immaterial"
-        out.append(head + " {")
-        out += [f"  exhibits {t} -> {target};" for t, target in c["exhibits"].items()]
-        out.append("}")
-
-    for name, fact in sorted(view["facts"].items()):
-        out.append(f"fact {name} = {fact['relator']}({_args(fact['args'])});")
-
-    for name, s in sorted(view["situations"].items()):
-        extent = s["extent"]
-        if extent["kind"] == "boundary":
-            head = f"situation {name} at {_at(extent)}"
-        else:
-            head = f"situation {name} during {extent['chronoid']}"
-        if s["founded_on"] is not None:
-            head += f" founded on {s['founded_on']}"
-        members = [f"  contains {fid};" for fid in s["constituents"]]
-        members += [f"  participant {entity};" for entity in s["participants"]]
-        out += _block(head, members)
-
-    for name, fn in sorted(view["functions"].items()):
-        head = f"function {name}"
-        if fn["kind"] != CONCEPTUAL:
-            head += f" {fn['kind']}"
-        if fn["bearer"] is not None:
-            head += f" bearer {fn['bearer']}"
-        out.append(head + " {")
-        out += [f'  label "{_escape(label)}";' for label in fn["labels"]]
-        for keyword in ("requires", "achieves"):
-            concept = fn[keyword]
-            out.append(f"  {keyword} {{")
-            out += [f"    fact {p['relator']}({_args(p['args'])});" for p in concept["facts"]]
-            out += [
-                f"    holds({c['entity']}, {c['property']}, {c['value']});"
-                for c in concept["holds"]
-            ]
-            out.append("  }")
-        if fn["fitem"]:
-            out.append("  fitem {")
-            out += [f"    {prop} = {value};" for prop, value in fn["fitem"]]
-            out.append("  }")
-        out.append("}")
-
-    out += [f"exe({x}, {p});" for x, p in view["exe"]]
-    for keyword, key in (
-        ("requirement-instance", "requirement_instances"),
-        ("goal-instance", "goal_instances"),
-    ):
-        for fn, sits in sorted(view[key].items()):
-            out += [f"{keyword}({fn}, {sit});" for sit in sits]
-
-    return "\n".join(out) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Query sublanguage
-# ---------------------------------------------------------------------------
-
-
-def parse_query(text: str, m: Model | None = None):
-    """Parse an elementary proposition.
-
-    Forms: ``holds(subject, property, value)`` and ``fact relator(arg, ...)``
-    with an optional time reference ``at <rational>`` or ``during [l, r]``
-    and an optional trailing ``;``.  When a model is supplied, the property
-    name of a ``holds`` proposition must be declared in it.  That check and
-    the one for an empty ``during`` span are made only on a clean parse.
-    """
-    tokens, found = _lex(text)
-    positions = _Positions(text, "<query>", tokens)
-    parser = _Parser(tokens, positions, found)
-    prop = None
-    try:
-        if parser.keyword("holds", "fact") == "holds":
-            subject, prop_at, value = parser.holds_args()
-            when = parser.pos
-            prop = HoldsProp(
-                subject=tokens[subject].text,
-                prop=tokens[prop_at].text,
-                value=tokens[value].value,
-                time_ref=_parse_time_ref(parser),
-            )
-        else:
-            relator, args = parser.relator_args()
-            when = parser.pos
-            prop = FactProp(
-                relator=tokens[relator].text,
-                patterns=tuple(tokens[i].value for i in args),
-                time_ref=_parse_time_ref(parser),
-            )
-        parser.end_block()
-        tok = parser.tokens[parser.pos]
-        if tok.kind != EOF:
-            raise _Syntax(parser.pos, f"unexpected trailing input: {_shown(tok.text)}")
-    except _Syntax as err:
-        parser.report(err)
-    if not found:  # a clean parse: the semantic checks
-        if m is not None and type(prop) is HoldsProp and prop.prop not in m.property_defs:
-            found.append((prop_at, "unknown-id", f"property {prop.prop!r} is not declared", 0))
-        span = prop.time_ref
-        if type(span) is DuringSpan and (message := no_duration(span.left, span.right)):
-            found.append((when + 2, "zero-duration", message, 0))  # at l in `during [l, r]`
-    if found:
-        raise ParseError(positions.diagnostics(found))
-    return prop
-
-
-def _parse_time_ref(parser: _Parser):
-    if parser.accept_word("at"):
-        return AtTime(parser.tokens[parser.take(NUMBER, "a coordinate")].value)
-    if parser.accept_word("during"):
-        i, j = parser.shaped("[", _COORDINATE, ",", _COORDINATE, "]")
-        return DuringSpan(parser.tokens[i].value, parser.tokens[j].value)
-    return None
+def __getattr__(name: str):
+    """Import render.py or query.py on first use of a name it defines, and keep the name."""
+    if name == "parse_query":
+        from . import query as module
+    elif name in ("model_to_json", "serialize"):
+        from . import render as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(module, name)
+    return value

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .chrono import coord, coord_str
-from .errors import UnknownEntity, UnknownSituation, UnsampledTime
-from .model import Fact, Model, Process, Record, Situation, Value, _set, process_of, sample_map
-from .model import sample_valuation, valuation_at
+from .errors import UnknownSituation, UnsampledTime
+from .model import Fact, Model, Process, Record, Situation, Value, _set, classify, process_of
+from .model import sample_map, sample_valuation
 
 WILDCARD = "_"
 
@@ -184,8 +184,10 @@ def is_universal_realization(process_ids, f: FunctionSpec, m: Model):
     records cover every declared requirement instance of ``f``.  Returns
     (verdict, diagnostics); diagnostics name non-realizing members and
     uncovered requirement instances.  A member that is not a process raises
-    as :func:`model.process_of` does.
+    as :func:`model.process_of` does, and a ``str`` (an id) raises TypeError.
     """
+    if isinstance(process_ids, str):
+        raise TypeError(f"{process_ids!r} is an id; pass a category of process ids")
     diagnostics = []
     covered = set()
     for pid in sorted(process_ids):
@@ -204,16 +206,14 @@ def executes(x: str, p: str, m: Model) -> bool:
     """The primitive execution relation: true iff (x, p) was asserted.  An
     undeclared id raises UnknownEntity naming its role; a declared id of
     another kind answers False."""
-    for role, name in (("executor", x), ("process", p)):
-        if not m.has_entity(name):
-            raise UnknownEntity(f"{role} {name!r} is not declared")
+    classify(x, m, "executor")  # an undeclared id raises here
+    classify(p, m, "process")
     return (x, p) in m.exe_assertions
 
 
 def is_actual_realizer(x: str, f: FunctionSpec, m: Model) -> bool:
     """True iff ``x`` executes some process that actually realizes ``f``."""
-    if not m.has_entity(x):
-        raise UnknownEntity(x)
+    classify(x, m, "executor")  # an undeclared id raises here
     for pid in m.index(_executed).get(x, ()):
         p = m.processes.get(pid)
         # guard for hand-built stores only (docs/semantics.md, store invariants)
@@ -228,7 +228,7 @@ def check_fitem(bearer: str, f: FunctionSpec, m: Model, t: int | str | Fraction)
     Returns (verdict, unmet constraints).
     """
     t = coord(t)
-    valuation = valuation_at(m, bearer, t)  # raises UnknownEntity for foreign ids
+    valuation = sample_valuation(m, sample_map(m, bearer, "bearer"), t)  # an undeclared id raises
     if valuation is None:
         raise UnsampledTime(f"{bearer!r} presents no snapshot or boundary at {coord_str(t)}")
     unmet = [(prop, want) for prop, want in f.fitem if valuation.get(prop) != want]

@@ -214,11 +214,8 @@ class Model:
     def kinds_of(self, entity_id: str) -> list[Kind]:
         return [kind for kind, store in self._kind_stores() if entity_id in store]
 
-    def has_entity(self, entity_id: str) -> bool:
-        return any(entity_id in store for _, store in self._kind_stores())
-
     def has_id(self, name: str) -> bool:
-        return self.has_entity(name) or name in self.chronoids
+        return name in self.chronoids or bool(self.kinds_of(name))
 
     def entity_count(self) -> int:
         return sum(len(store) for _, store in self._kind_stores())
@@ -270,8 +267,10 @@ class Model:
         return replace(self, presentials={**self.presentials, p.id: p})
 
 
-def classify(entity_id: str, m: Model) -> Kind:
-    """Classify an id into exactly one of the five individual kinds.
+def classify(entity_id: str, m: Model, role: str = "entity") -> Kind:
+    """Classify an id into exactly one of the five individual kinds: the one
+    lookup of every function that takes an id.  An undeclared id raises
+    UnknownEntity naming ``role``, what the id is to the caller.
 
     On a store where an id was (programmatically) declared under several
     kinds the first kind in the fixed order continuant, presential, process,
@@ -280,7 +279,7 @@ def classify(entity_id: str, m: Model) -> Kind:
     for kind, store in m._kind_stores():
         if entity_id in store:
             return kind
-    raise UnknownEntity(entity_id)
+    raise UnknownEntity(f"{role} {entity_id!r} is not declared")
 
 
 def process_of(m: Model, pid: str, why: str) -> Process:
@@ -289,9 +288,8 @@ def process_of(m: Model, pid: str, why: str) -> Process:
     and UnknownEntity for an undeclared id."""
     p = m.processes.get(pid)
     if p is None:
-        if m.has_entity(pid):
-            raise TypeError(f"{pid!r} is not a process; {why}")
-        raise UnknownEntity(f"process {pid!r} is not declared")
+        classify(pid, m, "process")  # an undeclared id raises here
+        raise TypeError(f"{pid!r} is not a process; {why}")
     return p
 
 
@@ -356,11 +354,11 @@ def process_temporal_part(p: Process, l: int | str | Fraction, r: int | str | Fr
     )
 
 
-def sample_map(m: Model, entity_id: str) -> dict:
+def sample_map(m: Model, entity_id: str, role: str = "entity") -> dict:
     """Coordinate -> presential id for any individual: the exhibit map of a
     continuant, the boundary map of a process, the one location of a
-    presential; empty for situations and facts.  Raises UnknownEntity for
-    ids that are not individuals at all."""
+    presential; empty for situations and facts.  An undeclared id raises
+    as :func:`classify` does."""
     pres = m.presentials.get(entity_id)
     if pres is not None:
         return {pres.at.coordinate: entity_id}
@@ -370,9 +368,8 @@ def sample_map(m: Model, entity_id: str) -> dict:
     owner = m.processes.get(entity_id)
     if owner is not None:
         return owner.boundary_map
-    if m.has_entity(entity_id):
-        return {}
-    raise UnknownEntity(entity_id)
+    classify(entity_id, m, role)  # a situation or a fact; an undeclared id raises here
+    return {}
 
 
 def sample_valuation(m: Model, samples: dict, t: Fraction) -> dict | None:
@@ -389,7 +386,7 @@ def valuation_at(m: Model, entity_id: str, t: Fraction) -> dict | None:
 
     Resolves continuants through their snapshot, processes through their
     boundary, presentials through themselves (when located at ``t``).
-    Returns None when the entity carries no declared sample at ``t``;
-    raises UnknownEntity for ids that are not individuals at all.
+    Returns None when the entity carries no declared sample at ``t``; an
+    undeclared id raises as :func:`classify` does.
     """
     return sample_valuation(m, sample_map(m, entity_id), t)

@@ -18,6 +18,7 @@ import test_golden as golden
 from genmodels import all_miss_model, random_full_model
 from gfo import checker, cli
 from gfo.dsl import ParseError, parse, parse_file, serialize
+from gfo.render import _json_parts
 from helpers import CORPUS, REPO, SCHEMA, corpus_files, lines_run, run_cli
 
 sys.path.insert(0, str(REPO / "perfbench"))
@@ -141,15 +142,19 @@ def test_no_command_makes_reference_cycles(tmp_path, capsys):
             ["dump", path],
         ]
     cli.build_arg_parser()
-    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    enabled = gc.isenabled()
     gc.disable()
     try:
         gc.collect()
+        heap = gc.get_objects()  # held, so no frozen object dies and the count below stays put
+        gc.freeze()  # the heap so far: each collect below scans only what the commands make
+        frozen = gc.get_freeze_count()
         for argv in commands:
             cli.main(argv)
             assert gc.collect() == 0, argv
             assert gc.get_freeze_count() == frozen, argv  # only cli.entry freezes
     finally:
+        gc.unfreeze()
         if enabled:
             gc.enable()
     capsys.readouterr()
@@ -238,7 +243,7 @@ def test_function_queries_walk_the_situations_and_exe_pairs_once(
 
 
 @pytest.mark.parametrize(
-    "render", [serialize, lambda m: cli._json_parts(cli.model_to_json(m), "\n", [])]
+    "render", [serialize, lambda m: _json_parts(cli.model_to_json(m), "\n", [])]
 )
 def test_rendering_runs_a_few_lines_per_entry(render):
     """``serialize`` and the writer of ``gfo dump`` (``model_to_json``, then
@@ -696,6 +701,35 @@ def test_the_process_entry_answers_as_main_and_then_freezes_the_collector(capsys
     ])
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, cwd=REPO)
     assert (done.stdout, done.stderr) == (expected, f"{code} True\n")
+
+
+def test_a_check_loads_no_rendering_query_parser_or_json():
+    """A human-format `gfo check` runs no rendering, query parsing or JSON
+    writing, so it imports neither render.py nor query.py nor ``json``; the
+    first JSON check, dump and truth-maker query each import what they run,
+    and no such first import leaves cyclic garbage.  ``-S`` keeps the
+    interpreter's own ``site`` imports out."""
+    heart = str(CORPUS / "heart.gfo")
+    commands = [
+        ["check", heart],
+        ["check", heart, "--format", "json"],
+        ["dump", heart],
+        ["query", heart, "--truthmakers", "holds(blood, position, in_heart) during [0, 1]"],
+    ]
+    probe = "\n".join([
+        "import gc, sys",
+        f"sys.path.insert(0, {str(REPO / 'src')!r})",
+        "from gfo import cli",
+        "cli.build_arg_parser()  # its first build makes cycles, once",
+        "gc.disable(); gc.collect()",
+        f"for argv in {commands!r}:",
+        "    cli.main(argv)",
+        "    loaded = [name for name in ('gfo.render', 'gfo.query', 'json') if name in sys.modules]",
+        "    print(*loaded, gc.collect(), file=sys.stderr)",
+    ])
+    done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True)
+    expected = ["0", "gfo.render json 0", "gfo.render json 0", "gfo.render gfo.query json 0"]
+    assert (done.returncode, done.stderr.splitlines()) == (0, expected), done.stderr
 
 
 def test_compiling_each_module_peaks_under_3_mb():

@@ -1142,6 +1142,7 @@ def test_loading_makes_no_reference_cycles():
     gc.disable()
     try:
         gc.collect()
+        gc.freeze()  # the heap so far: each collect below scans only what the loop makes
         for name, text in sources:
             try:
                 parse(text, file=name)
@@ -1149,6 +1150,7 @@ def test_loading_makes_no_reference_cycles():
                 failed += 1
             assert gc.collect() == 0, name
     finally:
+        gc.unfreeze()
         if was:
             gc.enable()
     assert 0 < failed < len(sources)  # both the model and the diagnostic paths ran

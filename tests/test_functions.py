@@ -23,7 +23,7 @@ from gfo.functions import (
     is_universal_realization,
     satisfies_concept,
 )
-from gfo.model import Fact, Model, Process, Situation
+from gfo.model import Fact, Model, Process, Situation, classify, sample_map, valuation_at
 from helpers import CORPUS
 
 
@@ -139,6 +139,9 @@ def test_universal_realization_cases(kettle):
         is_universal_realization({"heating_one", "nosuch"}, f, kettle)
     with pytest.raises(TypeError, match="^'kettle1' is not a process; "):
         is_universal_realization({"kettle1"}, f, kettle)  # a presential
+    for ids in ("heating_one", ""):  # an id, not a category of its characters
+        with pytest.raises(TypeError, match=f"^{ids!r} is an id; "):
+            is_universal_realization(ids, f, kettle)
 
 
 def test_universal_realization_vacuous():
@@ -249,6 +252,22 @@ def test_executes_names_the_undeclared_id_and_its_role(heart):
         executes("nobody", "blood-movement", heart)
     with pytest.raises(UnknownEntity, match=r"^process 'nothing' is not declared$"):
         executes("heart", "nothing", heart)
+
+
+@pytest.mark.parametrize(
+    "call, role",
+    [
+        (lambda m: classify("nobody", m), "entity"),
+        (lambda m: sample_map(m, "nobody"), "entity"),
+        (lambda m: valuation_at(m, "nobody", Fraction(0)), "entity"),
+        (lambda m: check_fitem("nobody", m.functions["f_pump"], m, 0), "bearer"),
+        (lambda m: is_actual_realizer("nobody", m.functions["f_pump"], m), "executor"),
+    ],
+    ids=["classify", "sample_map", "valuation_at", "check_fitem", "is_actual_realizer"],
+)
+def test_an_undeclared_id_is_named_with_its_role(heart, call, role):
+    with pytest.raises(UnknownEntity, match=f"^{role} 'nobody' is not declared$"):
+        call(heart)
 
 
 def test_situoid_constraint_checks_every_sample_inside():

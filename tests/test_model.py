@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import gfo
+import gfo.cli
 from gfo.chrono import Chronoid, inner_boundary
 from gfo.dsl import parse_file
 from gfo.errors import (
@@ -225,6 +226,11 @@ def test_the_public_names_resolve():
             assert hasattr(mod, name), (module, name)
             if name in gfo.__all__:
                 assert getattr(gfo, name) is getattr(mod, name), (module, name)
+    # the names gfo.dsl loads on first use, and the cli's name for one of them
+    render, query = importlib.import_module("gfo.render"), importlib.import_module("gfo.query")
+    assert gfo.dsl.serialize is render.serialize
+    assert gfo.dsl.parse_query is query.parse_query
+    assert gfo.cli.model_to_json is gfo.dsl.model_to_json is render.model_to_json
 
 
 # one value per field of every record that is not an entity type, and a
