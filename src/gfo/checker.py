@@ -22,7 +22,7 @@ from operator import itemgetter
 
 from .chrono import Time, coord, coord_str
 from .errors import MalformedContinuant, UnknownProperty
-from .model import CATEGORICAL, Continuant, Model, Process, Record, _set
+from .model import CATEGORICAL, Continuant, Model, Process, Record
 
 DISJOINTNESS = "disjointness"
 INTEGRATION = "integration"
@@ -40,30 +40,25 @@ VALUATION = "valuation"
 class Violation(Record):
     """One axiom broken by the subjects, at a coordinate when it has one."""
 
-    __slots__ = ("axiom", "subjects", "message", "at")
+    axiom: str
+    subjects: tuple
+    message: str
+    at: Fraction | None = None
 
-    def __init__(self, axiom: str, subjects: tuple, message: str, at: Fraction | None = None):
+    def __new__(cls, axiom, subjects, message, at=None):  # refused before a field is set
         if axiom not in REGISTERED_AXIOMS:
             raise ValueError(f"unregistered axiom name: {axiom!r}")
         if not subjects:
             raise ValueError("a violation needs at least one subject")
-        _set(self, "axiom", axiom)
-        _set(self, "subjects", subjects)
-        _set(self, "message", message)
-        _set(self, "at", at)
+        return object.__new__(cls)
 
     def sort_key(self):
         # None sorts before any coordinate; message breaks the last ties
         return self.axiom, self.subjects, self.at is not None, self.at or 0, self.message
 
     def to_json(self) -> dict:
-        out = {
-            "axiom": self.axiom,
-            "subjects": list(self.subjects),
-            "message": self.message,
-            "severity": "error",
-        }
-        if self.at is not None:
+        out = {**Record.to_json(self), "subjects": list(self.subjects), "severity": "error"}
+        if out.pop("at") is not None:  # a violation with no coordinate has no "at"
             out["at"] = coord_str(self.at)
         return out
 
@@ -75,12 +70,9 @@ class IntegrationWitness(Record):
     and the boundary map.
     """
 
-    __slots__ = ("continuant", "process", "matched_samples")
-
-    def __init__(self, continuant: str, process: str, matched_samples: tuple):
-        _set(self, "continuant", continuant)
-        _set(self, "process", process)
-        _set(self, "matched_samples", matched_samples)
+    continuant: str
+    process: str
+    matched_samples: tuple
 
 
 def sort_violations(violations) -> list[Violation]:

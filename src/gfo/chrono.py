@@ -1,4 +1,5 @@
-"""Phenomenal-time substrate: chronoids, time boundaries, coincidence, parthood.
+"""Phenomenal-time substrate: chronoids, time boundaries, coincidence, parthood,
+and :class:`Record`, on which every record and entity type of the kernel stands.
 
 Time coordinates are exact rationals (``fractions.Fraction``).  All checks
 downstream rely on decidable equality for coincidence and meeting tests, so
@@ -21,10 +22,108 @@ concurrent tasks.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import NotASubinterval, OutOfExtent, ZeroOrNegativeDuration
+
+_set = object.__setattr__  # how __init__ fills a slot, as a frozen dataclass's does
+_MISSING = object()  # no default given; as a parameter's default, call the field's factory
+
+
+class field(dict):
+    """A field's default or default factory and flags, as ``dataclasses.field`` takes them."""
+
+
+def _as_tuple(names: list):
+    """A getter of ``names``' values as a tuple; a one-field key is a 1-tuple, as a dataclass's."""
+    get = attrgetter(*names)
+    return get if len(names) > 1 else staticmethod(lambda record: (get(record),))
+
+
+class _RecordType(type):
+    """Makes a record class's annotations its slots and fields, and compiles its ``__init__``."""
+
+    def __new__(mcls, name, bases, namespace):
+        own = namespace.get("__annotations__", {})
+        namespace["__slots__"] = (*namespace.get("__slots__", ()), *own)
+        specs = {key: namespace.pop(key, _MISSING) for key in own}
+        cls = super().__new__(mcls, name, bases, namespace)
+        if not own:  # a subclass that declares no field keeps its base's
+            return cls
+        scope, params, body, compared, hashed = dict(_set=_set, _MISSING=_MISSING), [], [], [], []
+        for key, spec in specs.items():
+            if type(spec) is not field:
+                specs[key] = spec = field() if spec is _MISSING else field(default=spec)
+            scope[f"_d_{key}"] = spec.get("default_factory", spec.get("default"))
+            if "default_factory" in spec:
+                params.append(f"{key}=_MISSING")
+                body.append(f"_set(self, {key!r}, _d_{key}() if {key} is _MISSING else {key})")
+            else:
+                params.append(f"{key}=_d_{key}" if "default" in spec else key)
+                body.append(f"_set(self, {key!r}, {key})")
+            compare, hash_flag = spec.get("compare", True), spec.get("hash")
+            compared += [key] * compare
+            hashed += [key] * (compare if hash_flag is None else hash_flag)  # unset: as compare
+        if hasattr(cls, "__post_init__"):
+            body.append("self.__post_init__()")
+        exec(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(body), scope)
+        cls.__init__, cls.__match_args__ = scope["__init__"], tuple(own)
+        cls._fields = tuple((key, own[key], spec) for key, spec in specs.items())
+        cls._values, cls._compared, cls._hashed = map(_as_tuple, (list(own), compared, hashed))
+        cls._shown = tuple(key for key, spec in specs.items() if spec.get("repr", True))
+        return cls
+
+
+class _Twin:
+    """``__dataclass_fields__``: a frozen dataclass twin's, made on first access."""
+
+    def __get__(self, record, cls):
+        from dataclasses import field as twin_field, make_dataclass
+        fields = [(key, annotation, twin_field(**spec)) for key, annotation, spec in cls._fields]
+        twin = make_dataclass(cls.__name__, fields, frozen=True)
+        cls.__dataclass_fields__ = twin.__dataclass_fields__
+        return twin.__dataclass_fields__
+
+
+class Record(metaclass=_RecordType):
+    """The ``__init__``, ``==`` (same class only), hash, repr, write errors,
+    copy and pickle of the frozen dataclass of the same fields.  A record
+    class lists its fields as annotations, each with its default or
+    :class:`field`; ``__slots__`` names anything else an instance holds."""
+
+    __slots__ = ()
+    __dataclass_fields__ = _Twin()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._compared(self) == self._compared(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._hashed(self))
+
+    def __repr__(self) -> str:
+        shown = (f"{key}={getattr(self, key)!r}" for key in self._shown)
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __setattr__(self, name, value, write="assign to"):
+        from dataclasses import FrozenInstanceError  # a refused write loads dataclasses itself
+        raise FrozenInstanceError(f"cannot {write} field {name!r}")
+
+    def __delattr__(self, name):
+        self.__setattr__(name, None, "delete")
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+    def to_json(self) -> dict:
+        """The fields by name: ``dataclasses.asdict`` of a record that holds no record."""
+        return dict(zip(self.__match_args__, self._values(self)))
+
+    def _replace(self, **changes):  # as dataclasses.replace
+        return type(self)(**{**self.to_json(), **changes})
+
 
 LEFT = "left"
 RIGHT = "right"
@@ -84,21 +183,42 @@ class Time(Fraction):
 def coord(value: int | str | Fraction) -> Time:
     """Coerce ints, Fractions and rational literals ('3/2', '-0.25') to an
     exact coordinate.  A string is read as the lexer reads a number token:
-    any other text, a literal of more than MAX_LITERAL_DIGITS digits (counted
-    before it is converted) or as p/q, and a zero denominator raise ValueError."""
+    any other text, a zero denominator, and a literal of more than
+    MAX_LITERAL_DIGITS digits as written or as p/q raise ValueError."""
     if not isinstance(value, str):
         return Time(value)
     if not _LITERAL.fullmatch(value):
-        raise ValueError(f"not a rational literal: {value[:20]!r}")
-    if sum(map(str.isdigit, value)) > MAX_LITERAL_DIGITS:
-        raise ValueError(f"a rational literal has at most {MAX_LITERAL_DIGITS} digits")
-    try:
-        t = Time(value)
-    except ZeroDivisionError:
-        raise ValueError(f"{value!r} has a zero denominator") from None
-    if sum(map(str.isdigit, coord_str(t))) > MAX_LITERAL_DIGITS:
-        raise ValueError(f"a rational literal has at most {MAX_LITERAL_DIGITS} digits as p/q")
+        raise ValueError(f"not a rational literal: {_shown(value)}")
+    t, error = _rational(value)
+    if error:
+        raise ValueError(error)
     return t
+
+
+def _rational(text: str) -> tuple:
+    """A rational literal's value, and the reason it is a bad rational or None."""
+    short = len(text) <= MAX_LITERAL_DIGITS // 2  # then its p/q text fits too
+    digits = 0 if short else sum(map(str.isdigit, text))
+    if digits > MAX_LITERAL_DIGITS:
+        return Time(0), _overlong(text, f"{digits} digits")
+    try:  # p/q is built from its int parts, an integer from its int, a decimal from its text
+        p, _, q = text.partition("/")
+        value = Time(text) if "." in text else Time(int(p), int(q)) if q else Time(int(p))
+    except ZeroDivisionError:
+        return Time(0), f"{text!r} is not a valid rational literal"
+    digits = 0 if short else sum(map(str.isdigit, coord_str(value)))
+    if digits > MAX_LITERAL_DIGITS:
+        return Time(0), _overlong(text, f"{digits} digits as p/q")
+    return value, None
+
+
+def _overlong(text: str, count: str) -> str:
+    return f"{_shown(text)} has {count}; a rational literal has at most {MAX_LITERAL_DIGITS}"
+
+
+def _shown(text: str) -> str:
+    """A text as a message quotes it: at most 20 characters, then '...'."""
+    return repr(text) if len(text) <= 20 else f"{text[:20]!r}..."
 
 
 def coord_str(value: Fraction) -> str:
@@ -126,8 +246,7 @@ def _id_safe(value: Fraction) -> str:
     return coord_str(value).replace("-", "m").replace("/", "_")
 
 
-@dataclass(frozen=True)
-class TimeBoundary:
+class TimeBoundary(Record):
     """An instantaneous boundary entity of a chronoid."""
 
     id: str
@@ -136,8 +255,7 @@ class TimeBoundary:
     kind: str  # LEFT, RIGHT or INNER
 
 
-@dataclass(frozen=True)
-class Chronoid:
+class Chronoid(Record):
     """A connected time interval of strictly positive duration."""
 
     id: str

@@ -24,12 +24,8 @@ HUMAN = "human"
 JSON = "json"
 
 
-def _color_enabled() -> bool:
-    return os.environ.get("GFO_COLOR", "") == "1"
-
-
 def _red(text: str) -> str:
-    return f"\x1b[31m{text}\x1b[0m" if _color_enabled() else text
+    return f"\x1b[31m{text}\x1b[0m" if os.environ.get("GFO_COLOR", "") == "1" else text
 
 
 def _write(text: str) -> None:

@@ -30,11 +30,11 @@ from array import array
 from bisect import bisect_left
 from itertools import compress
 
-from .chrono import MAX_LITERAL_DIGITS, Time, coord_str
+from .chrono import MAX_LITERAL_DIGITS, _rational, _shown  # noqa: F401  (a name of dsl)
 from .errors import GfoError
 from .functions import CONCEPTUAL, FUNCTION_KINDS
 from .link import _Linker
-from .model import CATEGORICAL, GLOBAL, ISOLATED, NON_ISOLATED, NUMERIC, Model, Record, _set
+from .model import CATEGORICAL, GLOBAL, ISOLATED, NON_ISOLATED, NUMERIC, Model, Record
 
 # ---------------------------------------------------------------------------
 # Diagnostics
@@ -62,13 +62,10 @@ DIAGNOSTIC_CODES = frozenset(
 class SourceSpan(Record):
     """1-based line/column position with a length in characters."""
 
-    __slots__ = ("file", "line", "column", "length")
-
-    def __init__(self, file: str, line: int, column: int, length: int = 1):
-        _set(self, "file", file)
-        _set(self, "line", line)
-        _set(self, "column", column)
-        _set(self, "length", length)
+    file: str
+    line: int
+    column: int
+    length: int = 1
 
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.column}"
@@ -77,27 +74,20 @@ class SourceSpan(Record):
 class ParseDiagnostic(Record):
     """One fault found in a source: where it is, its code and its message."""
 
-    __slots__ = ("span", "code", "message")
+    span: SourceSpan
+    code: str
+    message: str
 
-    def __init__(self, span: SourceSpan, code: str, message: str):
+    def __new__(cls, span, code, message):  # refused before a field is set
         if code not in DIAGNOSTIC_CODES:
             raise ValueError(f"unregistered diagnostic code: {code!r}")
-        _set(self, "span", span)
-        _set(self, "code", code)
-        _set(self, "message", message)
+        return object.__new__(cls)
 
     def __str__(self) -> str:
         return f"{self.span}: {self.code}: {self.message}"
 
     def to_json(self) -> dict:
-        return {
-            "file": self.span.file,
-            "line": self.span.line,
-            "column": self.span.column,
-            "length": self.span.length,
-            "code": self.code,
-            "message": self.message,
-        }
+        return {**self.span.to_json(), "code": self.code, "message": self.message}
 
 
 class ParseError(GfoError):
@@ -168,32 +158,6 @@ class Token:
 
     def __init__(self, kind: str, text: str, value):
         self.kind, self.text, self.value = kind, text, value
-
-
-def _rational(text: str) -> tuple:
-    """A number token's value, and the reason it is a bad rational or None."""
-    short = len(text) <= MAX_LITERAL_DIGITS // 2  # then its p/q text fits too
-    digits = 0 if short else sum(c.isdigit() for c in text)
-    if digits > MAX_LITERAL_DIGITS:
-        return Time(0), _overlong(text, f"{digits} digits")
-    try:  # p/q is built from its int parts, an integer from its int, a decimal from its text
-        p, _, q = text.partition("/")
-        value = Time(text) if "." in text else Time(int(p), int(q)) if q else Time(int(p))
-    except ZeroDivisionError:
-        return Time(0), f"{text!r} is not a valid rational literal"
-    digits = 0 if short else sum(c.isdigit() for c in coord_str(value))
-    if digits > MAX_LITERAL_DIGITS:
-        return Time(0), _overlong(text, f"{digits} digits as p/q")
-    return value, None
-
-
-def _overlong(text: str, count: str) -> str:
-    return f"{_shown(text)} has {count}; a rational literal has at most {MAX_LITERAL_DIGITS}"
-
-
-def _shown(text: str) -> str:
-    """A token's text as a diagnostic quotes it: at most 20 characters, then '...'."""
-    return repr(text) if len(text) <= 20 else f"{text[:20]!r}..."
 
 
 def _lexeme(text: str, faults: dict) -> Token:
@@ -341,11 +305,6 @@ class _Parser:
 
     # -- token helpers -------------------------------------------------------
 
-    # punctuation is tested by its text alone: a token's class follows from its
-    # first character, so no other class has a punctuation text (docs/grammar.md)
-    def at_punct(self, text: str) -> bool:
-        return self.tokens[self.pos].text == text
-
     def report(self, err: _Syntax) -> None:
         if err.index not in self.lexed:
             self.diagnostics.append((err.index, "unexpected-token", err.message, 0))
@@ -370,6 +329,8 @@ class _Parser:
             raise self.expected(_one_of(words))
         return word
 
+    # punctuation is tested by its text alone: a token's class follows from its
+    # first character, so no other class has a punctuation text (docs/grammar.md)
     def take_punct(self, text: str) -> None:
         if self.tokens[self.pos].text != text:
             raise self.expected(repr(text))
@@ -396,7 +357,7 @@ class _Parser:
 
     def end_block(self) -> None:
         # a ';' after '}' (or after a query) is permitted but not required
-        if self.at_punct(";"):
+        if self.tokens[self.pos].text == ";":
             self.pos += 1
 
     # -- shared constructs -----------------------------------------------------
@@ -483,7 +444,7 @@ class _Parser:
     def comma_list(self, take) -> list:
         """``item { , item }``: what ``take`` parses for each item."""
         out = [take()]
-        while self.at_punct(","):
+        while self.tokens[self.pos].text == ",":
             self.pos += 1
             out.append(take())
         return out

@@ -10,12 +10,11 @@ it is asserted in the model, never inferred.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .chrono import coord, coord_str
 from .errors import UnknownSituation, UnsampledTime
-from .model import Fact, Model, Process, Record, Situation, Value, _set, classify, process_of
+from .model import Fact, Model, Process, Record, Situation, Value, classify, field, process_of
 from .model import sample_map, sample_valuation
 
 WILDCARD = "_"
@@ -26,8 +25,7 @@ INDIVIDUAL = "individual"
 FUNCTION_KINDS = (CONCEPTUAL, UNIVERSAL, INDIVIDUAL)
 
 
-@dataclass(frozen=True)
-class FactPattern:
+class FactPattern(Record):
     """A relator with argument slots; a slot is an id, a literal value, or
     the wildcard '_'."""
 
@@ -40,8 +38,7 @@ class FactPattern:
         return all(slot == WILDCARD or slot == arg for slot, arg in zip(self.args, fact.args))
 
 
-@dataclass(frozen=True)
-class PropertyConstraint:
+class PropertyConstraint(Record):
     """Requires a participant to present a property value at the
     situation's time."""
 
@@ -50,8 +47,7 @@ class PropertyConstraint:
     value: Value
 
 
-@dataclass(frozen=True)
-class SituationConcept:
+class SituationConcept(Record):
     """A concept whose instances are situations; requires at least one
     fact pattern or property constraint.
 
@@ -67,8 +63,7 @@ class SituationConcept:
             raise ValueError(f"concept {self.name!r} has no constraints")
 
 
-@dataclass(frozen=True)
-class FunctionSpec:
+class FunctionSpec(Record):
     """Conceptual structure of a function: labels, requirement and goal
     concepts, and the functional item (necessary bearer properties)."""
 
@@ -84,12 +79,9 @@ class FunctionSpec:
 class RealizationRecord(Record):
     """Connects a process to the individual requirement and goal it links."""
 
-    __slots__ = ("process", "requirement_situation", "goal_situation")
-
-    def __init__(self, process: str, requirement_situation: str, goal_situation: str):
-        _set(self, "process", process)
-        _set(self, "requirement_situation", requirement_situation)
-        _set(self, "goal_situation", goal_situation)
+    process: str
+    requirement_situation: str
+    goal_situation: str
 
 
 # -- concept satisfaction ------------------------------------------------------
@@ -204,8 +196,8 @@ def is_universal_realization(process_ids, f: FunctionSpec, m: Model):
 
 def executes(x: str, p: str, m: Model) -> bool:
     """The primitive execution relation: true iff (x, p) was asserted.  An
-    undeclared id raises UnknownEntity naming its role; a declared id of
-    another kind answers False."""
+    id raises as :func:`classify` does; a declared individual of another
+    kind answers False."""
     classify(x, m, "executor")  # an undeclared id raises here
     classify(p, m, "process")
     return (x, p) in m.exe_assertions

@@ -5,7 +5,6 @@ index in the load's one fault list (see dsl.py)."""
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import fields
 
 from .chrono import Chronoid, Time, coord_str, fmt_value, inner_boundary
 from .errors import OutOfExtent, ZeroOrNegativeDuration
@@ -25,7 +24,7 @@ class _Linker:
     that a rejected declaration drives no follow-on diagnostic: ``store``
     maps a name declared twice to None, and a check reads only what is stored.
     Any diagnostic discards the model.  Entities are built with positional
-    arguments, which a frozen dataclass binds faster than keywords.
+    arguments, which a record's ``__init__`` binds faster than keywords.
     """
 
     def __init__(self, decls: list, tokens: list, found: list):
@@ -449,4 +448,4 @@ class _Linker:
         self.build_assertions()
         if self.found:
             return None
-        return Model(**{field.name: getattr(self, field.name) for field in fields(Model)})
+        return Model(*(getattr(self, name) for name in Model.__match_args__))

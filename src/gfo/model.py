@@ -1,6 +1,7 @@
 """Immutable entity store for processes, presentials, continuants and situations.
 
-All entities are frozen dataclasses addressed by string ids.  The store
+All entities are frozen records (``Record``, from chrono) addressed by string
+ids, which ``dataclasses.fields``, ``replace`` and ``asdict`` take.  The store
 itself is built once (by the DSL loader or programmatically) and then only
 read; the checking and query layers are pure functions over it.
 
@@ -14,12 +15,10 @@ pinned to a single boundary.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 
-from .chrono import Chronoid, TimeBoundary, coord, coord_str, temporal_part_chronoid
+from .chrono import Chronoid, Record, TimeBoundary, coord, coord_str, field, temporal_part_chronoid
 from .errors import NotASubinterval, OutOfExtent, OutOfLifetime, UnknownEntity, UnsampledTime
 
 # a property value: a categorical symbol or an exact numeric
@@ -32,48 +31,8 @@ ISOLATED = "isolated"
 NON_ISOLATED = "nonisolated"
 GLOBAL = "global"
 
-_set = object.__setattr__  # how a record's __init__ fills its slots, as a frozen dataclass does
 
-
-class Record:
-    """A frozen record that is not an entity type: the ``==``, hash, repr and
-    write errors of a frozen dataclass of the fields in ``__slots__``,
-    without the code a dataclass generates and compiles at every import.
-    Each subclass's ``__init__`` sets every slot with ``_set``."""
-
-    __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple(map(self.__getattribute__, self.__slots__))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        shown = (f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
-        return f"{type(self).__qualname__}({', '.join(shown)})"
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):  # copy and pickle rebuild a record through __init__, which sets slots
-        return type(self), self._values()
-
-    def to_json(self) -> dict:
-        """The fields by name: ``dataclasses.asdict`` of a record that holds no record."""
-        return dict(zip(self.__slots__, self._values()))
-
-
-@dataclass(frozen=True)
-class ValueDomain:
+class ValueDomain(Record):
     """The values a property takes: the symbols listed, or any rational."""
 
     kind: str  # CATEGORICAL or NUMERIC
@@ -85,8 +44,7 @@ class ValueDomain:
         return isinstance(value, str) and value in self.symbols
 
 
-@dataclass(frozen=True)
-class Support:
+class Support(Record):
     """Temporal support of a property: determinable at a boundary, over a
     window, or only over the whole extent."""
 
@@ -94,8 +52,7 @@ class Support:
     window_radius: Fraction | None = None  # > 0, NON_ISOLATED only
 
 
-@dataclass(frozen=True)
-class PropertyDef:
+class PropertyDef(Record):
     """A declared property: its name, value domain and temporal support."""
 
     name: str
@@ -103,8 +60,7 @@ class PropertyDef:
     support: Support = Support(ISOLATED)
 
 
-@dataclass(frozen=True)
-class Presential:
+class Presential(Record):
     """An individual wholly present at a single time boundary.
 
     Presentials cannot change; their valuation may contain isolated-support
@@ -117,8 +73,7 @@ class Presential:
     material: bool = True
 
 
-@dataclass(frozen=True)
-class Process:
+class Process(Record):
     """A temporally extended individual, never wholly present at a point.
 
     ``boundary_map`` holds the finitely sampled process boundaries
@@ -134,8 +89,7 @@ class Process:
     trajectories: dict = field(default_factory=dict, hash=False)
 
 
-@dataclass(frozen=True)
-class Continuant:
+class Continuant(Record):
     """An individual persisting through a lifetime, exhibiting one
     presential per declared sample point."""
 
@@ -145,8 +99,7 @@ class Continuant:
     material: bool = True
 
 
-@dataclass(frozen=True)
-class Fact:
+class Fact(Record):
     """A relator with arguments; a constituent of situations, itself neither
     true nor false.
 
@@ -159,8 +112,7 @@ class Fact:
     args: tuple
 
 
-@dataclass(frozen=True)
-class Situation:
+class Situation(Record):
     """A coherent part of reality: presentic (at a boundary) or a situoid
     (over a chronoid), optionally founded on a process."""
 
@@ -183,10 +135,11 @@ class Kind(Enum):
     FACT = "fact"
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(Record):
     """The full declared world: time, individuals, situations, properties,
     functions and primitive execution assertions."""
+
+    __slots__ = ("_indexes",)  # index's lookups: no field, so a copy starts without them
 
     chronoids: dict = field(default_factory=dict, hash=False)
     presentials: dict = field(default_factory=dict, hash=False)
@@ -225,10 +178,8 @@ class Model:
             len(c.exhibit_map) for c in self.continuants.values()
         )
 
-    @cached_property
-    def _indexes(self) -> dict:
-        # not a field, so outside == and hash, and replace() copies start empty
-        return {}
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_indexes", {})
 
     def index(self, build, *args):
         """``build(self, *args)``: a lookup derived from this store, built on
@@ -256,15 +207,15 @@ class Model:
         for p in processes:
             chronoids.setdefault(p.extent.id, p.extent)
         added = {p.id: p for p in processes}
-        return replace(self, chronoids=chronoids, processes={**self.processes, **added})
+        return self._replace(chronoids=chronoids, processes={**self.processes, **added})
 
     def with_continuant(self, c: Continuant) -> "Model":
         chronoids = dict(self.chronoids)
         chronoids.setdefault(c.lifetime.id, c.lifetime)
-        return replace(self, chronoids=chronoids, continuants={**self.continuants, c.id: c})
+        return self._replace(chronoids=chronoids, continuants={**self.continuants, c.id: c})
 
     def with_presential(self, p: Presential) -> "Model":
-        return replace(self, presentials={**self.presentials, p.id: p})
+        return self._replace(presentials={**self.presentials, p.id: p})
 
 
 def classify(entity_id: str, m: Model, role: str = "entity") -> Kind:
@@ -274,11 +225,14 @@ def classify(entity_id: str, m: Model, role: str = "entity") -> Kind:
 
     On a store where an id was (programmatically) declared under several
     kinds the first kind in the fixed order continuant, presential, process,
-    situation, fact wins; the disjointness check reports the conflict.
+    situation, fact wins; the disjointness check reports the conflict.  A
+    chronoid's id raises TypeError: a chronoid is not an individual.
     """
     for kind, store in m._kind_stores():
         if entity_id in store:
             return kind
+    if entity_id in m.chronoids:
+        raise TypeError(f"{role} {entity_id!r} is a chronoid, not an individual")
     raise UnknownEntity(f"{role} {entity_id!r} is not declared")
 
 

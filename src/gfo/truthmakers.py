@@ -10,12 +10,11 @@ not that the proposition is false of the world.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .errors import MalformedTriple, UnknownProperty
-from .model import GLOBAL, ISOLATED, NON_ISOLATED, Model, Record, Situation, Value, _set
+from .model import GLOBAL, ISOLATED, NON_ISOLATED, Model, Record, Situation, Value
 from .model import process_of
 from .functions import FactPattern, FunctionSpec, is_actual_realization
 
@@ -23,24 +22,17 @@ from .functions import FactPattern, FunctionSpec, is_actual_realization
 class AtTime(Record):
     """A proposition's time reference: the one coordinate."""
 
-    __slots__ = ("coordinate",)
-
-    def __init__(self, coordinate: Fraction):
-        _set(self, "coordinate", coordinate)
+    coordinate: Fraction
 
 
 class DuringSpan(Record):
     """A proposition's time reference: the span [left, right]."""
 
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: Fraction, right: Fraction):
-        _set(self, "left", left)
-        _set(self, "right", right)
+    left: Fraction
+    right: Fraction
 
 
-@dataclass(frozen=True)
-class FactProp:
+class FactProp(Record):
     """'relator(arg, ...)': made true by a matching constituent fact."""
 
     relator: str
@@ -48,8 +40,7 @@ class FactProp:
     time_ref: object = None  # an AtTime, a DuringSpan, or None: unanchored
 
 
-@dataclass(frozen=True)
-class HoldsProp:
+class HoldsProp(Record):
     """'holds(subject, property, value)': made true by a property fact."""
 
     subject: str
@@ -61,12 +52,9 @@ class HoldsProp:
 class TruthMakerTriple(Record):
     """A process, a situation founded on it, and one of its constituent facts."""
 
-    __slots__ = ("process", "situation", "fact")
-
-    def __init__(self, process: str, situation: str, fact: str):
-        _set(self, "process", process)
-        _set(self, "situation", situation)
-        _set(self, "fact", fact)
+    process: str
+    situation: str
+    fact: str
 
 
 class SupportClass(Enum):

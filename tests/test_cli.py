@@ -707,8 +707,8 @@ def test_a_check_loads_no_rendering_query_parser_or_json():
     """A human-format `gfo check` runs no rendering, query parsing or JSON
     writing, so it imports neither render.py nor query.py nor ``json``; the
     first JSON check, dump and truth-maker query each import what they run,
-    and no such first import leaves cyclic garbage.  ``-S`` keeps the
-    interpreter's own ``site`` imports out."""
+    and no such first import leaves cyclic garbage.  None of the four loads
+    ``dataclasses``.  ``-S`` keeps the interpreter's own ``site`` imports out."""
     heart = str(CORPUS / "heart.gfo")
     commands = [
         ["check", heart],
@@ -724,7 +724,8 @@ def test_a_check_loads_no_rendering_query_parser_or_json():
         "gc.disable(); gc.collect()",
         f"for argv in {commands!r}:",
         "    cli.main(argv)",
-        "    loaded = [name for name in ('gfo.render', 'gfo.query', 'json') if name in sys.modules]",
+        "    names = ('gfo.render', 'gfo.query', 'json', 'dataclasses')",
+        "    loaded = [name for name in names if name in sys.modules]",
         "    print(*loaded, gc.collect(), file=sys.stderr)",
     ])
     done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True)
@@ -749,9 +750,12 @@ def test_compiling_each_module_peaks_under_3_mb():
 
 
 def test_importing_the_cli_loads_no_typing():
-    """``typing`` costs a few milliseconds of every fresh start and gfo uses
-    none of it.  ``-S`` keeps the interpreter's own ``site`` imports out."""
-    probe = "import sys; import gfo.cli; print('typing' in sys.modules)"
+    """``typing``, ``dataclasses`` and the ``inspect`` that ``dataclasses``
+    imports cost milliseconds of every fresh start, and gfo uses none of them
+    on its own: a record loads ``dataclasses`` only when asked for its fields
+    or refused a write.  ``-S`` keeps the interpreter's own ``site`` imports out."""
+    names = ("typing", "dataclasses", "inspect")
+    probe = f"import sys; import gfo.cli; print([n for n in {names!r} if n in sys.modules])"
     code = f"import sys; sys.path.insert(0, {str(REPO / 'src')!r}); {probe}"
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

@@ -1,8 +1,9 @@
 import copy
 import importlib
 import pickle
-from dataclasses import FrozenInstanceError, asdict, make_dataclass, replace
+from dataclasses import MISSING, FrozenInstanceError, asdict, fields, is_dataclass, replace
 from fractions import Fraction
+from operator import attrgetter
 
 import pytest
 
@@ -10,12 +11,14 @@ import gfo
 import gfo.cli
 from gfo.chrono import Chronoid, inner_boundary
 from gfo.dsl import parse_file
+from gfo.functions import executes
 from gfo.errors import (
     NotASubinterval,
     OutOfExtent,
     OutOfLifetime,
     UnknownEntity,
     UnsampledTime,
+    ZeroOrNegativeDuration,
 )
 from gfo.model import (
     Kind,
@@ -24,10 +27,12 @@ from gfo.model import (
     Process,
     classify,
     process_boundary,
+    process_of,
     process_temporal_part,
     snapshot,
     valuation_at,
 )
+import record_twins
 from helpers import CORPUS
 
 
@@ -54,6 +59,22 @@ def test_classify_corpus_entities(heart):
     assert classify("f_start", heart) is Kind.FACT
     with pytest.raises(UnknownEntity):
         classify("nobody", heart)
+
+
+def test_a_chronoid_id_names_no_individual(heart):
+    """A declared chronoid is not an individual: every lookup of an
+    individual by id says so, naming the id's role, instead of reading the
+    id as undeclared."""
+    lookups = [
+        (lambda: classify("life", heart), "entity 'life'"),
+        (lambda: executes("life", "heart_proc", heart), "executor 'life'"),
+        (lambda: executes("heart", "life", heart), "process 'life'"),
+        (lambda: process_of(heart, "life", "why"), "process 'life'"),
+        (lambda: valuation_at(heart, "life", 0), "entity 'life'"),
+    ]
+    for lookup, named in lookups:
+        with pytest.raises(TypeError, match=f"^{named} is a chronoid, not an individual$"):
+            lookup()
 
 
 def test_classify_is_total_and_unique(heart):
@@ -233,18 +254,54 @@ def test_the_public_names_resolve():
     assert gfo.cli.model_to_json is gfo.dsl.model_to_json is render.model_to_json
 
 
-# one value per field of every record that is not an entity type, and a
-# second value of the first field, so that the two differ
+F = Fraction
+_BOUNDARY = gfo.TimeBoundary("c@0", F(0), "c", "left")
+_CONCEPT = gfo.SituationConcept(
+    frozenset({gfo.FactPattern("r", ("a", "_"))}), frozenset({gfo.PropertyConstraint("a", "p", "x")}),
+    "f.req",
+)
+_OTHER_CONCEPT = gfo.SituationConcept(frozenset({gfo.FactPattern("s", ())}), frozenset(), "g.goal")
+
+# every record and entity type, a value of each of its fields, and another
+# value of each field
 RECORD_VALUES = [
-    (gfo.SourceSpan, ("world.gfo", 3, 7, 2), "other.gfo"),
-    (gfo.ParseDiagnostic, (gfo.SourceSpan("world.gfo", 1, 1), "unknown-id", "boom"), None),
-    (gfo.Violation, ("integration", ("c", "p"), "differ", Fraction(1, 2)), "disjointness"),
-    (gfo.IntegrationWitness, ("c", "p", (Fraction(0), Fraction(1))), "d"),
-    (gfo.RealizationRecord, ("p", "s_req", "s_goal"), "q"),
-    (gfo.TruthMakerTriple, ("p", "s", "f"), "q"),
-    (gfo.AtTime, (Fraction(3, 2),), Fraction(2)),
-    (gfo.DuringSpan, (Fraction(0), Fraction(1)), Fraction(-1)),
+    (gfo.TimeBoundary, ("c@1", F(1), "c", "inner"), ("d@2", F(2), "d", "right")),
+    (gfo.Chronoid, ("c", F(0), F(1), {}), ("d", F(-1), F(2), {F(0): _BOUNDARY})),
+    (gfo.ValueDomain, ("categorical", frozenset({"x"})), ("numeric", frozenset())),
+    (gfo.Support, ("nonisolated", F(1, 2)), ("global", None)),
+    (gfo.PropertyDef, ("p", gfo.ValueDomain("numeric"), gfo.Support("isolated")),
+     ("q", gfo.ValueDomain("categorical", frozenset({"x"})), gfo.Support("global"))),
+    (gfo.Presential, ("a", _BOUNDARY, {"p": "x"}, True),
+     ("b", gfo.TimeBoundary("d@2", F(2), "d", "right"), {"p": "y"}, False)),
+    (gfo.Process, ("P", gfo.Chronoid("c", F(0), F(1)), {F(0): "a"}, {"v": ((F(0), F(1)),)}),
+     ("Q", gfo.Chronoid("d", F(0), F(2)), {F(1): "b"}, {})),
+    (gfo.Continuant, ("k", gfo.Chronoid("c", F(0), F(1)), {F(0): "a"}, True),
+     ("l", gfo.Chronoid("d", F(0), F(2)), {}, False)),
+    (gfo.Fact, ("f", "r", ("a", F(1))), ("g", "s", ())),
+    (gfo.Situation, ("s", _BOUNDARY, frozenset({"f"}), frozenset({"a"}), "P"),
+     ("t", gfo.Chronoid("c", F(0), F(1)), frozenset(), frozenset(), None)),
+    (gfo.Model, (*({"x": i} for i in range(8)), frozenset({("x", "P")}), {"f": frozenset({"s"})}, {}),
+     (*({} for _ in range(8)), frozenset(), {}, {"g": frozenset({"t"})})),
+    (gfo.FactPattern, ("r", ("a", "_")), ("s", ("b",))),
+    (gfo.PropertyConstraint, ("a", "p", "x"), ("b", "q", F(1))),
+    (gfo.SituationConcept, (_CONCEPT.required_facts, _CONCEPT.required_props, "f.req"),
+     (_OTHER_CONCEPT.required_facts, frozenset({gfo.PropertyConstraint("b", "q", "y")}), "g.goal")),
+    (gfo.FunctionSpec, ("f", _CONCEPT, _CONCEPT, frozenset({"pump"}), (("p", "x"),), "conceptual", None),
+     ("g", _OTHER_CONCEPT, _OTHER_CONCEPT, frozenset(), (), "individual", "heart")),
+    (gfo.RealizationRecord, ("p", "s_req", "s_goal"), ("q", "t_req", "t_goal")),
+    (gfo.AtTime, (F(3, 2),), (F(2),)),
+    (gfo.DuringSpan, (F(0), F(1)), (F(-1), F(2))),
+    (gfo.FactProp, ("r", ("a", "_"), None), ("s", (), gfo.AtTime(F(1)))),
+    (gfo.HoldsProp, ("a", "p", "x", gfo.DuringSpan(F(0), F(1))), ("b", "q", F(1), None)),
+    (gfo.TruthMakerTriple, ("p", "s", "f"), ("q", "t", "g")),
+    (gfo.Violation, ("integration", ("c", "p"), "differ", F(1, 2)), ("disjointness", ("d",), "twice", None)),
+    (gfo.IntegrationWitness, ("c", "p", (F(0), F(1))), ("d", "q", ())),
+    (gfo.SourceSpan, ("world.gfo", 3, 7, 2), ("other.gfo", 4, 8, 1)),
+    (gfo.ParseDiagnostic, (gfo.SourceSpan("world.gfo", 1, 1), "unknown-id", "boom"),
+     (gfo.SourceSpan("other.gfo", 2, 2), "bad-value", "bang")),
 ]
+# what dataclasses.fields tells of a field, its type aside
+_FIELD = attrgetter("name", "default", "default_factory", "init", "repr", "hash", "compare", "kw_only")
 
 
 def _refusal(write, target) -> str:
@@ -253,26 +310,40 @@ def _refusal(write, target) -> str:
     return str(raised.value)
 
 
-@pytest.mark.parametrize("cls, values, first", RECORD_VALUES, ids=[cls.__name__ for cls, *_ in RECORD_VALUES])
-def test_a_record_behaves_as_its_frozen_dataclass(cls, values, first):
-    """Records that are not entity types are built without code generation
-    (``model.Record``), yet compare, hash, print and refuse writes as the
-    frozen dataclass of the same fields does."""
-    twin = make_dataclass(cls.__name__, cls.__slots__, frozen=True)
+@pytest.mark.parametrize("cls, values, others", RECORD_VALUES, ids=[cls.__name__ for cls, *_ in RECORD_VALUES])
+def test_a_record_behaves_as_its_frozen_dataclass(cls, values, others):
+    """Every record and entity type is a ``model.Record``, built without
+    generating code at import, yet it compares, hashes, prints, refuses
+    writes, copies and answers ``dataclasses`` as its twin does: the frozen
+    dataclass the class stands for (tests/record_twins.py)."""
+    twin = getattr(record_twins, cls.__name__)
+    names = [f.name for f in fields(twin)]
     record, model = cls(*values), twin(*values)
-    assert record == cls(**dict(zip(cls.__slots__, values))) and model == twin(*values)
+    assert record == cls(**dict(zip(names, values))) and cls.__match_args__ == twin.__match_args__
     assert (hash(record), repr(record)) == (hash(model), repr(model))
     assert record != model and record.__eq__(model) is NotImplemented
     subclass = type("Subclass", (cls,), {})  # the same fields and values, another class
     assert (record == subclass(*values)) is (model == type("Subclass", (twin,), {})(*values)) is False
-    if first is not None:
-        assert (cls(first, *values[1:]) == record) is (twin(first, *values[1:]) == model) is False
-    for name in (*cls.__slots__, "undeclared"):
+    for i, other in enumerate(others):  # each field changed alone
+        changed = (*values[:i], other, *values[i + 1 :])
+        assert (cls(*changed) == record) is (twin(*changed) == model), names[i]
+        assert (hash(cls(*changed)) == hash(record)) is (hash(twin(*changed)) == hash(model)), names[i]
+        assert replace(record, **{names[i]: other}) == cls(*changed)
+    for name in (*names, "undeclared"):
         for write in (lambda x: setattr(x, name, None), lambda x: delattr(x, name)):
             assert _refusal(write, record) == _refusal(write, model)
     assert copy.copy(record) == copy.deepcopy(record) == pickle.loads(pickle.dumps(record)) == record
+    assert is_dataclass(cls) and is_dataclass(record) and asdict(record) == asdict(model)
+    assert [*map(_FIELD, fields(record))] == [*map(_FIELD, fields(model))]
     if "to_json" not in vars(cls):  # a diagnostic and a violation write their own
-        assert record.to_json() == asdict(model)
+        assert record.to_json() == dict(zip(names, values))
+    # each instance a default factory serves gets a fresh dict of its own
+    factories = [f.name for f in fields(twin) if f.default_factory is not MISSING]
+    if factories:
+        required = [v for v, f in zip(values, fields(twin)) if f.default is MISSING is f.default_factory]
+        first, second = cls(*required), cls(*required)
+        for name in factories:
+            assert getattr(first, name) == {} and getattr(first, name) is not getattr(second, name)
 
 
 def test_a_record_keeps_its_defaults_and_checks():
@@ -282,3 +353,7 @@ def test_a_record_keeps_its_defaults_and_checks():
         gfo.ParseDiagnostic(span, "no-such-code", "boom")
     with pytest.raises(ValueError, match="unregistered axiom name"):
         gfo.Violation("no-such-axiom", ("c",), "m")
+    with pytest.raises(ZeroOrNegativeDuration, match=r"chronoid 'c': \[1, 1\] has no duration"):
+        gfo.Chronoid("c", Fraction(1), Fraction(1))
+    with pytest.raises(ValueError, match="concept 'empty' has no constraints"):
+        gfo.SituationConcept(name="empty")
