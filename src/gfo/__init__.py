@@ -6,37 +6,35 @@ Worlds of processes, presentials and continuants are declared in the
 and queried for function realizations and truth-makers.
 """
 
-from . import checker, chrono, dsl, errors, functions, model, truthmakers
-
 __version__ = "0.1.0"
 
 # the package's public names, and its only export list: each named once under
 # the module defining it
 _EXPORTS = (
-    (chrono, "Chronoid TimeBoundary coord coord_str make_chronoid inner_boundary left_boundary"
-             " right_boundary coincides meets temporal_part_chronoid"),
-    (model, "Model Presential Process Continuant Fact Situation PropertyDef ValueDomain Support"
-            " Kind classify process_boundary snapshot process_temporal_part"),
-    (checker, "Violation IntegrationWitness check_disjointness check_integration derive_process"
-              " complete_integration check_presential_dependence detect_continuant_changes"
-              " detect_process_changes"),
-    (functions, "FactPattern PropertyConstraint SituationConcept FunctionSpec RealizationRecord"
-                " satisfies_concept is_actual_realization is_universal_realization executes"
-                " is_actual_realizer check_fitem"),
-    (truthmakers, "AtTime DuringSpan FactProp HoldsProp TruthMakerTriple SupportClass satisfies"
-                  " find_truthmakers has_propositional_property classify_property_support"
-                  " functional_property"),
-    (dsl, "parse parse_file serialize parse_query ParseError ParseDiagnostic SourceSpan"),
+    ("errors", "errors"),  # the module itself
+    ("chrono", "Chronoid TimeBoundary coord coord_str make_chronoid inner_boundary left_boundary"
+               " right_boundary coincides meets temporal_part_chronoid"),
+    ("model", "Model Presential Process Continuant Fact Situation PropertyDef ValueDomain Support"
+              " Kind classify process_boundary snapshot process_temporal_part"),
+    ("checker", "Violation IntegrationWitness check_disjointness check_integration derive_process"
+                " complete_integration check_presential_dependence detect_continuant_changes"
+                " detect_process_changes"),
+    ("model", "FactPattern PropertyConstraint SituationConcept FunctionSpec"),
+    ("functions", "RealizationRecord satisfies_concept is_actual_realization"
+                  " is_universal_realization executes is_actual_realizer check_fitem"),
+    ("truthmakers", "AtTime DuringSpan FactProp HoldsProp TruthMakerTriple SupportClass satisfies"
+                    " find_truthmakers has_propositional_property classify_property_support"
+                    " functional_property"),
+    ("dsl", "parse parse_file serialize parse_query ParseError ParseDiagnostic SourceSpan"),
 )
-
-__all__ = ["errors"]
-for _module, _names in _EXPORTS:
-    __all__ += _names.split()
-    globals().update((n, vars(_module)[n]) for n in _names.split() if n in vars(_module))
-del _module, _names
+__all__ = " ".join(names for _, names in _EXPORTS).split()
 
 
 def __getattr__(name: str):
-    if name in __all__:  # serialize or parse_query, which gfo.dsl loads on first use
-        return getattr(dsl, name)
+    """Import a public name's module on the name's first use, and keep the name."""
+    for home, names in _EXPORTS:
+        if name in names.split():
+            from importlib import import_module
+            module = import_module(f"{__name__}.{home}")
+            return globals().setdefault(name, module if name == home else getattr(module, name))
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -341,7 +341,7 @@ def detect_process_changes(
     samples = p.trajectories.get(prop_name)
     if samples is None:
         raise UnknownProperty(f"property {prop_name!r} has no trajectory on process {p.id!r}")
-    ordered = sorted(samples, key=itemgetter(0))
+    ordered = sorted(samples, key=itemgetter(0))  # guard for hand-built stores only
     if pdef.domain.kind == CATEGORICAL:
         changed = [(t1, t2) for (t1, v1), (t2, v2) in pairwise(ordered) if v1 != v2]
     else:  # |v2 - v1| > tol on integer parts: |c*b - a*d| * f > e*b*d for a/b, c/d, e/f

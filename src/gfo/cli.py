@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 
-from . import checker, dsl, functions, truthmakers  # noqa: F401  (last two: perfbench's tracer)
+from . import checker, dsl, functions, truthmakers  # noqa: F401  (last two: for the tracer only)
 from .chrono import coord, coord_str, fmt_value
 from .dsl import ParseError, parse_file
 from .errors import GfoError

@@ -32,9 +32,9 @@ from itertools import compress
 
 from .chrono import MAX_LITERAL_DIGITS, _rational, _shown  # noqa: F401  (a name of dsl)
 from .errors import GfoError
-from .functions import CONCEPTUAL, FUNCTION_KINDS
 from .link import _Linker
-from .model import CATEGORICAL, GLOBAL, ISOLATED, NON_ISOLATED, NUMERIC, Model, Record
+from .model import CATEGORICAL, CONCEPTUAL, FUNCTION_KINDS, GLOBAL, ISOLATED, NON_ISOLATED, NUMERIC
+from .model import Model, Record
 
 # ---------------------------------------------------------------------------
 # Diagnostics

@@ -1,11 +1,11 @@
-"""Functions: conceptual structures, realizations, execution, realizers.
+"""Functions: realizations, execution, realizers.
 
 A function is a conceptual structure (labels, requirement concept, goal
-concept, functional item).  A process is an actual realization of a
-function when a presentic situation satisfying the requirement concept
-coincides with its initial boundary and one satisfying the goal concept
-coincides with its final boundary.  Execution is a primitive relation:
-it is asserted in the model, never inferred.
+concept, functional item); its types are store content, defined in model and
+re-exported here.  A process is an actual realization of a function when a
+presentic situation satisfying the requirement concept coincides with its
+initial boundary and one satisfying the goal concept coincides with its
+final boundary.  Execution is a primitive relation: asserted, never inferred.
 """
 
 from __future__ import annotations
@@ -14,66 +14,10 @@ from fractions import Fraction
 
 from .chrono import coord, coord_str
 from .errors import UnknownSituation, UnsampledTime
-from .model import Fact, Model, Process, Record, Situation, Value, classify, field, process_of
-from .model import sample_map, sample_valuation
-
-WILDCARD = "_"
-
-CONCEPTUAL = "conceptual"
-UNIVERSAL = "universal"
-INDIVIDUAL = "individual"
-FUNCTION_KINDS = (CONCEPTUAL, UNIVERSAL, INDIVIDUAL)
-
-
-class FactPattern(Record):
-    """A relator with argument slots; a slot is an id, a literal value, or
-    the wildcard '_'."""
-
-    relator: str
-    args: tuple
-
-    def matches(self, fact: Fact) -> bool:
-        if fact.relator != self.relator or len(fact.args) != len(self.args):
-            return False
-        return all(slot == WILDCARD or slot == arg for slot, arg in zip(self.args, fact.args))
-
-
-class PropertyConstraint(Record):
-    """Requires a participant to present a property value at the
-    situation's time."""
-
-    entity: str
-    prop: str
-    value: Value
-
-
-class SituationConcept(Record):
-    """A concept whose instances are situations; requires at least one
-    fact pattern or property constraint.
-
-    The name is a human label and does not enter equality.
-    """
-
-    required_facts: frozenset = frozenset()  # of FactPattern
-    required_props: frozenset = frozenset()  # of PropertyConstraint
-    name: str = field(default="", compare=False)
-
-    def __post_init__(self) -> None:
-        if not self.required_facts and not self.required_props:
-            raise ValueError(f"concept {self.name!r} has no constraints")
-
-
-class FunctionSpec(Record):
-    """Conceptual structure of a function: labels, requirement and goal
-    concepts, and the functional item (necessary bearer properties)."""
-
-    id: str
-    req: SituationConcept
-    goal: SituationConcept
-    labels: frozenset = frozenset()
-    fitem: tuple = ()  # ((property name, required value), ...) sorted
-    kind: str = CONCEPTUAL
-    bearer: str | None = None
+from .model import FunctionSpec, Kind, Model, Process, PropertyConstraint, Record, Situation
+from .model import SituationConcept, classify, process_of, sample_map, sample_valuation
+from .model import CONCEPTUAL, FUNCTION_KINDS, INDIVIDUAL, UNIVERSAL, WILDCARD  # noqa: F401
+from .model import FactPattern  # noqa: F401
 
 
 class RealizationRecord(Record):
@@ -142,7 +86,8 @@ def _executed(m: Model) -> dict:
     order; read through ``m.index``, which builds it once per model."""
     index = {}
     for x, pid in sorted(m.exe_assertions):
-        index.setdefault(x, []).append(pid)
+        if pid in m.processes:  # guard for hand-built stores only (docs/semantics.md)
+            index.setdefault(x, []).append(pid)
     return index
 
 
@@ -207,9 +152,7 @@ def is_actual_realizer(x: str, f: FunctionSpec, m: Model) -> bool:
     """True iff ``x`` executes some process that actually realizes ``f``."""
     classify(x, m, "executor")  # an undeclared id raises here
     for pid in m.index(_executed).get(x, ()):
-        p = m.processes.get(pid)
-        # guard for hand-built stores only (docs/semantics.md, store invariants)
-        if p is not None and is_actual_realization(p, f, m) is not None:
+        if is_actual_realization(m.processes[pid], f, m) is not None:
             return True
     return False
 
@@ -217,10 +160,12 @@ def is_actual_realizer(x: str, f: FunctionSpec, m: Model) -> bool:
 def check_fitem(bearer: str, f: FunctionSpec, m: Model, t: int | str | Fraction):
     """Check the bearer's valuation at ``t`` against the functional item.
 
-    Returns (verdict, unmet constraints).
+    Returns (verdict, unmet constraints); a situation or a fact raises TypeError.
     """
     t = coord(t)
-    valuation = sample_valuation(m, sample_map(m, bearer, "bearer"), t)  # an undeclared id raises
+    if classify(bearer, m, "bearer") in (Kind.SITUATION, Kind.FACT):  # an undeclared id raises here
+        raise TypeError(f"{bearer!r} is not a presential, continuant or process; it has no samples")
+    valuation = sample_valuation(m, sample_map(m, bearer), t)
     if valuation is None:
         raise UnsampledTime(f"{bearer!r} presents no snapshot or boundary at {coord_str(t)}")
     unmet = [(prop, want) for prop, want in f.fitem if valuation.get(prop) != want]

@@ -8,8 +8,8 @@ from collections import defaultdict
 
 from .chrono import Chronoid, Time, coord_str, fmt_value, inner_boundary
 from .errors import OutOfExtent, ZeroOrNegativeDuration
-from .functions import INDIVIDUAL, FactPattern, FunctionSpec, PropertyConstraint, SituationConcept
-from .model import ISOLATED, Continuant, Fact, Model, Presential, Process, PropertyDef, Situation
+from .model import INDIVIDUAL, ISOLATED, Continuant, Fact, FactPattern, FunctionSpec, Model
+from .model import Presential, Process, PropertyConstraint, PropertyDef, Situation, SituationConcept
 from .model import Support, ValueDomain
 
 

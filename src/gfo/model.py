@@ -1,8 +1,8 @@
-"""Immutable entity store for processes, presentials, continuants and situations.
+"""Immutable store of a world: entities by string id, properties and function specs.
 
-All entities are frozen records (``Record``, from chrono) addressed by string
-ids, which ``dataclasses.fields``, ``replace`` and ``asdict`` take.  The store
-itself is built once (by the DSL loader or programmatically) and then only
+Each type the store holds is a frozen record (``Record``) defined here, the
+chronoid types in chrono; ``dataclasses.fields``, ``replace`` and ``asdict``
+take them.  Built once, by the DSL loader or in code, the store is then only
 read; the checking and query layers are pure functions over it.
 
 Finite-sample semantics: processes and continuants carry finitely many
@@ -30,6 +30,12 @@ NUMERIC = "numeric"
 ISOLATED = "isolated"
 NON_ISOLATED = "nonisolated"
 GLOBAL = "global"
+
+CONCEPTUAL = "conceptual"
+UNIVERSAL = "universal"
+INDIVIDUAL = "individual"
+FUNCTION_KINDS = (CONCEPTUAL, UNIVERSAL, INDIVIDUAL)
+WILDCARD = "_"
 
 
 class ValueDomain(Record):
@@ -125,6 +131,57 @@ class Situation(Record):
     @property
     def presentic(self) -> bool:
         return isinstance(self.extent, TimeBoundary)
+
+
+class FactPattern(Record):
+    """A relator with argument slots; a slot is an id, a literal value, or
+    the wildcard '_'."""
+
+    relator: str
+    args: tuple
+
+    def matches(self, fact: Fact) -> bool:
+        if fact.relator != self.relator or len(fact.args) != len(self.args):
+            return False
+        return all(slot == WILDCARD or slot == arg for slot, arg in zip(self.args, fact.args))
+
+
+class PropertyConstraint(Record):
+    """Requires a participant to present a property value at the
+    situation's time."""
+
+    entity: str
+    prop: str
+    value: Value
+
+
+class SituationConcept(Record):
+    """A concept whose instances are situations; requires at least one
+    fact pattern or property constraint.
+
+    The name is a human label and does not enter equality.
+    """
+
+    required_facts: frozenset = frozenset()  # of FactPattern
+    required_props: frozenset = frozenset()  # of PropertyConstraint
+    name: str = field(default="", compare=False)
+
+    def __post_init__(self) -> None:
+        if not self.required_facts and not self.required_props:
+            raise ValueError(f"concept {self.name!r} has no constraints")
+
+
+class FunctionSpec(Record):
+    """Conceptual structure of a function: labels, requirement and goal
+    concepts, and the functional item (necessary bearer properties)."""
+
+    id: str
+    req: SituationConcept
+    goal: SituationConcept
+    labels: frozenset = frozenset()
+    fitem: tuple = ()  # ((property name, required value), ...) sorted
+    kind: str = CONCEPTUAL
+    bearer: str | None = None
 
 
 class Kind(Enum):

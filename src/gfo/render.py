@@ -13,8 +13,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import dsl
 from .chrono import TimeBoundary, coord_str, fmt_value
-from .functions import CONCEPTUAL
-from .model import CATEGORICAL, NON_ISOLATED, Model
+from .model import CATEGORICAL, CONCEPTUAL, NON_ISOLATED, Model
 
 
 def _extent_json(extent) -> dict:
@@ -70,7 +69,7 @@ def model_to_json(m: Model) -> dict:
             pid: {
                 "extent": p.extent.id,
                 "boundaries": {coord_str(t): p.boundary_map[t] for t in sorted(p.boundary_map)},
-                "trajectories": {
+                "trajectories": {  # sorted: guard for hand-built stores only
                     prop: [[coord_str(t), fmt_value(v)] for t, v in sorted(samples)]
                     for prop, samples in p.trajectories.items()
                 },

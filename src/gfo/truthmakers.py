@@ -14,9 +14,9 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import MalformedTriple, UnknownProperty
-from .model import GLOBAL, ISOLATED, NON_ISOLATED, Model, Record, Situation, Value
-from .model import process_of
-from .functions import FactPattern, FunctionSpec, is_actual_realization
+from .functions import is_actual_realization
+from .model import GLOBAL, ISOLATED, NON_ISOLATED, FactPattern, FunctionSpec, Model, Record
+from .model import Situation, Value, process_of
 
 
 class AtTime(Record):

@@ -733,6 +733,40 @@ def test_a_check_loads_no_rendering_query_parser_or_json():
     assert (done.returncode, done.stderr.splitlines()) == (0, expected), done.stderr
 
 
+# the gfo modules each entry loads (docs/semantics.md, "Cold start"): a check
+# loads `functions` and `truthmakers` only for perfbench's tracer, which looks
+# its functions up in the modules loaded
+ENTRY_MODULES = {
+    "import gfo": ("import gfo", "gfo"),
+    "gfo.parse_file": ("import gfo; gfo.parse_file({heart!r})", "gfo chrono dsl errors link model"),
+    "gfo check": (
+        "sys.argv = ['gfo', 'check', {heart!r}]; from gfo.cli import entry; entry()",
+        "gfo checker chrono cli dsl errors functions link model truthmakers",
+    ),
+}
+CHECK_SOURCE_BYTES = 121_624  # what a cold check compiles, as docs/semantics.md states
+
+
+@pytest.mark.parametrize("entry", ENTRY_MODULES)
+def test_each_entry_loads_only_the_modules_it_runs(entry):
+    """One fresh ``python -S`` per entry: ``import gfo`` loads no submodule,
+    a load only the loader's, and a check exactly its ten modules, whose
+    source bytes are the compile guard of a cold start."""
+    code, expected = ENTRY_MODULES[entry]
+    probe = "; ".join([
+        f"import sys; sys.path.insert(0, {str(REPO / 'src')!r})",
+        code.format(heart=str(CORPUS / "heart.gfo")),
+        "print(*sorted(n for n in sys.modules if n == 'gfo' or n.startswith('gfo.')), file=sys.stderr)",
+    ])
+    done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    names = [name.partition(".")[2] or name for name in done.stderr.split()]
+    assert names == expected.split(), done.stderr
+    if entry == "gfo check":
+        files = [REPO / "src" / "gfo" / f"{'__init__' if n == 'gfo' else n}.py" for n in names]
+        assert sum(path.stat().st_size for path in files) <= CHECK_SOURCE_BYTES
+
+
 def test_compiling_each_module_peaks_under_3_mb():
     """Without a bytecode cache every start compiles every module, and the
     compiler's memory peaks near 68 bytes per source byte, so the largest

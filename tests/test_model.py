@@ -1,6 +1,8 @@
 import copy
 import importlib
+import inspect
 import pickle
+import re
 from dataclasses import MISSING, FrozenInstanceError, asdict, fields, is_dataclass, replace
 from fractions import Fraction
 from operator import attrgetter
@@ -357,3 +359,73 @@ def test_a_record_keeps_its_defaults_and_checks():
         gfo.Chronoid("c", Fraction(1), Fraction(1))
     with pytest.raises(ValueError, match="concept 'empty' has no constraints"):
         gfo.SituationConcept(name="empty")
+
+
+# one declared id of each individual kind in heart.gfo
+HEART_IDS = {
+    "continuant": "heart", "presential": "heart_b", "process": "blood-movement",
+    "situation": "s_req", "fact": "f_start",
+}
+INDIVIDUALS = tuple(HEART_IDS)
+
+
+def _law_calls(m):
+    """(function, parameter) -> (the call with ``x`` there, the kinds it answers
+    for, what a declared id of any other kind gives: TypeError, or False)."""
+    f = m.functions["f_pump"]
+    prop = gfo.FactProp("position", ("blood", "in_heart"))
+    return {
+        ("classify", "entity_id"): (lambda x: gfo.classify(x, m), INDIVIDUALS, None),
+        ("executes", "x"): (lambda x: gfo.executes(x, "blood-movement", m), INDIVIDUALS, None),
+        ("executes", "p"): (lambda x: gfo.executes("heart", x, m), ("process",), False),
+        ("is_actual_realizer", "x"): (lambda x: gfo.is_actual_realizer(x, f, m), INDIVIDUALS, None),
+        ("check_fitem", "bearer"): (
+            lambda x: gfo.check_fitem(x, f, m, 0), ("continuant", "presential", "process"), TypeError
+        ),
+        ("has_propositional_property", "p"): (
+            lambda x: gfo.has_propositional_property(x, prop, m), ("process",), TypeError
+        ),
+        ("classify_property_support", "p"): (
+            lambda x: gfo.classify_property_support("position", x, m), ("process",), TypeError
+        ),
+        ("functional_property", "p"): (
+            lambda x: gfo.functional_property(x, f, m), ("process",), TypeError
+        ),
+        ("is_universal_realization", "process_ids"): (
+            lambda x: gfo.is_universal_realization([x], f, m), ("process",), TypeError
+        ),
+    }
+
+
+# the str parameters of public functions that take no id of the store
+NON_IDS = set("value left right id t l r role mode prop_name tol source file text".split())
+
+
+def test_every_id_parameter_is_looked_up_by_role(heart):
+    """Each id parameter of ``gfo.__all__`` answers an id of a kind it takes,
+    raises UnknownEntity for an undeclared id and TypeError for a chronoid's,
+    and for an individual of another kind either raises TypeError ("'x' is
+    not a <kinds>; <why>") or answers its documented False."""
+    calls = _law_calls(heart)
+    for name in gfo.__all__:
+        fn = getattr(gfo, name)
+        if not inspect.isfunction(fn):
+            continue
+        for param in inspect.signature(fn).parameters.values():
+            if isinstance(param.annotation, str) and re.search(r"\bstr\b", param.annotation):
+                assert (name, param.name) in calls or param.name in NON_IDS, (name, param.name)
+    for (name, param), (call, takes, other) in calls.items():
+        assert param in inspect.signature(getattr(gfo, name)).parameters, (name, param)
+        with pytest.raises(UnknownEntity, match=r"^[a-z]+ 'nobody' is not declared$"):
+            call("nobody")
+        with pytest.raises(TypeError, match=r"^[a-z]+ 'beat' is a chronoid, not an individual$"):
+            call("beat")  # a chronoid of heart.gfo
+        for kind, x in HEART_IDS.items():
+            if kind in takes:
+                assert call(x) is not None, (name, param, kind)
+            elif other is False:
+                assert call(x) is False, (name, param, kind)
+            else:
+                shape = rf"^'{x}' is not a [a-z, ]+; \S.*$"
+                with pytest.raises(TypeError, match=shape):
+                    call(x)
